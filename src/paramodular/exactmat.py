@@ -2,7 +2,8 @@
 
 Everything downstream (lattice reduction, Hecke enumeration, Garrett
 representatives) is built on the routines here.  Entries are Python ints or
-``fractions.Fraction``; there is no floating point in this module.
+``fractions.Fraction``; there is no floating point in this module, and numpy
+appears only in ``Mat.to_numpy``, the int64 hand-off to the enumerators.
 
 Conventions:
 
@@ -17,13 +18,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, SingularMatrix
+import numpy as np
+
+from .errors import DimensionMismatch, IntegralityViolation, NotSupported, SingularMatrix
 
 Scalar = int | Fraction
 
 
 def _norm(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
+    # an exact type test: isinstance goes through the numbers ABC registry
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
 
@@ -103,6 +107,15 @@ class Mat:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
+
+    def to_numpy(self) -> np.ndarray:
+        """The entries as an int64 array; NotSupported if one does not fit."""
+        if not self.is_integral():
+            raise IntegralityViolation("only integral matrices convert to int64")
+        try:
+            return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
+        except OverflowError:
+            raise NotSupported("matrix entry outside the int64 range") from None
 
     # -- arithmetic ----------------------------------------------------
 

@@ -17,8 +17,17 @@ from math import ceil, floor, gcd, sqrt
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
+    IntegralityViolation,
+    InvalidInvariant,
+    InvalidLevel,
+    InvalidRank,
+    NonSquareFreeLevel,
     NotEven,
+    NotIsometric,
     NotPositiveDefinite,
+    NotStabilizing,
+    NotSupported,
     ScaleLimit,
 )
 from .exactmat import Mat, hnf_rows, rational_inverse, solve_right
@@ -54,7 +63,8 @@ class QuadLattice:
         for i in range(n):
             if x[i]:
                 tot += x[i] * sum(g[i, j] * x[j] for j in range(n))
-        assert tot % 2 == 0
+        if tot % 2:
+            raise NotEven("odd value of the doubled form")
         return tot // 2
 
     def bilinear(self, x, y) -> int:
@@ -191,8 +201,7 @@ def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
     callers must filter with exact arithmetic.
     """
     n = gram.nrows
-    G = np.array([[int(x) for x in row] for row in gram.rows], dtype=np.int64)
-    A = G.astype(float) / 2.0
+    A = gram.to_numpy().astype(float) / 2.0
     D = np.zeros(n)
     U = np.eye(n)
     W = A.copy()
@@ -226,11 +235,15 @@ def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
         offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
         ranks = np.arange(total) - np.repeat(offs, counts)
         xs = lo[idx] + ranks
-        Xn = np.concatenate([X[idx], xs[:, None]], axis=1)
-        pn = partial[idx] + D[i] * (xs + c[idx]) ** 2
+        # idx is in range by construction, so clip mode only drops the
+        # bounds check and the buffered copy of the default mode
+        Xn = np.empty((total, X.shape[1] + 1), dtype=np.int64)
+        np.take(X, idx, axis=0, out=Xn[:, :-1], mode="clip")
+        Xn[:, -1] = xs
         if i == 0:
             yield Xn[:, ::-1]
             continue
+        pn = partial[idx] + D[i] * (xs + c[idx]) ** 2
         if len(Xn) > chunk:
             pieces = int(np.ceil(len(Xn) / chunk))
             for t in range(pieces):
@@ -242,10 +255,10 @@ def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
 
 def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
     """Exact counts {q: #vectors with Q = q} for q <= bound."""
-    G = np.array([[int(x) for x in row] for row in L.gram.rows], dtype=np.int64)
+    G = L.gram.to_numpy()
     counts = np.zeros(bound + 1, dtype=np.int64)
     for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
-        qv = np.einsum("ij,jk,ik->i", X, G, X, optimize=True) // 2
+        qv = ((X @ G) * X).sum(axis=1) // 2
         qv = qv[qv <= bound]
         counts += np.bincount(qv, minlength=bound + 1)
     return {q: int(counts[q]) for q in range(bound + 1) if counts[q]}
@@ -253,14 +266,28 @@ def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[
 
 def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
     """All x with Q(x) <= bound via the chunked enumerator, as {q: [tuples]}."""
-    G = np.array([[int(x) for x in row] for row in L.gram.rows], dtype=np.int64)
+    G = L.gram.to_numpy()
     out: dict[int, list[tuple[int, ...]]] = {}
     for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
-        qv = np.einsum("ij,jk,ik->i", X, G, X, optimize=True) // 2
+        qv = ((X @ G) * X).sum(axis=1) // 2
         keep = qv <= bound
         for row, q in zip(X[keep], qv[keep]):
             out.setdefault(int(q), []).append(tuple(int(v) for v in row))
     return out
+
+
+def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6) -> dict[int, np.ndarray]:
+    """Coordinates with Q(x) <= bound as {q: int64 rows}, each shell in
+    enumeration order."""
+    G = gram.to_numpy()
+    groups: dict[int, list] = {}
+    for X in fincke_pohst_chunks(gram, bound, budget=budget):
+        qv = ((X @ G) * X).sum(axis=1) // 2
+        keep = qv <= bound
+        X, qv = X[keep], qv[keep]
+        for q in np.unique(qv):
+            groups.setdefault(int(q), []).append(X[qv == q])
+    return {q: np.concatenate(parts) for q, parts in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,51 +296,80 @@ def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
 
 
 class _Backtracker:
-    """Search for linear maps carrying one Gram to another over shells."""
+    """Search for linear maps carrying one Gram to another over shells.
+
+    The image of source basis vector d is chosen among the target vectors of
+    norm Q(e_d), the candidates, after the images of e_0..e_{d-1}.  Each
+    norm's candidates are one int64 matrix, built once in shell order.  At a
+    node of depth d a single product of that matrix with the Gram rows of
+    the images chosen so far selects the candidates whose inner products
+    with them are the source Gram entries, and the hits are walked in shell
+    order.  That is the order in which a candidate-by-candidate test visits
+    them, so the search tree, and with it the node count that the budget
+    caps, is the same.  The products are exact: the constructor raises
+    NotSupported unless n^2 * max|Gram| * max|candidate|^2 < 2^63.
+    """
 
     def __init__(self, gram_target: Mat, gram_source: Mat, budget: int = 10**7):
         # columns of a solution g are target-coordinates of the images of
         # the source basis:  t(g) . gram_target . g = gram_source
         self.Gt = gram_target
         self.Gs = gram_source
-        self.n = gram_source.nrows
+        self.n = n = gram_source.nrows
         self.budget = budget
-        norms = sorted({gram_source[i, i] // 2 for i in range(self.n)})
-        bound = max(norms)
-        Lt = QuadLattice(gram_target)
-        shells = short_vectors(Lt, bound)
-        self.cands = {q: shells.get(q, []) for q in norms}
+        norms = sorted({gram_source[i, i] // 2 for i in range(n)})
+        shells = shell_vectors(gram_target, max(norms))
+        self.cands = {q: shells.get(q, np.zeros((0, n), dtype=np.int64))
+                      for q in norms}
         self.nodes = 0
-        self._gt = np.array([[int(x) for x in row] for row in gram_target.rows],
-                            dtype=np.int64)
+        self._gt = gram_target.to_numpy()
+        self._gs = gram_source.to_numpy()
+        self._cmax = max((int(np.abs(C).max()) for C in self.cands.values() if len(C)),
+                         default=0)
+        gmax = max(abs(x) for row in gram_target.rows for x in row)
+        if n * n * gmax * self._cmax ** 2 >= 1 << 63:
+            raise NotSupported("candidate inner products may overflow int64")
+        # Gram rows of the candidates: the inner products with an image v
+        # are self._cg[q] @ v
+        self._cg = {q: C @ self._gt for q, C in self.cands.items()}
 
-    def extend(self, fixed: list, constraints=None):
+    def extend(self, fixed, constraints=None):
         """Complete fixed images to a full isometry; None if impossible.
 
-        constraints, when given, is a list of (coeff_row, lattice_hnf) pairs:
-        once all coordinates appearing in coeff_row are assigned, the image
-        of the combination must reduce to zero against the lattice rows.
+        fixed holds the images of e_0, e_1, ... in order, each a vector of
+        its shell.  constraints, when given, is a list of (coeff_row,
+        lattice_hnf) pairs: once all coordinates appearing in coeff_row are
+        assigned, the image of the combination must reduce to zero against
+        the lattice rows.
         """
         n = self.n
-        gt = self._gt
+        gs = self._gs
+        # the constraints that become decidable at each depth
+        checks = [[] for _ in range(n)]
+        for coeff, hnf in constraints or ():
+            support = [t for t in range(n) if coeff[t]]
+            if support:
+                checks[max(support)].append(
+                    (support, [coeff[t] for t in support], hnf))
 
-        def ok_partial(depth, images):
-            if constraints is None:
-                return True
-            for coeff, hnf in constraints:
-                support = [t for t in range(n) if coeff[t]]
-                if support and max(support) == depth:
-                    vec = np.zeros(n, dtype=np.int64)
-                    for t in support:
-                        vec += coeff[t] * images[t]
-                    if not _in_lattice(vec, hnf):
-                        return False
+        images = np.zeros((n, n), dtype=np.int64)   # row d: image of e_d
+        rows = np.zeros((n, n), dtype=np.int64)     # row d: gram_target @ images[d]
+
+        def ok_partial(depth):
+            for support, coeff, hnf in checks[depth]:
+                sel = images[support].tolist()
+                vec = [sum(c * v[k] for c, v in zip(coeff, sel)) for k in range(n)]
+                if not _in_lattice(vec, hnf):
+                    return False
             return True
 
-        images = [np.array(v, dtype=np.int64) for v in fixed]
-        rows_cache = [gt @ v for v in images]
-        for depth in range(len(images)):
-            if not ok_partial(depth, images):
+        fixed = np.asarray(fixed, dtype=np.int64).reshape(-1, n)
+        if len(fixed) and int(np.abs(fixed).max()) > self._cmax:
+            raise NotSupported("fixed image outside the candidate shells")
+        for depth, v in enumerate(fixed):
+            images[depth] = v
+            rows[depth] = self._gt @ v
+            if not ok_partial(depth):
                 return None
 
         def rec(depth):
@@ -322,31 +378,28 @@ class _Backtracker:
                 raise ScaleLimit("isometry search budget exceeded")
             if depth == n:
                 return True
-            want_norm = self.Gs[depth, depth] // 2
-            for cand in self.cands[want_norm]:
-                v = np.array(cand, dtype=np.int64)
-                good = True
-                for j in range(depth):
-                    if int(rows_cache[j] @ v) != self.Gs[j, depth]:
-                        good = False
-                        break
-                if not good:
-                    continue
-                images.append(v)
-                rows_cache.append(gt @ v)
-                if ok_partial(depth, images) and rec(depth + 1):
+            norm = self.Gs[depth, depth] // 2
+            C = self.cands[norm]
+            if depth:
+                hits = np.flatnonzero(
+                    (C @ rows[:depth].T == gs[:depth, depth]).all(axis=1))
+            else:
+                hits = range(len(C))
+            cg = self._cg[norm]
+            for k in hits:
+                images[depth] = C[k]
+                rows[depth] = cg[k]
+                if ok_partial(depth) and rec(depth + 1):
                     return True
-                images.pop()
-                rows_cache.pop()
             return False
 
-        if rec(len(images)):
-            return Mat([[int(images[j][i]) for j in range(n)] for i in range(n)])
+        if rec(len(fixed)):
+            return Mat(images.T.tolist())
         return None
 
 
 def _in_lattice(vec, hnf_rows_list) -> bool:
-    v = list(int(x) for x in vec)
+    v = list(vec)
     for row in hnf_rows_list:
         piv = next((t for t, x in enumerate(row) if x), None)
         if piv is None:
@@ -377,7 +430,8 @@ def isometry_test(L: QuadLattice, K: QuadLattice, budget: int = 10**7) -> Mat | 
     g = bt.extend([])
     if g is None:
         return None
-    assert g.transpose() @ K.gram @ g == L.gram
+    if g.transpose() @ K.gram @ g != L.gram:
+        raise NotIsometric("the search returned a map that is not an isometry")
     return g
 
 
@@ -386,7 +440,10 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     """Order and generators of the isometries preserving every sublattice.
 
     Stabilizer chain over the standard basis: the order is the product over
-    levels of the number of extendable images of each basis vector.
+    levels of the number of extendable images of each basis vector.  With
+    e_0..e_{d-1} fixed, the candidate images of e_d are those whose Gram
+    row starts with the Gram entries (gram[j, d])_{j<d}; one comparison of
+    the candidates' Gram rows selects them, in shell order.
     """
     n = L.rank
     constraints = []
@@ -398,30 +455,27 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
         for row in rev:
             constraints.append((list(row)[::-1], hnf))
     bt = _Backtracker(L.gram, L.gram, budget)
+    G = bt._gs
+    eye = np.eye(n, dtype=np.int64)
     order = 1
     gens: list[Mat] = []
-    fixed: list[tuple[int, ...]] = []
     for depth in range(n):
-        e = tuple(1 if t == depth else 0 for t in range(n))
-        count = 0
         norm = L.gram[depth, depth] // 2
-        for cand in bt.cands[norm]:
-            ok = True
-            for j in range(depth):
-                if L.bilinear(fixed[j], cand) != L.gram[j, depth]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            g = bt.extend([list(f) for f in fixed] + [list(cand)],
-                          constraints or None)
+        C = bt.cands[norm]
+        hits = np.flatnonzero(
+            (bt._cg[norm][:, :depth] == G[depth, :depth]).all(axis=1))
+        count = 0
+        fixed = eye[:depth + 1].copy()
+        for k in hits:
+            fixed[depth] = C[k]
+            g = bt.extend(fixed, constraints or None)
             if g is not None:
                 count += 1
-                if cand != e:
+                if not np.array_equal(C[k], eye[depth]):
                     gens.append(g)
-        assert count >= 1
+        if count < 1:
+            raise NotIsometric(f"the identity does not extend at depth {depth}")
         order *= count
-        fixed.append(e)
     return order, gens
 
 
@@ -447,20 +501,26 @@ class ParamodularChain:
     T: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coords) == len(self.T)
-        assert self.T[0] == 1 and self.coords[0] == Mat.identity(self.L1.rank)
+        if len(self.coords) != len(self.T):
+            raise DimensionMismatch("one coordinate matrix per scale")
+        if not self.T or self.T[0] != 1:
+            raise InvalidLevel("the first scale must be 1")
+        if self.coords[0] != Mat.identity(self.L1.rank):
+            raise InvalidInvariant("the first member must be L1 itself")
         for a, b in zip(self.T, self.T[1:]):
-            assert b % a == 0
+            if b % a:
+                raise InvalidLevel("each scale must divide the next")
         for j, C in enumerate(self.coords):
             g = self.member_gram(j)
             t = self.T[j]
             # t-modular and t-even
-            assert all(g[i, i] % (2 * t) == 0 for i in range(g.nrows))
-            dual = rational_inverse(g).scale(t)
-            assert dual.is_integral()
+            if any(g[i, i] % (2 * t) for i in range(g.nrows)):
+                raise NotEven(f"member {j} is not {t}-even")
+            if not rational_inverse(g).scale(t).is_integral():
+                raise InvalidInvariant(f"member {j} is not {t}-modular")
         for j in range(len(self.coords) - 1):
-            inside = lattice_contains(self.coords[j], self.coords[j + 1])
-            assert inside, "chain containment fails"
+            if not lattice_contains(self.coords[j], self.coords[j + 1]):
+                raise InvalidInvariant("chain containment fails")
 
     def member_gram(self, j: int) -> Mat:
         C = self.coords[j]
@@ -493,8 +553,12 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
     reduction mod p of Q / scale.
     """
     n = L.rank
-    assert n % 2 == 0
-    subspaces = _max_singular_subspaces(L, p, scale, budget)
+    if n % 2:
+        raise InvalidRank("modular sublattices need even rank")
+    if p == 2:
+        subspaces = _max_singular_subspaces_f2(L, scale, budget)
+    else:
+        subspaces = _max_singular_subspaces(L, p, scale, budget)
     out = []
     for basis in subspaces:
         rows = [list(v) for v in basis]
@@ -503,10 +567,13 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
         K = Mat(hnf_rows(rows))
         g = K @ L.gram @ K.transpose()
         t = p * scale
-        assert all(x % t == 0 for row in g.rows for x in row)
-        assert all(g[i, i] % (2 * t) == 0 for i in range(n))
+        if any(x % t for row in g.rows for x in row):
+            raise IntegralityViolation(f"sublattice Gram is not divisible by {t}")
+        if any(g[i, i] % (2 * t) for i in range(n)):
+            raise NotEven(f"sublattice is not {t}-even")
         scaled = Mat([[x // t for x in row] for row in g.rows])
-        assert abs(scaled.det()) == 1
+        if abs(scaled.det()) != 1:
+            raise InvalidInvariant(f"sublattice is not {t}-modular")
         out.append(K)
     out.sort(key=lambda M: M.rows)
     return out
@@ -520,9 +587,8 @@ def pmodular_sublattices(L: QuadLattice, p: int, budget: int = 10**6) -> list[Qu
 
 def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
     """Maximal totally singular subspaces of (L/pL, Q/scale mod p), as
-    tuples of reduced-echelon basis vectors."""
-    if p == 2:
-        return _max_singular_subspaces_f2(L, scale, budget)
+    tuples of reduced-echelon basis vectors.  Generic in p; pmodular_coords
+    takes the bitmask search below for p = 2."""
     n = L.rank
     k = n // 2
     g = L.gram
@@ -534,7 +600,8 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
                 for j in range(n):
                     if v[j]:
                         tot += v[i] * v[j] * g[i, j]
-        assert tot % (2 * scale) == 0
+        if tot % (2 * scale):
+            raise IntegralityViolation(f"Q / {scale} is not integral")
         return (tot // (2 * scale)) % p
 
     def bval(v, w) -> int:
@@ -544,7 +611,8 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
                 for j in range(n):
                     if w[j]:
                         tot += v[i] * g[i, j] * w[j]
-        assert tot % scale == 0
+        if tot % scale:
+            raise IntegralityViolation(f"the form / {scale} is not integral")
         return (tot // scale) % p
 
     vectors = []
@@ -581,50 +649,67 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
 
 
 def _max_singular_subspaces_f2(L: QuadLattice, scale: int, budget: int):
-    """Bitmask specialization of the subspace search over F_2."""
+    """Bitmask specialization of the subspace search over F_2.
+
+    Vectors of F_2^n are bitmasks.  The singular vectors are listed once in
+    increasing order, and each gets a bitset over that list marking the
+    singular vectors orthogonal to it.  A state (a totally singular
+    subspace, kept as its reduced echelon rows) is extended by the vectors
+    in the AND of the bitsets of its rows, one per coset of its span: the
+    one that is zero at the leading bits of the echelon rows.  Every
+    extension a vector-by-vector test finds is found, so the states at each
+    dimension, the budget count and the result are those of that test.
+    """
     n = L.rank
     k = n // 2
-    g = L.gram
+    g = L.gram.rows
+    # doubled Q and the Gram row of every mask, built up one bit at a time
+    tot = [0] * (1 << n)
+    row = [[0] * n]
+    gv = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        prev = row[rest]
+        tot[mask] = tot[rest] + 2 * prev[i] + g[i][i]
+        cur = [a + b for a, b in zip(prev, g[i])]
+        row.append(cur)
+        if tot[mask] % (2 * scale) or any(x % scale for x in cur):
+            raise IntegralityViolation(f"the form / {scale} is not integral")
+        gv[mask] = sum(((x // scale) & 1) << j for j, x in enumerate(cur))
+    singular = [m for m in range(1, 1 << n) if (tot[m] // (2 * scale)) & 1 == 0]
+    orth = {b: sum(1 << i for i, w in enumerate(singular)
+                   if not (gv[b] & w).bit_count() & 1)
+            for b in singular}
+    zero_at = [sum(1 << i for i, w in enumerate(singular) if not w >> j & 1)
+               for j in range(n)]
 
-    def vec(mask):
-        return [(mask >> i) & 1 for i in range(n)]
-
-    qtab = []
-    gv = []
-    for mask in range(1 << n):
-        v = vec(mask)
-        tot = sum(v[i] * v[j] * g[i, j] for i in range(n) for j in range(n) if v[i] and v[j])
-        assert tot % (2 * scale) == 0
-        qtab.append((tot // (2 * scale)) & 1)
-        row = 0
-        for j in range(n):
-            s = sum(v[i] * g[i, j] for i in range(n) if v[i])
-            assert s % scale == 0
-            row |= ((s // scale) & 1) << j
-        gv.append(row)
-    singular = [m for m in range(1, 1 << n) if
-                qtab[m] == 0]
-
-    def parity(x):
-        return bin(x).count("1") & 1
-
-    # states keyed by the full span bitmask set (canonical for a subspace)
-    current = {frozenset([0]): ()}
+    # a state is a subspace, given by its reduced echelon rows (canonical):
+    # decreasing, each zero at the leading bits of the others
+    current = [()]
     for dim in range(k):
         nxt = {}
-        for span, basis in current.items():
-            perp = [w for w in singular if w not in span
-                    and all(parity(gv[b] & w) == 0 for b in basis)]
-            for w in perp:
-                newspan = frozenset(x ^ y for x in span for y in (0, w))
-                if newspan not in nxt:
-                    nxt[newspan] = basis + (w,)
+        for ech in current:
+            # vectors orthogonal to the subspace, one per coset of it: the
+            # one that is zero at every leading bit of the echelon rows
+            bits = (1 << len(singular)) - 1
+            for x in ech:
+                bits &= orth[x] & zero_at[x.bit_length() - 1]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                w = singular[low.bit_length() - 1]
+                lead = 1 << (w.bit_length() - 1)
+                key = tuple(sorted([x ^ w if x & lead else x for x in ech] + [w],
+                                   reverse=True))
+                if key not in nxt:
+                    nxt[key] = None
                     if len(nxt) > budget:
                         raise ScaleLimit("subspace enumeration budget exceeded")
-        current = nxt
+        current = list(nxt)
     out = []
-    for span, basis in current.items():
-        rows = _rref_fp([vec(b) for b in basis], 2)
+    for ech in current:
+        rows = _rref_fp([[(b >> i) & 1 for i in range(n)] for b in ech], 2)
         out.append(tuple(map(tuple, rows)))
     return sorted(out)
 
@@ -662,30 +747,44 @@ class ChainClass:
 def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[ChainClass]:
     """Isometry classes of chains with first member L1 and scale list T.
 
-    Only the distinct scales matter; equal consecutive scales repeat the
+    The scales must be squarefree, each dividing the next.  Only the
+    distinct scales matter; equal consecutive scales repeat the
     member.  The candidates for each refinement step are the modular
     sublattices at the new prime, and classes are orbits under the
     automorphisms of L1, with stabilizer orders computed independently and
     checked against the orbit sizes.
+
+    Each refinement step keeps p * (previous member) inside the new one, so
+    the member M at scale t contains t L1, and M is determined by its image
+    in L1 / t L1, that is by its image in L1 / p L1 for each prime p | t.
+    Members are keyed and moved by those images: a generator, reduced mod p
+    once, acts on the reduced-echelon basis of each image.  The orbits, and
+    so the representatives, the stabilizer searches and their node counts,
+    are those of the action on the lattices themselves.
     """
     T = tuple(T)
-    assert T and T[0] == 1
+    if not T or T[0] != 1:
+        raise InvalidLevel("the first scale must be 1")
     n = L1.rank
     distinct = []
     for t in T:
         if not distinct or t != distinct[-1]:
             distinct.append(t)
+    primes = []     # the primes of each distinct scale after the first
+    for prev, cur in zip(distinct, distinct[1:]):
+        if cur % prev or cur // prev < 2:
+            raise InvalidLevel("each scale must be a proper multiple of the last")
+        primes.append(_squarefree_primes(cur))
     # build candidate tuples of coordinate matrices for the distinct scales
     partials = [(Mat.identity(n),)]
-    for prev, cur in zip(distinct, distinct[1:]):
-        step = cur // prev
-        assert cur % prev == 0 and step > 1
+    for prev, ps in zip(distinct, primes):
         newparts = []
         for tup in partials:
             mats = [tup[-1]]
             scale_now = prev
-            for p, e in _factorint(step):
-                assert e == 1, "scales must be squarefree"
+            for p in ps:
+                if prev % p == 0:
+                    continue
                 next_mats = []
                 for M in mats:
                     ML = QuadLattice(M @ L1.gram @ M.transpose())
@@ -705,34 +804,40 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
 
     order1, gens = aut_order_and_gens(L1)
     gens = list({g.rows: g for g in gens}.values())
+    # rows of g^T mod p: the image of a row vector v is v g^T
+    reduced = {p: [[[x % p for x in col] for col in zip(*g.rows)] for g in gens]
+               for p in {p for ps in primes for p in ps}}
+
+    def image_key(M: Mat, ps):
+        return tuple(_echelon_mod([[x % p for x in r] for r in M.rows], p) for p in ps)
+
     seen: dict[tuple, tuple] = {}
     for tup in partials:
-        key = tuple(tuple(map(tuple, hnf_rows([list(r) for r in M.rows])))
-                    for M in tup[1:])
+        key = tuple(image_key(M, ps) for M, ps in zip(tup[1:], primes))
         if key not in seen:
             seen[key] = tup
 
-    def orbit_partition(gen_subset):
+    def orbit_partition(used):
         orbits = []
         unvisited = dict(seen)
         while unvisited:
             key0, tup0 = next(iter(unvisited.items()))
-            frontier = [tup0]
+            frontier = [key0]
             orbit = {key0}
             del unvisited[key0]
             while frontier:
-                tup = frontier.pop()
-                for g in gen_subset:
-                    gt = g.transpose()
-                    moved = tuple(Mat(hnf_rows([list(r) for r in (M @ gt).rows]))
-                                  for M in tup[1:])
-                    mk = tuple(tuple(map(tuple, M.rows)) for M in moved)
+                key = frontier.pop()
+                for gi in range(used):
+                    mk = tuple(tuple(_act_mod(basis, reduced[p][gi], p)
+                                     for basis, p in zip(member, ps))
+                               for member, ps in zip(key, primes))
                     if mk not in orbit:
-                        assert mk in seen, "generator left the candidate set"
+                        if mk not in seen:
+                            raise NotStabilizing("generator left the candidate set")
                         orbit.add(mk)
                         if mk in unvisited:
                             del unvisited[mk]
-                        frontier.append((tup[0],) + moved)
+                        frontier.append(mk)
             orbits.append((tup0, len(orbit)))
         return orbits
 
@@ -741,12 +846,13 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     step = max(4, len(gens) // 16)
     used = step
     while True:
-        orbits = orbit_partition(gens[:used])
+        orbits = orbit_partition(min(used, len(gens)))
         classes = []
         good = True
         for tup, size in orbits:
             chain = ParamodularChain(L1, expand(tup), T)
-            stab = aut_order(chain)
+            # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
+            stab = order1 if len(distinct) == 1 else aut_order(chain)
             if order1 != stab * size:
                 good = False
                 break
@@ -754,24 +860,42 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
         if good:
             break
         if used >= len(gens):
-            raise AssertionError("orbit-stabilizer identity failed with all generators")
+            raise InvalidInvariant("orbit-stabilizer identity failed with all generators")
         used = min(len(gens), used * 2)
     classes.sort(key=lambda c: tuple(tuple(map(tuple, M.rows))
                                      for M in c.representative.coords))
     return classes
 
 
-def _factorint(n: int):
+def _echelon_mod(rows, p) -> tuple:
+    """Reduced echelon basis, as a tuple of tuples, of rows reduced mod p."""
+    return tuple(map(tuple, _rref_fp(rows, p))) if rows else ()
+
+
+def _act_mod(basis, gp, p) -> tuple:
+    """Echelon basis of the image of a subspace of F_p^n under v -> v g^T,
+    given the rows gp of g^T mod p."""
+    out = []
+    for r in basis:
+        acc = [0] * len(gp)
+        for c, grow in zip(r, gp):
+            if c:
+                acc = [a + c * b for a, b in zip(acc, grow)]
+        out.append([a % p for a in acc])
+    return _echelon_mod(out, p)
+
+
+def _squarefree_primes(n: int) -> list[int]:
+    """The prime factors of n, which must be squarefree."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
+            n //= d
+            if n % d == 0:
+                raise NonSquareFreeLevel("scales must be squarefree")
+            out.append(d)
         d += 1
     if n > 1:
-        out.append((n, 1))
+        out.append(n)
     return out

@@ -31,6 +31,7 @@ from .quadlat import (
     QuadLattice,
     fincke_pohst_chunks,
     shell_counts,
+    shell_vectors,
 )
 
 
@@ -76,13 +77,7 @@ class ThetaExpansion:
 
 
 def _member_data(chain: ParamodularChain):
-    G1 = np.array([[int(x) for x in row] for row in chain.L1.gram.rows],
-                  dtype=np.int64)
-    mats = []
-    for C in chain.coords:
-        mats.append(np.array([[int(x) for x in row] for row in C.rows],
-                             dtype=np.int64))
-    return G1, mats
+    return chain.L1.gram.to_numpy(), [C.to_numpy() for C in chain.coords]
 
 
 def theta_coefficients(chain: ParamodularChain, trace_bound: int,
@@ -112,9 +107,8 @@ def theta_coefficients_tuple(L1, coords, bound: int,
     chain produces such a tuple and its keys are the conjugated originals.
     """
     n = len(coords)
-    G1 = np.array([[int(x) for x in row] for row in L1.gram.rows], dtype=np.int64)
-    mats = [np.array([[int(x) for x in row] for row in C.rows], dtype=np.int64)
-            for C in coords]
+    G1 = L1.gram.to_numpy()
+    mats = [C.to_numpy() for C in coords]
 
     class _Fake:
         pass
@@ -129,24 +123,11 @@ def theta_coefficients_tuple(L1, coords, bound: int,
     return _tuple_coefficients(fake, G1, mats, bound, budget)
 
 
-def _collect_vectors(gram: Mat, bound: int, budget: int):
-    """Coordinates and exact Q-values, grouped by shell."""
-    G = np.array([[int(x) for x in row] for row in gram.rows], dtype=np.int64)
-    groups: dict[int, list] = {}
-    for X in fincke_pohst_chunks(gram, bound, budget=budget):
-        qv = np.einsum("ij,jk,ik->i", X, G, X, optimize=True) // 2
-        keep = qv <= bound
-        X, qv = X[keep], qv[keep]
-        for q in np.unique(qv):
-            groups.setdefault(int(q), []).append(X[qv == q])
-    return {q: np.concatenate(parts) for q, parts in groups.items()}
-
-
 def _pair_coefficients(chain, G1, mats, bound, budget):
     g1 = chain.member_gram(0)
     g2 = chain.member_gram(1)
-    sh1 = _collect_vectors(g1, bound, budget)
-    sh2 = _collect_vectors(g2, bound, budget)
+    sh1 = shell_vectors(g1, bound, budget)
+    sh2 = shell_vectors(g2, bound, budget)
     W = mats[0] @ G1 @ mats[1].T        # pairing of member coordinates
     off = 2 * bound + 1
     counts: dict[tuple, int] = {}
@@ -172,7 +153,7 @@ def _tuple_coefficients(chain, G1, mats, bound, budget):
     n = len(chain.T)
     shells = []
     for j in range(n):
-        shells.append(_collect_vectors(chain.member_gram(j), bound, budget))
+        shells.append(shell_vectors(chain.member_gram(j), bound, budget))
     pair = [[mats[i] @ G1 @ mats[j].T for j in range(n)] for i in range(n)]
     counts: dict[tuple, int] = {}
     work = [0]
@@ -516,8 +497,8 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     rate1 = 2 * math.pi * float(y1)
     rate2 = 2 * math.pi * float(y2)
     W = mats[1] @ G1 @ mats[0].T        # b(member2 basis, member1 basis)
-    g2np = np.array([[int(x) for x in row] for row in g2.rows], dtype=np.int64)
-    g1np = np.array([[int(x) for x in row] for row in g1.rows], dtype=np.int64)
+    g2np = g2.to_numpy()
+    g1np = g1.to_numpy()
     nbuck = M**mrank
     powers = np.array([M**i for i in range(mrank)], dtype=np.int64)
     z11c = z11.to_complex()
@@ -534,7 +515,7 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
         Aim = np.zeros(nbuck)
         S2 = 0.0
         for X in fincke_pohst_chunks(g2, B2, budget=budget):
-            qv = np.einsum("ij,jk,ik->i", X, g2np, X, optimize=True) // 2
+            qv = ((X @ g2np) * X).sum(axis=1) // 2
             keep = qv <= B2
             X, qv = X[keep], qv[keep]
             ph = np.exp(2j * math.pi * qv * z22c)
@@ -557,7 +538,7 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
         total = 0j
         S1 = 0.0
         for X in fincke_pohst_chunks(g1, B1, budget=budget):
-            qv = np.einsum("ij,jk,ik->i", X, g1np, X, optimize=True) // 2
+            qv = ((X @ g1np) * X).sum(axis=1) // 2
             keep = qv <= B1
             X, qv = X[keep], qv[keep]
             ph = np.exp(2j * math.pi * qv * z11c)
