@@ -19,6 +19,7 @@ from .altlat import (
     sample_isotropic,
     standard_lattice,
 )
+from .errors import IncompatibleLocals
 from .exactmat import Mat
 from .garrett import (
     CombinedLattice,
@@ -230,7 +231,7 @@ def _hecke_blocks(comb: CombinedLattice, trip: GarrettTriple):
                 loc[p] = dc
                 try:
                     out.append(global_representative(T, Tp, loc))
-                except Exception:
+                except IncompatibleLocals:
                     pass
     # dedupe
     uniq = []

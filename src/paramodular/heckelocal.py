@@ -4,8 +4,13 @@ The standard lattice of shape (a, b) has a unimodular and b p-modular
 hyperbolic planes.  Lattices commensurable with it are classified against it
 by their elementary divisors in the lattice and in its dual; the invariant
 tuple (r_minus, r_plus, mu) indexes the double cosets, with block-monomial
-representative matrices.  Enumeration of neighbors and left cosets is by
-brute force over sublattice/superlattice pairs at desk scale.
+representative matrices.
+
+A base lattice is prepared once (a frame, by exact elimination); each lattice
+then costs two products and two Smith divisor lists.  Neighbor candidates are
+tested for elementarity on one bordered row of pairings before Hermite form.
+The ball of lattices within j neighbor steps is built once per (shape, j)
+with each lattice's class; partitions and left cosets read it.
 
 Internal representation: a lattice is (rows, k) meaning the row span of
 p**(-k) * rows in the coordinates of the standard lattice basis
@@ -14,9 +19,15 @@ p**(-k) * rows in the coordinates of the standard lattice basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
+from operator import mul
+from typing import NamedTuple
 
 from .approx import sl_lift
 from .errors import (
@@ -67,6 +78,8 @@ class LocalDoubleCoset:
     mu: tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple, so that classes hash and compare whatever sequence is given
+        object.__setattr__(self, "mu", tuple(self.mu))
         a, b, n = self.shape.a, self.shape.b, self.shape.n
         rm, rp, mu = self.r_minus, self.r_plus, self.mu
         if len(mu) != n:
@@ -100,26 +113,13 @@ class LocalLattice:
     basis: Mat
 
     def to_internal(self, p: int) -> tuple[list[list[int]], int]:
-        cols = self.basis.transpose()
-        k = 0
-        for row in cols.rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    d = x.denominator
-                    e = 0
-                    while d % p == 0:
-                        d //= p
-                        e += 1
-                    if d != 1:
-                        raise NotElementary("denominators must be p-powers")
-                    k = max(k, e)
-        rows = [[int(x * p**k) for x in row] for row in cols.rows]
-        return _normalize(rows, k, p)
+        return _normalize(*_clear_p(zip(*self.basis.rows), p), p)
 
     @classmethod
     def from_internal(cls, rows: list[list[int]], k: int, p: int) -> "LocalLattice":
-        q = Fraction(1, p**k)
-        return cls(Mat([[x * q for x in row] for row in rows]).transpose())
+        d = p**k
+        return cls(Mat([[x // d if x % d == 0 else Fraction(x, d) for x in col]
+                        for col in zip(*rows)]))
 
 
 def _normalize(rows, k, p):
@@ -134,35 +134,13 @@ def _key(rows, k):
     return (k, tuple(tuple(r) for r in rows))
 
 
-def _adjugate(rows):
-    n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * _det_int(minor)
-    return adj
-
-
-def _det_int(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    tot = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            tot += (-1) ** j * rows[0][j] * _det_int(minor)
-    return tot
-
-
 def _matmul_int(A, B):
     Bt = list(zip(*B))
-    return [[sum(x * y for x, y in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
+
+
+def _pairing_int(rows, gram):
+    return _matmul_int(_matmul_int(rows, gram), list(zip(*rows)))
 
 
 def _vp(x: int, p: int) -> int:
@@ -201,8 +179,6 @@ def _recover(a: int, b: int, expA: list[int], expB: list[int]):
     expA are the exponents of the moving lattice in the base lattice, expB in
     its dual.  Returns (r_minus, r_plus, mu) with mu in slot order.
     """
-    n = a + b
-    from collections import Counter
     A = Counter(expA)
     B = Counter(expB)
     vmax = max([abs(v) for v in expA + expB], default=0) + 1
@@ -242,96 +218,136 @@ def _recover(a: int, b: int, expA: list[int], expB: list[int]):
     return len(listU1), len(listPU), mu
 
 
-def classify_pair(shape: LocalShape, L) -> LocalDoubleCoset:
-    """Invariant tuple of L against the standard lattice of the shape."""
-    rows, k = L.to_internal(shape.p) if isinstance(L, LocalLattice) else L
-    gram = shape.gram_rows()
-    p = shape.p
-    H = _matmul_int(_matmul_int(rows, gram), list(map(list, zip(*rows))))
-    sc = p ** (2 * k)
-    if any(x % sc for row in H for x in row):
-        raise NotElementary("lattice is not integral")
-    H = [[x // sc for x in row] for row in H]
-    for d in smith_divisors([r[:] for r in H]):
-        if d not in (1, p):
-            raise NotElementary("lattice has level divisible by p^2")
-    return _classify_internal(p, gram,
-                              [[1 if i == j else 0 for j in range(2 * shape.n)]
-                               for i in range(2 * shape.n)], 0, rows, k,
-                              (shape.a, shape.b))
+@dataclass(frozen=True)
+class _Frame:
+    """A base lattice of shape (p, a, b), prepared for classification.
 
-
-def _classify_internal(p, gram_base_amb, base_rows, base_k, mov_rows, mov_k,
-                       shape_ab=None, strict=True):
-    """Classify the moving lattice against an arbitrary base lattice.
-
-    gram_base_amb is the ambient Gram (standard-lattice coordinates); both
-    lattices are (rows, k) in those coordinates.  With strict=False only the
-    p-parts matter, so globally defined lattices can be classified locally.
+    inv and dual are the least integer multiples of base^-1 and base^-1 H
+    (H the base's Gram): the coordinates of p**(-k) * rowspan(M) in the base
+    and its dual are M @ inv and M @ dual times p**(shift - k), resp.
+    p**(dual_shift - k), and a p-adic unit.  inv is None for the identity.
     """
-    n2 = len(base_rows)
-    n = n2 // 2
-    H = _matmul_int(_matmul_int(base_rows, gram_base_amb), list(map(list, zip(*base_rows))))
+
+    shape: LocalShape
+    inv: list | None
+    shift: int
+    dual: list
+    dual_shift: int
+    strict: bool
+    classes: dict = field(default_factory=dict, compare=False)
+
+
+def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
+    """The frame of the base lattice p**(-base_k) * rowspan(base_rows), gram
+    the ambient Gram.  With strict=False only the p-parts matter, so
+    globally defined lattices can be classified locally."""
+    H = _pairing_int(base_rows, gram)
     sc = p ** (2 * base_k)
     if any(x % sc for row in H for x in row):
         raise NotElementary("base lattice is not integral")
     H = [[x // sc for x in row] for row in H]
-    detH = _det_int(H)
-    e2b = _vp(abs(detH), p)
-    if (strict and abs(detH) != p**e2b) or e2b % 2:
+    detH = abs(Mat(H).det())
+    if detH == 0:
+        raise NotIsometric("base lattice is degenerate")
+    e2b = _vp(detH, p)
+    n = len(base_rows) // 2
+    if (strict and detH != p**e2b) or e2b % 2 or e2b > 2 * n:
         raise NotElementary("base lattice determinant is not an even p-power")
-    b = e2b // 2
-    a = n - b
-    if shape_ab is not None and (a, b) != shape_ab:
-        raise NotIsometric("base lattice does not match the shape")
-
-    adjR = _adjugate(base_rows)
-    detR = _det_int(base_rows)
-    vdet = _vp(abs(detR), p)
-    if strict and abs(detR) != p**vdet:
+    inv, c = _clear(Mat(base_rows).inverse().rows)
+    if strict and c != p ** _vp(c, p):
         raise NotElementary("base lattice is not p-commensurable")
-    sgn = 1 if detR > 0 else -1
-    # coordinates of the moving lattice in the base: mov @ base^{-1}
-    X = _matmul_int(mov_rows, adjR)
-    if sgn < 0:
-        X = [[-x for x in row] for row in X]
-    expA = _exponents(X, base_k - mov_k - vdet, p, strict)
-    # dual of the base: p^{-(base_k + 2b)} * rowspan(adj(H) @ base_rows)
-    dual_rows = _matmul_int(_adjugate(H), base_rows)
-    adjD = _adjugate(dual_rows)
-    detD = _det_int(dual_rows)
-    vdetD = _vp(abs(detD), p)
-    if strict and abs(detD) != p**vdetD:
-        raise NotElementary("dual coordinates are not p-powers")
-    Xd = _matmul_int(mov_rows, adjD)
-    if detD < 0:
-        Xd = [[-x for x in row] for row in Xd]
-    expB = _exponents(Xd, (base_k + 2 * b) - mov_k - vdetD, p, strict)
-    rm, rp, mu = _recover(a, b, expA, expB)
-    return LocalDoubleCoset(LocalShape(p, a, b), rm, rp, mu)
+    # base^-1 H = (inv @ H) / c, in lowest terms
+    dual = _matmul_int(inv, H)
+    g = math.gcd(c, *(x for row in dual for x in row))
+    dual, cd = [[x // g for x in row] for row in dual], c // g
+    if inv == [[int(i == j) for j in range(len(inv))] for i in range(len(inv))]:
+        inv = None
+    return _Frame(LocalShape(p, n - e2b // 2, e2b // 2), inv, base_k - _vp(c, p),
+                  dual, base_k - _vp(cd, p), strict)
+
+
+@lru_cache(maxsize=64)
+def _standard_frame(shape: LocalShape) -> _Frame:
+    return _frame(shape.p, shape.gram_rows(), *standard_internal(shape))
+
+
+def _classify(fr: _Frame, mov_rows, mov_k, dual_coords=None) -> LocalDoubleCoset:
+    """Invariant tuple of p**(-mov_k) * rowspan(mov_rows) against the frame's
+    base, from its elementary divisors in the base and in the base's dual.
+    dual_coords, if given, is mov_rows @ fr.dual."""
+    p = fr.shape.p
+    coords = mov_rows if fr.inv is None else _matmul_int(mov_rows, fr.inv)
+    if dual_coords is None:
+        dual_coords = _matmul_int(mov_rows, fr.dual)
+    key = _recover(fr.shape.a, fr.shape.b,
+                   _exponents(coords, fr.shift - mov_k, p, fr.strict),
+                   _exponents(dual_coords, fr.dual_shift - mov_k, p, fr.strict))
+    dc = fr.classes.get(key)
+    if dc is None:
+        dc = fr.classes[key] = LocalDoubleCoset(fr.shape, *key)
+    return dc
+
+
+def classify_pair(shape: LocalShape, L) -> LocalDoubleCoset:
+    """Invariant tuple of L against the standard lattice of the shape."""
+    rows, k = L.to_internal(shape.p) if isinstance(L, LocalLattice) else L
+    p = shape.p
+    fr = _standard_frame(shape)
+    # the dual frame of the standard lattice is its Gram, so these products
+    # give both the pairing of L and its dual coordinates
+    dual_coords = _matmul_int(rows, fr.dual)
+    H = _matmul_int(dual_coords, list(zip(*rows)))
+    sc = p ** (2 * k)
+    if any(x % sc for row in H for x in row):
+        raise NotElementary("lattice is not integral")
+    H = [[x // sc for x in row] for row in H]
+    for d in smith_divisors(H):
+        if d not in (1, p):
+            raise NotElementary("lattice has level divisible by p^2")
+    return _classify(fr, rows, k, dual_coords)
+
+
+def _clear(rows) -> tuple[list[list[int]], int]:
+    """The least c > 0 such that c * rows is integral, and the rows of c * rows."""
+    rows = [list(r) for r in rows]
+    c = math.lcm(*(x.denominator for r in rows for x in r if type(x) is Fraction))
+    return [[x.numerator * (c // x.denominator) if type(x) is Fraction else x * c
+             for x in r] for r in rows], c
+
+
+def _clear_p(rows, p: int) -> tuple[list[list[int]], int]:
+    """The rows of p**k * rows for the least k making them integral; the
+    denominators must be powers of p."""
+    rows, c = _clear(rows)
+    k = _vp(c, p)
+    if c != p**k:
+        raise NotElementary("denominators must be p-powers")
+    return rows, k
 
 
 def _scale_to_int(M: Mat, p: int) -> tuple[list[list[int]], int]:
     """Clear denominators of a rational row matrix; the returned scale k is
     the p-part of the factor used, so the result represents the same
     p-local lattice as M."""
-    den = 1
-    for row in M.rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-    rows = [[int(x * den) for x in row] for row in M.rows]
-    return rows, _vp(den, p) if den > 1 else 0
+    rows, c = _clear(M.rows)
+    return rows, _vp(c, p)
+
+
+@lru_cache(maxsize=256)
+def _rational_frame(gram_amb: Mat, base: Mat, p: int) -> _Frame:
+    # callers classify many lattices against one base, so frames are kept
+    return _frame(p, [list(r) for r in gram_amb.rows], *_scale_to_int(base, p),
+                  strict=False)
 
 
 def classify_rel_rational(gram_amb: Mat, base: Mat, mov: Mat, p: int,
                           shape_ab=None) -> LocalDoubleCoset:
     """p-local class of the lattice spanned by the rows of mov against the
     lattice spanned by the rows of base; gram_amb is the ambient Gram."""
-    base_rows, kb = _scale_to_int(base, p)
-    mov_rows, km = _scale_to_int(mov, p)
-    return _classify_internal(p, [list(r) for r in gram_amb.rows],
-                              base_rows, kb, mov_rows, km, shape_ab, strict=False)
+    fr = _rational_frame(gram_amb, base, p)
+    if shape_ab is not None and (fr.shape.a, fr.shape.b) != shape_ab:
+        raise NotIsometric("base lattice does not match the shape")
+    return _classify(fr, *_scale_to_int(mov, p))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +424,7 @@ def matrix_image_lattice(dc: LocalDoubleCoset, D: Mat) -> tuple[list[list[int]],
     Et = Mat.diagonal([1] * n + scal_t)
     Es_inv = Mat.diagonal([1] * n + [Fraction(1, s) for s in scal_s])
     img = Et @ D.transpose() @ Es_inv
-    k = 0
-    for row in img.rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                e = 0
-                while d % p == 0:
-                    d //= p
-                    e += 1
-                if d != 1:
-                    raise NotElementary("image has a non-p denominator")
-                k = max(k, e)
-    rows = [[int(x * p**k) for x in row] for row in img.rows]
-    return _normalize(rows, k, p)
+    return _normalize(*_clear_p(img.rows, p), p)
 
 
 def transpose_integrality(B: Mat, T: Mat, Tp: Mat) -> bool:
@@ -494,12 +497,13 @@ def _compositions(total, parts):
 def neighbor_count_formula(p: int, n1: int, n2: int) -> int:
     """Closed count of index-p neighbors for n1 unimodular and n2 p-modular
     hyperbolic planes."""
+    if p < 2 or n1 < 0 or n2 < 0:
+        raise InvalidInvariant("the count needs p >= 2 and plane counts >= 0")
     q1 = p ** (2 * n1) - 1
     q2 = p ** (2 * n2) - 1
-    num = p * q1 * q2 * 1 + p * (p - 1) * (p ** (2 * n1)) * q2 + p * (p - 1) * (p ** (2 * n2)) * q1
-    val = num // ((p - 1) ** 2)
-    assert num % ((p - 1) ** 2) == 0
-    return val
+    # p - 1 divides q1 and q2, so (p - 1)**2 divides every term
+    num = p * q1 * q2 + p * (p - 1) * (p ** (2 * n1)) * q2 + p * (p - 1) * (p ** (2 * n2)) * q1
+    return num // ((p - 1) ** 2)
 
 
 def neighbor_bounds_ok(p: int, n1: int, n2: int) -> bool:
@@ -514,69 +518,73 @@ def neighbor_bounds_ok(p: int, n1: int, n2: int) -> bool:
 
 
 def _projective_vectors(dim, p):
-    """One representative per line of F_p^dim, first nonzero entry 1."""
+    """One representative per line of F_p^dim, first nonzero entry 1, after
+    the index of that entry."""
     for lead in range(dim):
         for tail in iproduct(range(p), repeat=dim - lead - 1):
-            yield (0,) * lead + (1,) + tail
+            yield lead, (0,) * lead + (1,) + tail
 
 
-def _pairing_int(rows, gram):
-    return _matmul_int(_matmul_int(rows, gram), list(map(list, zip(*rows))))
-
-
-def _is_elementary(rows, k, p, gram, b_expected):
-    """Integral with level dividing p, at the given expected p-modular count."""
-    H = _pairing_int(rows, gram)
-    sc = p ** (2 * k)
-    if any(x % sc for row in H for x in row):
-        return False
-    if b_expected == len(rows) // 2:
-        # all planes p-modular: every pairing divisible by p
-        sc *= p
-        if any(x % sc for row in H for x in row):
-            return False
-        return True
-    if b_expected <= 1 or len(rows) <= 2:
-        return True
-    H = [[x // sc for x in row] for row in H]
-    divs = smith_divisors(H)
-    return all(d in (1, p) for d in divs)
+def _check_budget(n2: int, p: int, budget: int):
+    """Raise ScaleLimit if one neighbor search tries more than budget
+    candidates."""
+    cand_count = ((p**n2 - 1) // (p - 1)) ** 2
+    if cand_count > budget:
+        raise ScaleLimit(f"{cand_count} candidates exceed the budget")
 
 
 def neighbors_of(rows, k, p, gram, b_shape, budget=10**7):
-    """All lattices meeting the given one in index p on both sides."""
+    """All lattices meeting the given one in index p on both sides.
+
+    gram is the alternating ambient Gram and b_shape the number of p-modular
+    planes; budget=None skips the candidate count check.  Each candidate is
+    sub + w/p for an index-p sublattice sub and a row w = c @ sub.  On the
+    basis p * sub_i (i != the pivot of c) and w, its pairings are
+    S_ij / p**2k, (S c)_i / p**(2k+1) and (w, w) = 0, where S is the pairing
+    of sub, computed once per sub.  Elementarity, which does not depend on
+    the basis, is tested on these, and only candidates that pass are brought
+    to Hermite form.
+    """
     n2 = len(rows)
-    cand_count = ((p**n2 - 1) // (p - 1)) ** 2
-    if cand_count > min(p ** (2 * n2), budget):
-        raise ScaleLimit(f"{cand_count} candidates exceed the budget")
+    if budget is not None:
+        _check_budget(n2, p, budget)
+    here = _key(rows, k)
+    # every pairing is integral, and divisible by p when all planes are
+    # p-modular; with 1 < b_shape < n integrality leaves level p^2 open
+    sc = p ** (2 * k)
+    q = sc * p if b_shape == n2 // 2 else sc
+    qp = q * p
+    snf = n2 > 2 and b_shape > 1 and b_shape != n2 // 2
+    lines = list(_projective_vectors(n2, p))
     out = {}
-    for phi in _projective_vectors(n2, p):
-        piv = next(i for i in range(n2) if phi[i])
-        inv = pow(phi[piv], -1, p)
-        sub = []
-        for i in range(n2):
-            if i == piv:
-                continue
-            c = (phi[i] * inv) % p
-            sub.append([rows[i][t] - c * rows[piv][t] for t in range(n2)])
+    for piv, phi in lines:
+        sub = [[x - phi[i] * y for x, y in zip(rows[i], rows[piv])]
+               for i in range(n2) if i != piv]
         sub.append([p * x for x in rows[piv]])
+        S = _pairing_int(sub, gram)
+        sub_cols = list(zip(*sub))
+        # the rows kept beside pivot t pair well iff every bad pair meets t
+        bad = [(i, j) for i, row in enumerate(S) for j, x in enumerate(row) if x % q]
+        drop_ok = [all(t in ij for ij in bad) for t in range(n2)]
+        kept = [[S[i] for i in range(n2) if i != t] for t in range(n2)]
         # index-p superlattices of sub, excluding the original lattice
-        for cvec in _projective_vectors(n2, p):
-            piv2 = next(i for i in range(n2) if cvec[i])
-            w = [sum(cvec[i] * sub[i][t] for i in range(n2)) for t in range(n2)]
-            cand = [r[:] for i, r in enumerate(sub) if i != piv2]
-            cand = [[p * x for x in r] for r in cand]
-            cand.append(w)
-            ck = k + 1
-            cand, ck = _normalize(cand, ck, p)
+        for piv2, cvec in lines:
+            if not drop_ok[piv2] or any(sum(map(mul, cvec, row)) % qp
+                                        for row in kept[piv2]):
+                continue
+            keep = [i for i in range(n2) if i != piv2]
+            if snf:
+                Sc = [sum(map(mul, cvec, row)) // (sc * p) for row in S]
+                H = [[S[i][j] // sc for j in keep] + [Sc[i]] for i in keep]
+                H.append([-Sc[j] for j in keep] + [0])
+                if any(d not in (1, p) for d in smith_divisors(H)):
+                    continue
+            cand = [[p * x for x in sub[i]] for i in keep]
+            cand.append([sum(map(mul, cvec, col)) for col in sub_cols])
+            cand, ck = _normalize(cand, k + 1, p)
             key = _key(cand, ck)
-            if key in out:
-                continue
-            if (cand, ck) == (rows, k) or key == _key(rows, k):
-                continue
-            if not _is_elementary(cand, ck, p, gram, b_shape):
-                continue
-            out[key] = (cand, ck)
+            if key != here and key not in out:
+                out[key] = (cand, ck)
     return out
 
 
@@ -592,76 +600,68 @@ def enumerate_neighbors(shape: LocalShape, budget=10**7) -> list[LocalLattice]:
             for (r, kk) in (found[key] for key in sorted(found))]
 
 
-_BALL_CACHE: dict = {}
+class BallEntry(NamedTuple):
+    rows: list
+    k: int
+    # invariant tuple against the standard lattice; its weight is the index
+    # exponent e: the intersection with the standard lattice has index p**e
+    cls: LocalDoubleCoset
 
 
-def ball(shape: LocalShape, j: int, budget=10**7):
-    """Lattices within j neighbor steps, with their index exponent.
+_BALL_LOCK = threading.Lock()
 
-    Returns dict key -> (rows, k, index_exponent) where the exponent e means
-    the intersection with the standard lattice has index p**e on both sides.
-    Results are cached per (shape, j); entries are never mutated by callers.
+
+def ball(shape: LocalShape, j: int, budget=10**7) -> dict[tuple, BallEntry]:
+    """Lattices within j neighbor steps, sorted by key, with their class.
+
+    Results are cached per (shape, j) in a bounded cache; entries are never
+    mutated by callers.  The budget is checked before the cache, so it
+    limits cached balls too.
     """
-    ck = (shape, j, budget)
-    if ck in _BALL_CACHE:
-        return _BALL_CACHE[ck]
-    p = shape.p
+    if j > 0:
+        _check_budget(2 * shape.n, shape.p, budget)
+    with _BALL_LOCK:
+        return _ball(shape, j)[0]
+
+
+@lru_cache(maxsize=32)
+def _ball(shape: LocalShape, j: int):
+    """The ball of radius j and the keys first reached at step j."""
+    if j == 0:
+        rows, k = standard_internal(shape)
+        key = _key(rows, k)
+        return {key: _ball_entry(shape, rows, k)}, [key]
+    prev, frontier = _ball(shape, j - 1)
+    seen = dict(prev)
+    reached = []
     gram = shape.gram_rows()
-    rows0, k0 = standard_internal(shape)
-    seen = {_key(rows0, k0): (rows0, k0)}
-    frontier = [(rows0, k0)]
-    for _ in range(j):
-        nxt = []
-        for rows, k in frontier:
-            for key, (r, kk) in neighbors_of(rows, k, p, gram, shape.b, budget).items():
-                if key not in seen:
-                    seen[key] = (r, kk)
-                    nxt.append((r, kk))
-        frontier = nxt
-    out = {}
-    for key, (r, kk) in seen.items():
-        out[key] = (r, kk, _index_exponent(r, kk, p))
-    _BALL_CACHE[ck] = out
-    return out
+    for key in frontier:
+        rows, k = seen[key][:2]
+        for nkey, (r, kk) in neighbors_of(rows, k, shape.p, gram, shape.b, None).items():
+            if nkey not in seen:
+                seen[nkey] = _ball_entry(shape, r, kk)
+                reached.append(nkey)
+    return dict(sorted(seen.items())), reached
 
 
-def _index_exponent(rows, k, p):
-    divs = smith_divisors([list(r) for r in rows])
-    return sum(max(_vp(d, p) - k, 0) for d in divs)
+def _ball_entry(shape: LocalShape, rows, k) -> BallEntry:
+    return BallEntry(rows, k, _classify(_standard_frame(shape), rows, k))
 
 
 def left_cosets(dc: LocalDoubleCoset, budget=10**7) -> list[LocalLattice]:
     """All lattices in the orbit of the representative of dc."""
     if dc.a_target != dc.shape.a or dc.b_target != dc.shape.b:
         raise InvalidInvariant("left cosets require equal source and target shapes")
-    j = dc.weight
-    shape = dc.shape
-    out = []
-    allb = ball(shape, j, budget)
-    for key in sorted(allb):
-        rows, k, e = allb[key]
-        if e != j:
-            continue
-        got = _classify_internal(shape.p, shape.gram_rows(),
-                                 *standard_internal(shape), rows, k,
-                                 (shape.a, shape.b))
-        if (got.r_minus, got.r_plus, got.mu) == (dc.r_minus, dc.r_plus, dc.mu):
-            out.append(LocalLattice.from_internal(rows, k, shape.p))
-    return out
+    part = coset_partition(dc.shape, dc.weight, budget).get(dc, [])
+    return [LocalLattice.from_internal(rows, k, dc.shape.p) for rows, k in part]
 
 
 def coset_partition(shape: LocalShape, j: int, budget=10**7):
     """Partition of all index-p**j lattices by invariant tuple."""
-    gram = shape.gram_rows()
-    base = standard_internal(shape)
     parts: dict[LocalDoubleCoset, list] = {}
-    allb = ball(shape, j, budget)
-    for key in sorted(allb):
-        rows, k, e = allb[key]
-        if e != j:
-            continue
-        dc = _classify_internal(shape.p, gram, *base, rows, k, (shape.a, shape.b))
-        parts.setdefault(dc, []).append((rows, k))
+    for entry in ball(shape, j, budget).values():
+        if entry.cls.weight == j:
+            parts.setdefault(entry.cls, []).append((entry.rows, entry.k))
     return parts
 
 
@@ -674,22 +674,29 @@ def hecke_product(shape: LocalShape, i: int, j: int, budget=10**7):
     """
     p = shape.p
     gram = shape.gram_rows()
-    base_rows, base_k = standard_internal(shape)
-    mids = [(rows, k) for (rows, k, e) in ball(shape, i, budget).values() if e == i]
+    frames = []
+    for entry in ball(shape, i, budget).values():
+        if entry.cls.weight != i:
+            continue
+        try:
+            fr = _frame(p, gram, entry.rows, entry.k)
+        except (NotElementary, NotIsometric):
+            continue
+        if fr.shape == shape:
+            frames.append(fr)
     out: dict[LocalDoubleCoset, int] = {}
     # a product lattice can sit at any index exponent up to i + j
     targets = [dc for e in range(i + j + 1) for dc in enumerate_Tpj(shape, e)]
     for dc in targets:
         L0_rows, L0_k = representative_lattice(dc)
         mult = 0
-        for rows, k in mids:
+        for fr in frames:
             try:
-                got = _classify_internal(p, gram, rows, k, L0_rows, L0_k)
+                got = _classify(fr, L0_rows, L0_k)
             except (NotElementary, NotIsometric):
                 continue
-            if got.weight == j and got.r_minus == got.r_plus and \
-               (got.shape.a, got.shape.b) == (shape.a, shape.b) and \
-               got.a_target == shape.a:
+            # equal ranks on both sides also keep the target shape
+            if got.weight == j and got.r_minus == got.r_plus:
                 mult += 1
         if mult:
             out[dc] = mult
@@ -761,7 +768,6 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
             _shape_of_diag(T, p) != _shape_of_diag(Tp, p)}
     for p in sorted(primes - set(work)):
         if _shape_of_diag(T, p) != _shape_of_diag(Tp, p):
-            sh = LocalShape(p, *_shape_of_diag(Tp, p))
             raise IncompatibleLocals(f"missing local datum at {p}")
     if not work:
         return Mat.identity(n)
@@ -812,12 +818,3 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
     if not transpose_integrality(B, T, Tp):
         raise IncompatibleLocals("transpose integrality failed")
     return B
-
-
-def _perm_sign_cols(cols):
-    sign = 1
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            if cols[i] > cols[j]:
-                sign = -sign
-    return sign

@@ -752,7 +752,8 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     member.  The candidates for each refinement step are the modular
     sublattices at the new prime, and classes are orbits under the
     automorphisms of L1, with stabilizer orders computed independently and
-    checked against the orbit sizes.
+    checked against the orbit sizes.  budget bounds the nodes of each of
+    those automorphism and stabilizer searches.
 
     Each refinement step keeps p * (previous member) inside the new one, so
     the member M at scale t contains t L1, and M is determined by its image
@@ -802,7 +803,7 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
             out.append(tup[distinct.index(t)])
         return tuple(out)
 
-    order1, gens = aut_order_and_gens(L1)
+    order1, gens = aut_order_and_gens(L1, budget=budget)
     gens = list({g.rows: g for g in gens}.values())
     # rows of g^T mod p: the image of a row vector v is v g^T
     reduced = {p: [[[x % p for x in col] for col in zip(*g.rows)] for g in gens]
@@ -852,7 +853,7 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
         for tup, size in orbits:
             chain = ParamodularChain(L1, expand(tup), T)
             # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
-            stab = order1 if len(distinct) == 1 else aut_order(chain)
+            stab = order1 if len(distinct) == 1 else aut_order(chain, budget)
             if order1 != stab * size:
                 good = False
                 break

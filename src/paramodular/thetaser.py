@@ -563,18 +563,19 @@ def translation_invariance_report(exp_: ThetaExpansion) -> dict:
 
     The diagonal generator at slot i needs t_i to divide every Q(x_i); the
     off-diagonal generator at (i, j), i < j, needs t_i to divide b(x_i, x_j).
-    Both checks run over every stored key.
+    Both checks run over every stored key.  Cross violations are keyed
+    "i,j", so the report is JSON-serializable.
     """
     n = exp_.degree
     bad_diag = {i: 0 for i in range(n)}
-    bad_cross = {(i, j): 0 for i in range(n) for j in range(i + 1, n)}
+    bad_cross = {f"{i},{j}": 0 for i in range(n) for j in range(i + 1, n)}
     for H in exp_.coefficients:
         for i in range(n):
             if (H[i][i] // 2) % exp_.T[i]:
                 bad_diag[i] += 1
             for j in range(i + 1, n):
                 if H[i][j] % exp_.T[i]:
-                    bad_cross[(i, j)] += 1
+                    bad_cross[f"{i},{j}"] += 1
     return {
         "diagonal_violations": bad_diag,
         "cross_violations": bad_cross,

@@ -94,6 +94,15 @@ def test_chains_command(tmp_path, e8):
     assert res["classes"][0]["stabilizer_order"] == 2580480
 
 
+def test_chains_budget_limits_the_searches(tmp_path, e8):
+    lat_file = tmp_path / "e8.json"
+    lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))
+    code, out = run_cli(["chains", "--lattice", str(lat_file), "--T", "1,2",
+                         "--budget", "1"])
+    assert code == 3
+    assert json.loads(out)["error"] == "scale-limit"
+
+
 def test_genus_command(tmp_path, e8):
     lat_file = tmp_path / "e8.json"
     lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))

@@ -1,9 +1,22 @@
+import hashlib
+import json
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paramodular.errors import IncompatibleLocals, InvalidInvariant, NotElementary
-from paramodular.exactmat import Mat
+from classify_oracle import classify_internal_cofactor
+from paramodular.errors import (
+    IncompatibleLocals,
+    InvalidInvariant,
+    NotElementary,
+    NotIsometric,
+    ScaleLimit,
+)
+from paramodular.exactmat import Mat, smith_divisors
 from paramodular.heckelocal import (
     LocalDoubleCoset,
     LocalLattice,
@@ -16,17 +29,33 @@ from paramodular.heckelocal import (
     factor_Tm,
     global_representative,
     hecke_product,
+    left_cosets,
     matrix_image_lattice,
     monomial_block,
     neighbor_bounds_ok,
     neighbor_count_formula,
+    neighbors_of,
     representative_lattice,
     representative_matrix,
     shape_diag,
     target_diag,
     transpose_integrality,
 )
-from paramodular.heckelocal import _classify_internal, _key, standard_internal
+from paramodular.heckelocal import (
+    _ball,
+    _classify,
+    _frame,
+    _key,
+    _scale_to_int,
+    _vp,
+    standard_internal,
+)
+
+SHAPES = [LocalShape(p, a, b) for p in (2, 3)
+          for (a, b) in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+# the shapes whose T(p^2) partitions the benchmark runs
+J2_SHAPES = [LocalShape(2, 1, 0), LocalShape(2, 0, 1), LocalShape(3, 1, 0),
+             LocalShape(3, 0, 1), LocalShape(2, 1, 1)]
 
 
 def test_classify_examples():
@@ -199,16 +228,17 @@ def test_classify_orbit_invariance():
             for _w in range(6):
                 g = g @ rng.choice(gens)
             mov = mov0 @ g.transpose()
-            got = classify_rel_rational(
-                Mat.from_blocks([[Mat.zeros(2, 2), Mat.identity(2)],
-                                 [Mat.identity(2).scale(-1), Mat.zeros(2, 2)]]),
-                E, mov, 2)
+            J = Mat.from_blocks([[Mat.zeros(2, 2), Mat.identity(2)],
+                                 [Mat.identity(2).scale(-1), Mat.zeros(2, 2)]])
+            got = classify_rel_rational(J, E, mov, 2)
             assert (got.r_minus, got.r_plus, got.mu) == \
                 (dc.r_minus, dc.r_plus, dc.mu)
+            assert got == classify_internal_cofactor(
+                2, [list(r) for r in J.rows], *_scale_to_int(E, 2),
+                *_scale_to_int(mov, 2), strict=False)
 
 
 def test_left_cosets_match_neighbors():
-    from paramodular.heckelocal import left_cosets
     shape = LocalShape(2, 1, 0)
     # all weight-one classes together give exactly the neighbors
     allkeys = set()
@@ -224,10 +254,173 @@ def test_left_cosets_match_neighbors():
     dc0 = LocalDoubleCoset(shape, 0, 0, (0,))
     only = left_cosets(dc0)
     assert len(only) == 1
+    # a class given with a list mu is the same class
+    assert left_cosets(LocalDoubleCoset(shape, 0, 0, [0])) == only
     assert _key(*only[0].to_internal(2)) == _key(*standard_internal(shape))
 
 
 def test_scale_limit():
-    from paramodular.errors import ScaleLimit
     with pytest.raises(ScaleLimit):
         enumerate_neighbors(LocalShape(3, 1, 1), budget=10)
+
+
+def test_neighbor_formula_rejects_bad_input():
+    with pytest.raises(InvalidInvariant):
+        neighbor_count_formula(1, 1, 0)
+    with pytest.raises(InvalidInvariant):
+        neighbor_count_formula(2, -1, 1)
+
+
+@pytest.mark.parametrize("shape,j", [(s, 1) for s in SHAPES] + [(s, 2) for s in J2_SHAPES])
+def test_partition_classes_match_cofactor_oracle(shape, j):
+    gram = shape.gram_rows()
+    base = standard_internal(shape)
+    for dc, lattices in coset_partition(shape, j).items():
+        for rows, k in lattices:
+            assert classify_internal_cofactor(shape.p, gram, *base, rows, k,
+                                              (shape.a, shape.b)) == dc
+            # index p**j: the elementary divisors of the intersection with
+            # the standard lattice
+            divs = smith_divisors([list(r) for r in rows])
+            assert sum(max(_vp(d, shape.p) - k, 0) for d in divs) == j
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NotElementary, NotIsometric) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("shape", [LocalShape(2, 1, 1), LocalShape(3, 1, 0),
+                                   LocalShape(2, 0, 2), LocalShape(3, 2, 0)])
+def test_ball_frames_match_cofactor_oracle(shape):
+    # the frames hecke_product builds on intermediate lattices, against every
+    # class representative up to weight two
+    p, gram = shape.p, shape.gram_rows()
+    movs = [representative_lattice(dc) for e in range(3) for dc in enumerate_Tpj(shape, e)]
+    for base in (b for part in coset_partition(shape, 1).values() for b in part):
+        fr = _outcome(lambda: _frame(p, gram, *base))
+        for mov in movs:
+            want = _outcome(lambda: classify_internal_cofactor(p, gram, *base, *mov))
+            got = fr if isinstance(fr, type) else _outcome(lambda: _classify(fr, *mov))
+            assert got == want
+
+
+def _transvections(shape, word):
+    """Product of integral symplectic transvections of the standard lattice,
+    acting on columns; word items are (kind, i, j, c) with c = +-1."""
+    n, t = shape.n, [1] * shape.a + [shape.p] * shape.b
+    g = Mat.identity(2 * n)
+    for kind, i, j, c in word:
+        e = [[int(r == s) for s in range(2 * n)] for r in range(2 * n)]
+        if kind == 0:                    # f_i -> f_i + c e_i
+            e[i][n + i] = c
+        elif kind == 1:                  # e_i -> e_i + c f_i
+            e[n + i][i] = c
+        elif i == j:
+            continue
+        elif kind == 2:                  # e_i -> e_i + c t_i e_j, f_j -> f_j - c t_j f_i
+            e[j][i] = c * t[i]
+            e[n + i][n + j] = -c * t[j]
+        else:                            # f_i -> f_i + c t_i e_j, f_j -> f_j + c t_j e_i
+            e[j][n + i] = c * t[i]
+            e[i][n + j] = c * t[j]
+        g = g @ Mat(e)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_classify_pair_invariant_under_transvections(data):
+    shape = data.draw(st.sampled_from(SHAPES))
+    dc = data.draw(st.sampled_from([d for j in range(3) for d in enumerate_Tpj(shape, j)]))
+    word = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, shape.n - 1),
+                                        st.integers(0, shape.n - 1), st.sampled_from((-1, 1))),
+                              max_size=12))
+    L = LocalLattice.from_internal(*representative_lattice(dc), shape.p)
+    moved = LocalLattice(_transvections(shape, word) @ L.basis)
+    assert classify_pair(shape, moved) == dc
+
+
+# neighbors_of result sets pinned from the cofactor implementation: for the
+# standard lattice of each shape and for its first neighbor (by key), the
+# count and the sha256 of the JSON of the sorted keys
+NEIGHBOR_PINS = [
+    ((2, 1, 0), 6, "8431409efb873f5ec92f0a14c9f7b0d1be1531f601e0f1ae1bb16608b87b3c13",
+     6, "c56669cecc84c9c282e77b9d36e1558b66b901dd0d4456882b7c7938e8735512"),
+    ((2, 0, 1), 6, "8431409efb873f5ec92f0a14c9f7b0d1be1531f601e0f1ae1bb16608b87b3c13",
+     6, "c56669cecc84c9c282e77b9d36e1558b66b901dd0d4456882b7c7938e8735512"),
+    ((2, 2, 0), 30, "cd6bb6fc9dfaaed1bd3104b44d9d6c07d11255ec96d8dfac2999ed7e0fde7507",
+     30, "b8e2ae5114aa481a768c5194618a28e63442ba9d7a350f11fa42a470b16948e6"),
+    ((2, 1, 1), 66, "d0d5b45c9a270c1479f9d182f24cc30eab1e44244b0c6c95a6578c281cd7b343",
+     66, "8e151898ae5418775c5156967ab822c25849d798c8ecea311e234935b0e2bcdf"),
+    ((2, 0, 2), 30, "cd6bb6fc9dfaaed1bd3104b44d9d6c07d11255ec96d8dfac2999ed7e0fde7507",
+     30, "b8e2ae5114aa481a768c5194618a28e63442ba9d7a350f11fa42a470b16948e6"),
+    ((3, 1, 0), 12, "6e35232e27c5e938e656ff940f916f544403328f3a66b41e369a59e6a90f589a",
+     12, "05dcfd2e2fa4d4904203071ea75bccf5460a5450f29095b16b2722465016822b"),
+    ((3, 0, 1), 12, "6e35232e27c5e938e656ff940f916f544403328f3a66b41e369a59e6a90f589a",
+     12, "05dcfd2e2fa4d4904203071ea75bccf5460a5450f29095b16b2722465016822b"),
+    ((3, 2, 0), 120, "34276bb7829cb53c2f1eeed4e4147759c55d7f29bf4070c452ba88a8bc76e7df",
+     120, "e26d01e20145ce92d1b587f1e70d42356c94aa6bf638bb1c2159cf4063c88c01"),
+    ((3, 1, 1), 264, "20932b1846da21dadcdda8a172a2830a4752e32584bb6d65c55f88c037b46ace",
+     264, "5bd5346e97473f0497f22e8818963be2f36fb43557043044e2a9d15cb4856db0"),
+    ((3, 0, 2), 120, "34276bb7829cb53c2f1eeed4e4147759c55d7f29bf4070c452ba88a8bc76e7df",
+     120, "e26d01e20145ce92d1b587f1e70d42356c94aa6bf638bb1c2159cf4063c88c01"),
+    ((2, 1, 2), 306, "db1dd0a6b138964fbaf6f19a8322c22d64a36d8bf1c74da249d0275c6f810b94",
+     306, "6dd814284c983d09c50d959e484f3473a0d7aa0a8e22393b66a62684c579fa84"),
+    ((2, 2, 1), 306, "19495276e177dcb7bf4ea9db824a4bccefe007d30a3843a37e10659b0540a0e6",
+     306, "be516d718a59a01185f0525a7ae97fd1e4c50690f55d2c4768956e0608dd40dd"),
+    ((2, 0, 3), 126, "7dc058a064e74617879a8596b9965662dc925b21113a1fc3d4afba5d089f9782",
+     126, "9407d77fbd7a6eab8b700137971925226acd3c4018c7b81abfbe38d75b7ead64"),
+    ((5, 1, 0), 30, "77a5718c51ce4f6e5eb7bad048e77f9d0c3579803df1db891bb1e73e87bbd74c",
+     30, "a8482bf2d9f388a6f75b911b71fef77e185857503c00413c54a68c245570b9a3"),
+    ((5, 0, 1), 30, "77a5718c51ce4f6e5eb7bad048e77f9d0c3579803df1db891bb1e73e87bbd74c",
+     30, "a8482bf2d9f388a6f75b911b71fef77e185857503c00413c54a68c245570b9a3"),
+]
+
+
+@pytest.mark.parametrize("pin", NEIGHBOR_PINS, ids=lambda pin: str(pin[0]))
+def test_neighbors_of_pinned(pin):
+    (p, a, b), count0, sha0, count1, sha1 = pin
+    shape = LocalShape(p, a, b)
+    found = neighbors_of(*standard_internal(shape), p, shape.gram_rows(), b)
+    first = found[min(found)]
+    again = neighbors_of(*first, p, shape.gram_rows(), b)
+    for got, count, sha in ((found, count0, sha0), (again, count1, sha1)):
+        assert len(got) == count
+        assert hashlib.sha256(json.dumps(sorted(got)).encode()).hexdigest() == sha
+
+
+def test_ball_cache_budget_and_bound():
+    shape = LocalShape(2, 1, 0)
+    coset_partition(shape, 1)
+    # the budget is checked before the cache: a cached ball still refuses it
+    with pytest.raises(ScaleLimit):
+        coset_partition(shape, 1, budget=1)
+    with pytest.raises(ScaleLimit):
+        left_cosets(enumerate_Tpj(shape, 1)[0], budget=1)
+    hits = _ball.cache_info().hits
+    coset_partition(shape, 1, budget=10**8)     # the key holds no budget
+    assert _ball.cache_info().hits == hits + 1
+    assert _ball.cache_info().maxsize is not None
+
+
+def test_ball_fills_once_across_threads():
+    _ball.cache_clear()
+    shape = LocalShape(2, 1, 1)
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(coset_partition(shape, 1)))
+               for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r == results[0] for r in results)
+    assert _ball.cache_info().misses == 2       # radius 1 and radius 0, once each

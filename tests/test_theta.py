@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -64,6 +65,8 @@ def test_translation_divisibility(e8_chain):
     exp_ = theta_coefficients(e8_chain, 5)
     rep = translation_invariance_report(exp_)
     assert rep["exact"]
+    assert rep["cross_violations"] == {"0,1": 0}
+    json.dumps(rep)     # the CLI prints this report inside its JSON
     for H in exp_.coefficients:
         assert (H[1][1] // 2) % 2 == 0
 
