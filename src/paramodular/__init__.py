@@ -42,7 +42,6 @@ from .heckelocal import (
     classify_pair,
     enumerate_Tpj,
     enumerate_neighbors,
-    factor_Tm,
     global_representative,
     hecke_product,
     left_cosets,
@@ -83,7 +82,7 @@ __all__ = [
     "LocalLattice", "classify_pair", "representative_matrix",
     "transpose_integrality", "enumerate_Tpj", "neighbor_count_formula",
     "enumerate_neighbors", "left_cosets", "hecke_product",
-    "global_representative", "factor_Tm", "CombinedLattice", "GarrettTriple",
+    "global_representative", "CombinedLattice", "GarrettTriple",
     "GarrettRep", "admissible_triples", "project_isotropic", "split_radical",
     "garrett_representative", "orbit_invariants", "kernel_identity_check",
     "QuadLattice", "ParamodularChain", "ChainClass", "invariants",

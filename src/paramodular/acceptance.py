@@ -20,7 +20,7 @@ from .altlat import (
     standard_lattice,
 )
 from .errors import IncompatibleLocals
-from .exactmat import Mat
+from .exactmat import Mat, factor
 from .garrett import (
     CombinedLattice,
     GarrettTriple,
@@ -34,6 +34,7 @@ from .garrett import (
 from .heckelocal import (
     LocalDoubleCoset,
     LocalShape,
+    _shape_of_diag as _shape_of,
     coset_partition,
     classify_pair,
     enumerate_Tpj,
@@ -212,17 +213,7 @@ def _hecke_blocks(comb: CombinedLattice, trip: GarrettTriple):
     T = Mat.diagonal(t1)
     Tp = Mat.diagonal(t2)
     out = [global_representative(T, Tp, _minimal_locals(T, Tp))]
-    primes = set()
-    for t in t1 + t2:
-        d = 2
-        while d * d <= t:
-            if t % d == 0:
-                primes.add(d)
-                while t % d == 0:
-                    t //= d
-            d += 1
-        if t > 1:
-            primes.add(t)
+    primes = {p for t in t1 + t2 for p, _ in factor(t)}
     for p in sorted(primes):
         base = _minimal_locals(T, Tp)
         for dc in enumerate_Tpj(LocalShape(p, *_shape_of(Tp, p)), 1):
@@ -241,27 +232,9 @@ def _hecke_blocks(comb: CombinedLattice, trip: GarrettTriple):
     return uniq
 
 
-def _shape_of(T: Mat, p: int):
-    n = T.nrows
-    a = sum(1 for i in range(n) if T[i, i] % p)
-    return a, n - a
-
-
 def _minimal_locals(T: Mat, Tp: Mat):
     """Local data forced at primes where the two levels differ in shape."""
-    primes = set()
-    for i in range(T.nrows):
-        for M in (T, Tp):
-            t = M[i, i]
-            d = 2
-            while d * d <= t:
-                if t % d == 0:
-                    primes.add(d)
-                    while t % d == 0:
-                        t //= d
-                d += 1
-            if t > 1:
-                primes.add(t)
+    primes = {p for i in range(T.nrows) for M in (T, Tp) for p, _ in factor(M[i, i])}
     out = {}
     for p in primes:
         if _shape_of(T, p) != _shape_of(Tp, p):
@@ -368,29 +341,8 @@ def _block_classes(comb: CombinedLattice, rep):
     Binv_t = rep.B.inverse().transpose()
     h = Mat.from_blocks([[rep.B, Mat.zeros(r, r)], [Mat.zeros(r, r), Binv_t]])
     mov = Mat.diagonal([1] * r + [rep.T[i, i] for i in range(r)]) @ h.transpose()
-    primes = set()
-    for i in range(r):
-        for M in (rep.T, rep.T_prime):
-            t = M[i, i]
-            d = 2
-            while d * d <= t:
-                if t % d == 0:
-                    primes.add(d)
-                    while t % d == 0:
-                        t //= d
-                d += 1
-            if t > 1:
-                primes.add(t)
-    det = abs(int(rep.B.det()))
-    d = 2
-    while d * d <= det:
-        if det % d == 0:
-            primes.add(d)
-            while det % d == 0:
-                det //= d
-        d += 1
-    if det > 1:
-        primes.add(det)
+    nums = [M[i, i] for i in range(r) for M in (rep.T, rep.T_prime)]
+    primes = {p for t in nums + [abs(int(rep.B.det()))] for p, _ in factor(t)}
     out = {}
     for p in sorted(primes):
         cls = classify_rel_rational(Jr, base, mov, p)

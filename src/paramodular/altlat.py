@@ -21,6 +21,8 @@ from .approx import sl_lift
 from .errors import (
     DegenerateForm,
     InadmissibleD,
+    IntegralityViolation,
+    InvalidInvariant,
     InvalidLevel,
     InvalidRank,
     NonSquareFreeLevel,
@@ -29,41 +31,19 @@ from .errors import (
 )
 from .exactmat import (
     Mat,
+    _hnf_inplace,
+    crt,
+    factor,
     hnf_rows,
     lattice_intersection,
     left_kernel,
+    rref_mod,
     smith_divisors,
     smith_normal_form,
     solve_right,
+    valuation,
     xgcd,
 )
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    n = abs(n)
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -235,8 +215,8 @@ def para_symplectic_basis(L: AltLattice) -> ParaBasis:
     order = [p[0] for p in pairs] + [p[1] for p in pairs]
     transform = Mat([basis[k] for k in order])
     divisors = tuple(p[2] for p in pairs)
-    for a, b in zip(divisors, divisors[1:]):
-        assert b % a == 0
+    if any(b % a for a, b in zip(divisors, divisors[1:])):
+        raise InvalidInvariant("pair splitting did not give a divisor chain")
     return ParaBasis(transform, divisors)
 
 
@@ -248,46 +228,26 @@ def level_and_det(L: AltLattice) -> tuple[int, int]:
         D = 1
         for d in pb.divisors:
             D *= d
-        assert D * D == abs(L.gram.det())
+        if D * D != abs(L.gram.det()):
+            raise InvalidInvariant("divisor product does not match the determinant")
         L._level_det = (N, D)
     return L._level_det
 
 
 def _solve_mod_squarefree(A: Mat, b, d: int):
     """Some integer x with A x = b (mod d), d squarefree; None if unsolvable."""
-    if d == 1:
-        return tuple(0 for _ in range(A.ncols))
+    nc = A.ncols
     sols, mods = [], []
-    for p in _prime_factors(d):
-        m = [[x % p for x in row] + [bb % p] for row, bb in zip(A.rows, b)]
-        nr, nc = len(m), A.ncols
-        piv = []
-        r = 0
-        for c in range(nc):
-            k = next((i for i in range(r, nr) if m[i][c] % p), None)
-            if k is None:
-                continue
-            m[r], m[k] = m[k], m[r]
-            inv = pow(m[r][c], -1, p)
-            m[r] = [(x * inv) % p for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-            piv.append(c)
-            r += 1
-        if any(m[i][nc] for i in range(r, nr)):
-            return None
+    for p, _ in factor(d):
         x = [0] * nc
-        for i, c in enumerate(piv):
-            x[c] = m[i][nc]
+        for row in rref_mod([list(r) + [bb] for r, bb in zip(A.rows, b)], p):
+            lead = next(c for c, v in enumerate(row) if v)
+            if lead == nc:
+                return None
+            x[lead] = row[nc]
         sols.append(x)
         mods.append(p)
-    out = []
-    for idx in range(A.ncols):
-        from .exactmat import crt
-        out.append(crt([s[idx] for s in sols], mods))
-    return tuple(out)
+    return tuple(crt([s[idx] for s in sols], mods) for idx in range(nc))
 
 
 def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
@@ -299,7 +259,7 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
     are rows in the coordinates of L; the complement carries its basis.
     """
     N, _ = level_and_det(L)
-    if not _is_squarefree(N):
+    if any(e > 1 for _, e in factor(N)):
         raise NonSquareFreeLevel(f"level {N} is not squarefree")
     if not (Z.generators @ L.gram @ Z.generators.transpose()).is_zero():
         raise NotIsotropic("Z is not totally isotropic")
@@ -319,7 +279,8 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
         pairing = Zc @ Gc
         U, D, _V = smith_normal_form(pairing)
         d = D[0, 0]
-        assert d and N % d == 0
+        if not d or N % d:
+            raise InvalidInvariant(f"pairing content {d} does not divide the level {N}")
         e = Mat([U.rows[0]]) @ Zc
         erow = list(e.rows[0])
         a = [sum(erow[t] * Gc[t, j] for t in range(dim)) for j in range(dim)]
@@ -327,7 +288,8 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
         g = 0
         for x in a:
             g = gcd(g, x)
-        assert g == d
+        if g != d:
+            raise InvalidInvariant("pairing content differs from the Smith divisor")
         y0 = _solve_linear_one([x // d for x in a])
         # kernel of a . y = 0
         ker = left_kernel(Mat([[x] for x in a]))
@@ -336,17 +298,20 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
         if ker.nrows:
             GK = Gc @ ker.transpose()
             t = _solve_mod_squarefree(GK, [-x for x in Gy0], d)
-            assert t is not None, "dual-adjusted partner must exist at squarefree level"
+            if t is None:
+                raise InvalidInvariant("dual-adjusted partner must exist at squarefree level")
             y = [y0[j] + sum(t[k] * ker[k, j] for k in range(ker.nrows)) for j in range(dim)]
         else:
             y = list(y0)
         frow = y
-        assert sum(erow[t] * sum(Gc[t, j] * frow[j] for j in range(dim)) for t in range(dim)) == d
+        if sum(erow[t] * sum(Gc[t, j] * frow[j] for j in range(dim)) for t in range(dim)) != d:
+            raise InvalidInvariant("the partner does not pair to the Smith divisor")
         # orthogonal complement of the pair inside the current lattice
         cols = Mat([[sum(Gc[i, j] * v[j] for j in range(dim)) for v in (erow, frow)]
                     for i in range(dim)])
         C = left_kernel(cols)
-        assert C.nrows == dim - 2
+        if C.nrows != dim - 2:
+            raise DegenerateForm("the hyperbolic pair has a degenerate complement")
         pairs.append((tuple((Mat([erow]) @ embed).rows[0]),
                       tuple((Mat([frow]) @ embed).rows[0]), d))
         # restrict Z to the complement and change coordinates
@@ -354,7 +319,8 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
         newZ = []
         for row in Znext.rows:
             sol = solve_right(C.transpose(), row)
-            assert sol is not None and all(isinstance(v, int) for v in sol)
+            if sol is None or not all(isinstance(v, int) for v in sol):
+                raise IntegralityViolation("Z does not restrict to the complement")
             newZ.append(list(sol))
         Zc = Mat(newZ) if newZ else Mat.zeros(0, C.nrows)
         embed = C @ embed
@@ -381,7 +347,8 @@ def _solve_linear_one(a: list[int]) -> list[int]:
         coeffs = [s * c for c in coeffs]
         coeffs[i] += t
         g = gg
-    assert g == 1
+    if g != 1:
+        raise NotPrimitive("vector is not primitive")
     return coeffs
 
 
@@ -392,7 +359,7 @@ def d_invariant(L: AltLattice, Z: IsotropicSubmodule) -> int:
     Hom(Z, Z[1]), computed from the Smith divisors of the pairing matrix.
     """
     N, _ = level_and_det(L)
-    if not _is_squarefree(N):
+    if any(e > 1 for _, e in factor(N)):
         raise NonSquareFreeLevel(f"level {N} is not squarefree")
     n = L.rank
     g = L._gram_list
@@ -423,19 +390,18 @@ def admissible_d_values(m: int, u: int, N: int, D: int) -> list[int]:
     """All d | D with d | N**u and (D/d) | N**(m-u), ascending."""
     if not (0 <= u <= m):
         raise InvalidRank(f"need 0 <= u <= m, got u={u}, m={m}")
-    if not _is_squarefree(N):
+    fN = factor(N)
+    if any(e > 1 for _, e in fN):
         raise NonSquareFreeLevel(f"N={N} is not squarefree")
-    primes = _prime_factors(N)
+    primes = [p for p, _ in fN]
     exps = {}
     rest = D
     for p in primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
+        e = valuation(D, p)
         if e > m:
             raise InvalidRank(f"multiplicity of {p} in D exceeds m")
         exps[p] = e
+        rest //= p ** e
     if rest != 1:
         raise InvalidRank("D has a prime factor outside N")
     out = [1]
@@ -485,13 +451,9 @@ def cusp_matrix_S(L: AltLattice, u: int, d: int) -> Mat:
         raise InadmissibleD(f"d={d} is not admissible for u={u}")
     r = m - u
     targets = {}
-    for p in _prime_factors(N):
+    for p, _ in factor(N):
         lp = sum(1 for x in pb.divisors if x % p == 0)
-        sp = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            sp += 1
+        sp = valuation(d, p)
         # position types: 0 for unit scale, 1 for p-divisible scale; each
         # segment puts its p-divisible scales last to keep the local chains
         seg1 = [0] * (r - (lp - sp)) + [1] * (lp - sp)
@@ -602,13 +564,8 @@ def _int_kernel_rows(pairing: list[list[int]]) -> list[list[int]]:
     n = len(pairing[0])
     A = [[pairing[i][j] for i in range(len(pairing))] for j in range(n)]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = _hnf_inplace_local(A, u)
+    r = _hnf_inplace(A, u)
     return [u[i] for i in range(r, n)]
-
-
-def _hnf_inplace_local(a, u):
-    from .exactmat import _hnf_inplace
-    return _hnf_inplace(a, u)
 
 
 def _primitive_rows(rows: list[list[int]]) -> bool:

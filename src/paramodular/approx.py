@@ -9,21 +9,7 @@ lifted to Z with centered representatives.
 from __future__ import annotations
 
 from .errors import IncompatibleLocals
-from .exactmat import Mat, crt
-
-
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
+from .exactmat import Mat, crt, factor
 
 
 def _centered(x: int, M: int) -> int:
@@ -40,7 +26,7 @@ def _reduce_to_identity(a: list[list[int]], M: int) -> list[tuple[int, int, int]
     row_i += c * row_j, i.e. left multiplication by E_ij(c).
     """
     n = len(a)
-    primes = _prime_factors(M)
+    primes = [p for p, _ in factor(M)]
     ops: list[tuple[int, int, int]] = []
 
     def rowop(i, j, c):
@@ -131,8 +117,10 @@ def sl_lift(targets: dict[int, Mat], n: int) -> Mat:
         e = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
         e[i][j] = _centered(-c, M)
         result = result @ Mat(e)
-    assert result.det() == 1
+    if result.det() != 1:
+        raise IncompatibleLocals("lift does not have determinant 1")
     for m in mods:
         tm = targets[m]
-        assert all((result[i, j] - tm[i, j]) % m == 0 for i in range(n) for j in range(n))
+        if any((result[i, j] - tm[i, j]) % m for i in range(n) for j in range(n)):
+            raise IncompatibleLocals(f"lift is not congruent to the target mod {m}")
     return result

@@ -21,7 +21,7 @@ from .altlat import (
     standard_lattice,
 )
 from .errors import ParamodularError, ScaleLimit
-from .exactmat import Mat
+from .exactmat import Mat, factor
 from .garrett import (
     CombinedLattice,
     admissible_triples,
@@ -70,17 +70,7 @@ def cmd_cusps(args):
     L = standard_lattice(T)
     N, D = level_and_det(L)
     m = len(T)
-    ell = {}
-    d = D
-    p = 2
-    while d > 1:
-        if d % p == 0:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            ell[p] = e
-        p += 1
+    ell = dict(factor(D))
     dvals = admissible_d_values(m, args.u, N, D)
     reps = {}
     for dv in dvals:

@@ -12,11 +12,26 @@ Conventions:
 * ``hermite_normal_form(A)`` is row style: ``U @ A == H`` with ``U`` unimodular,
   ``H`` in row echelon form, pivots positive, entries above a pivot reduced
   into ``[0, pivot)``, zero rows at the bottom.
+
+This module is the package's one exact kernel (Cohen, *A Course in
+Computational Algebraic Number Theory*, sections 2.1-2.4); no other module
+factors, eliminates or computes elementary divisors:
+
+* ``factor`` and ``valuation``: trial-division factoring and p-adic valuation;
+* one Smith elimination, ``_snf_inplace``, with optional transforms, behind
+  ``smith_normal_form`` and ``smith_divisors``;
+* one Hermite elimination, ``_hnf_inplace``;
+* determinants by Bareiss fraction-free elimination (rational matrices after
+  clearing denominators);
+* one rational Gauss-Jordan pass, ``_gauss_jordan``, behind
+  ``rational_inverse`` and ``solve_right``;
+* ``rref_mod``: the reduced echelon form mod a prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -156,7 +171,9 @@ class Mat:
             raise DimensionMismatch("determinant of non-square matrix")
         if self.is_integral():
             return _det_bareiss([list(r) for r in self.rows])
-        return _det_fraction([list(r) for r in self.rows])
+        # det(cA) = c^n det(A) for the least c making cA integral
+        m, c = clear_denominators(self.rows)
+        return Fraction(_det_bareiss(m), c ** self.nrows)
 
     def inverse(self) -> "Mat":
         return rational_inverse(self)
@@ -207,28 +224,12 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_fraction(m) -> Fraction:
-    n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
+def clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """The least c > 0 such that c * rows is integral, and the rows of c * rows."""
+    rows = [list(r) for r in rows]
+    c = lcm(*(x.denominator for r in rows for x in r if type(x) is Fraction))
+    return [[x.numerator * (c // x.denominator) if type(x) is Fraction else x * c
+             for x in r] for r in rows], c
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +252,24 @@ def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
     return Mat(u), Mat(a), Mat(v)
 
 
-def _snf_inplace(a, u, v):
+def smith_divisors(rows: list[list[int]]) -> list[int]:
+    """The nonzero elementary divisors, without transforms.  Destroys its argument."""
+    return _snf_inplace(rows)
+
+
+def _snf_inplace(a, u=None, v=None) -> list[int]:
+    """Bring a to Smith form in place, applying the row operations to u and
+    the column operations to v when given; returns the nonzero diagonal.
+
+    Rows t.. of a are zero in the columns before t, so row operations on a
+    start at column t; a finished pivot is never touched again.
+    """
     nr = len(a)
     nc = len(a[0]) if a else 0
+    rank_bound = min(nr, nc)
+    divs = []
     t = 0
-    while t < min(nr, nc):
+    while t < rank_bound:
         # locate a nonzero pivot of minimal absolute value in the trailing block
         piv = None
         best = None
@@ -276,108 +290,11 @@ def _snf_inplace(a, u, v):
         i, j = piv
         if i != t:
             a[t], a[i] = a[i], a[t]
-            u[t], u[i] = u[i], u[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
         if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
+            _swap_cols(a, v, t, j)
         # clear row and column t, restarting when a remainder shrinks the pivot
-        while True:
-            p = a[t][t]
-            done = True
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        ai, at = a[i], a[t]
-                        for k in range(nc):
-                            ai[k] -= q * at[k]
-                        ui, ut = u[i], u[t]
-                        for k in range(len(ui)):
-                            ui[k] -= q * ut[k]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-                        break
-            if done:
-                break
-        # pivot must divide the whole trailing block
-        p = a[t][t]
-        bad = None
-        for i in range(t + 1, nr):
-            ai = a[i]
-            for j in range(t + 1, nc):
-                if ai[j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            ab, at = a[bad], a[t]
-            for k in range(nc):
-                at[k] += ab[k]
-            ub, ut = u[bad], u[t]
-            for k in range(len(ut)):
-                ut[k] += ub[k]
-            continue
-        t += 1
-    # normalize signs
-    for k in range(min(nr, nc)):
-        if a[k][k] < 0:
-            a[k][k] = -a[k][k]
-            for row in v:
-                row[k] = -row[k]
-
-
-def smith_divisors(rows: list[list[int]]) -> list[int]:
-    """Elementary divisors only, no transforms.  Destroys its argument."""
-    a = rows
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    divs = []
-    t = 0
-    while t < min(nr, nc):
-        piv = None
-        best = None
-        for i in range(t, nr):
-            ai = a[i]
-            for j in range(t, nc):
-                x = ai[j]
-                if x:
-                    if best is None or abs(x) < best:
-                        best = abs(x)
-                        piv = (i, j)
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
         while True:
             p = a[t][t]
             done = True
@@ -388,8 +305,14 @@ def smith_divisors(rows: list[list[int]]) -> list[int]:
                     if q:
                         for k in range(t, nc):
                             ai[k] -= q * at[k]
+                        if u is not None:
+                            ui, ut = u[i], u[t]
+                            for k in range(nr):
+                                ui[k] -= q * ut[k]
                     if ai[t]:
                         a[t], a[i] = a[i], a[t]
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
                         done = False
                         break
             if not done:
@@ -400,16 +323,19 @@ def smith_divisors(rows: list[list[int]]) -> list[int]:
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
+                        if v is not None:
+                            for row in v:
+                                row[j] -= q * row[t]
                     if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
+                        _swap_cols(a, v, t, j)
                         done = False
                         break
             if done:
                 break
+        # pivot must divide the whole trailing block (a unit always does)
         p = a[t][t]
         bad = None
-        for i in range(t + 1, nr):
+        for i in range(t + 1, nr) if p not in (1, -1) else ():
             ai = a[i]
             for j in range(t + 1, nc):
                 if ai[j] % p:
@@ -421,10 +347,27 @@ def smith_divisors(rows: list[list[int]]) -> list[int]:
             at, ab = a[t], a[bad]
             for k in range(t, nc):
                 at[k] += ab[k]
+            if u is not None:
+                ub, ut = u[bad], u[t]
+                for k in range(nr):
+                    ut[k] += ub[k]
             continue
-        divs.append(abs(p))
+        if p < 0:
+            a[t][t] = p = -p
+            if v is not None:
+                for row in v:
+                    row[t] = -row[t]
+        divs.append(p)
         t += 1
     return divs
+
+
+def _swap_cols(a, v, t, j):
+    for row in a:
+        row[t], row[j] = row[j], row[t]
+    if v is not None:
+        for row in v:
+            row[t], row[j] = row[j], row[t]
 
 
 # ---------------------------------------------------------------------------
@@ -510,34 +453,11 @@ def hnf_key(rows) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def rational_inverse(A: Mat) -> Mat:
-    if not A.is_square():
-        raise DimensionMismatch("inverse of non-square matrix")
-    n = A.nrows
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(A.rows)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        inv = 1 / m[k][k]
-        m[k] = [x * inv for x in m[k]]
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = m[i][k]
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return Mat([row[n:] for row in m])
-
-
-def solve_right(A: Mat, b) -> tuple | None:
-    """Exact solution x of A x = b, or None if inconsistent."""
-    nr, nc = A.nrows, A.ncols
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.rows)]
+def _gauss_jordan(m, nc: int) -> list[int]:
+    """Reduce the Fraction rows m in place to reduced echelon form over
+    their first nc columns; returns the pivot columns.  The pivot of a
+    column is its first nonzero entry at or below the current row."""
+    nr = len(m)
     pivots = []
     r = 0
     for c in range(nc):
@@ -549,17 +469,36 @@ def solve_right(A: Mat, b) -> tuple | None:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        # rows r.. are zero before column c, so the row operations start there
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pr = m[r][c:] = [x * inv for x in m[r][c:]]
         for i in range(nr):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * bb for a, bb in zip(m[i], m[r])]
+                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], pr)]
         pivots.append(c)
         r += 1
-    for i in range(r, nr):
-        if m[i][nc] != 0:
-            return None
+    return pivots
+
+
+def rational_inverse(A: Mat) -> Mat:
+    if not A.is_square():
+        raise DimensionMismatch("inverse of non-square matrix")
+    n = A.nrows
+    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(A.rows)]
+    if len(_gauss_jordan(m, n)) < n:
+        raise SingularMatrix("matrix is singular")
+    return Mat([row[n:] for row in m])
+
+
+def solve_right(A: Mat, b) -> tuple | None:
+    """Exact solution x of A x = b, or None if inconsistent."""
+    nc = A.ncols
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.rows)]
+    pivots = _gauss_jordan(m, nc)
+    if any(row[nc] != 0 for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * nc
     for i, c in enumerate(pivots):
         x[c] = m[i][nc]
@@ -614,6 +553,41 @@ def lattice_intersection(A: Mat, B: Mat) -> Mat:
     return Mat(hnf_rows([list(r) for r in inter.rows]))
 
 
+# ---------------------------------------------------------------------------
+# Integer arithmetic: factoring, gcds, residues, echelon forms mod p.
+# ---------------------------------------------------------------------------
+
+
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1 by trial division, ascending p."""
+    if n < 1:
+        raise ValueError(f"factor expects n >= 1, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     x, nx = 1, 0
@@ -639,3 +613,24 @@ def crt(residues: list[int], moduli: list[int]) -> int:
         x = (x + (r - x) * s * m) % (m * n)
         m *= n
     return x % m
+
+
+def rref_mod(rows, p: int) -> list[list[int]]:
+    """Reduced echelon basis mod the prime p of the row space of rows, with
+    entries in [0, p); the first nonzero entry of each row is 1."""
+    m = [[x % p for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] % p:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+    return [row for row in m if any(row)]

@@ -34,6 +34,7 @@ from .altlat import (
 from .errors import (
     InadmissibleD,
     IntegralityViolation,
+    InvalidInvariant,
     NotContainedInRadical,
     NotInHalfSpace,
     NotIsotropic,
@@ -42,28 +43,17 @@ from .errors import (
 )
 from .exactmat import (
     Mat,
+    clear_denominators,
+    factor,
     hnf_rows,
     is_symplectic,
     lattice_intersection,
     left_kernel,
     rational_inverse,
-    smith_normal_form,
     solve_right,
+    valuation,
 )
 from .heckelocal import classify_rel_rational
-
-
-def _pf(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,8 @@ def split_radical(L: AltLattice, X: Mat, Z: IsotropicSubmodule) -> tuple[Mat, Ma
     # X = Z + X' with trivial intersection
     merged = Mat(hnf_rows([list(r) for r in Z.generators.rows]
                           + [list(r) for r in Xp.rows]))
-    assert merged == X, "radical split failed to recover X"
+    if merged != X:
+        raise InvalidInvariant("radical split failed to recover X")
     return Z.generators, Xp
 
 
@@ -221,7 +212,8 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
     Z2 = lattice_intersection(Xrows, comb.embed(Mat.identity(2 * comb.n), 2))
     Z1f = comb.project(Z1, 1) if Z1.nrows else Mat.zeros(0, 2 * comb.m)
     Z2f = comb.project(Z2, 2) if Z2.nrows else Mat.zeros(0, 2 * comb.n)
-    assert Z1f == rad1 and Z2f == rad2, "factor intersections differ from radicals"
+    if Z1f != rad1 or Z2f != rad2:
+        raise InvalidInvariant("factor intersections differ from radicals")
     r2 = X1.nrows - rad1.nrows
     if r2 % 2 or (X2.nrows - rad2.nrows) != r2:
         raise NotMaximal("quotient ranks are inconsistent")
@@ -252,7 +244,8 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
     Xp = lattice_intersection(Xrows, comp_comb)
     P1 = comb.project(Xp, 1)
     P2 = comb.project(Xp, 2)
-    assert P1.nrows == 2 * r and P2.nrows == 2 * r
+    if P1.nrows != 2 * r or P2.nrows != 2 * r:
+        raise NotMaximal("projections of the complement part are not of rank 2r")
 
     # induced map phi on the rescaled standard frames of the complements
     pb1 = comp1.para_basis()
@@ -270,7 +263,8 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
 
     def phi_of(v):
         lam = solve_right(Xp1.transpose(), v)
-        assert lam is not None
+        if lam is None:
+            raise InvalidInvariant("frame vector has no preimage in X'")
         return tuple(sum(lam[k] * Xp2[k, j] for k in range(Xp2.nrows))
                      for j in range(2 * comb.n))
 
@@ -293,7 +287,8 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
     F = Mat(cols).transpose()
     Jr = Mat.from_blocks([[Mat.zeros(r, r), Mat.identity(r)],
                           [Mat.identity(r).scale(-1), Mat.zeros(r, r)]])
-    assert is_symplectic(F, Jr), "induced map is not symplectic on the frame"
+    if not is_symplectic(F, Jr):
+        raise InvalidInvariant("induced map is not symplectic on the frame")
     return IsotropicPair(Xrows, X1, X2, rad1, rad2, r, F, T, Tp, base1, base2)
 
 
@@ -312,7 +307,8 @@ def _frame_phi(pair: IsotropicPair):
 
     def phi(u):
         coeff = solve_right(split, u)
-        assert coeff is not None
+        if coeff is None:
+            raise InvalidInvariant("vector is not in the first projection")
         alpha = coeff[:2 * r]
         # frame coordinates of the image: x-part then y-part
         wx = [alpha[i] for i in range(r)]
@@ -344,13 +340,7 @@ def rebuild_from_pair(comb: CombinedLattice, pair: IsotropicPair) -> Mat:
     delta = [list(phi(X1.rows[i])) for i in range(k1)]
     eps = [[-x for x in X2.rows[i]] for i in range(k2)]
     radspan = [list(x) for x in pair.rad2.rows]
-    stacked = Mat(delta + eps + radspan)
-    den = 1
-    for row in stacked.rows:
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // __import__("math").gcd(den, x.denominator)
-    K = left_kernel(Mat([[x * den for x in row] for row in stacked.rows]))
+    K = left_kernel(Mat(clear_denominators(delta + eps + radspan)[0]))
     rows = []
     for coeff in K.rows:
         u = [sum(coeff[i] * X1[i, j] for i in range(k1)) for j in range(2 * comb.m)]
@@ -386,18 +376,13 @@ def split_divisors(divisors, r: int, d: int) -> list[int]:
     """Reorder the divisor multiset so the last entries multiply to d and
     both segments keep their divisibility chains."""
     m = len(divisors)
-    primes = set()
-    for t in divisors:
-        primes.update(_pf(t))
+    primes = {p for t in divisors for p, _ in factor(t)}
     tilde = [1] * m
     for p in sorted(primes):
         lp = sum(1 for t in divisors if t % p == 0)
-        sp = 0
-        dd = d
-        while dd % p == 0:
-            dd //= p
-            sp += 1
-        assert sp <= lp
+        sp = valuation(d, p)
+        if sp > lp:
+            raise InadmissibleD(f"d={d} has more factors {p} than the divisors")
         head = lp - sp
         for i in range(r - head, r):
             tilde[i] *= p
@@ -412,7 +397,8 @@ def split_divisors(divisors, r: int, d: int) -> list[int]:
     tail = 1
     for t in tilde[r:]:
         tail *= t
-    assert prod_tilde == prod_all and tail == d
+    if prod_tilde != prod_all or tail != d:
+        raise InadmissibleD(f"d={d} is not the product of {m - r} reordered divisors")
     return tilde
 
 
@@ -452,7 +438,8 @@ def garrett_representative(comb: CombinedLattice, triple: GarrettTriple,
     Smat = Mat.from_blocks([[S1, Mat.zeros(m, n)], [Mat.zeros(n, m), S2]])
     Sinv = rational_inverse(Smat)
     C = Sinv.transpose() @ Mat(mid) @ Sinv
-    assert C == C.transpose(), "representative block is not symmetric"
+    if C != C.transpose():
+        raise InvalidInvariant("representative block is not symmetric")
     full = Mat.from_blocks([[Mat.identity(s), Mat.zeros(s, s)],
                             [C, Mat.identity(s)]])
     if not is_symplectic(full, comb.J):
@@ -489,19 +476,13 @@ def orbit_invariants(comb: CombinedLattice, g: Mat):
         baseTp = Mat.diagonal([1] * r + [pair.T_prime[i, i] for i in range(r)])
         movT = Mat.diagonal([1] * r + [pair.T[i, i] for i in range(r)])
         mov = movT @ pair.phi.transpose()
-        primes = set()
-        for i in range(r):
-            primes.update(_pf(pair.T[i, i]))
-            primes.update(_pf(pair.T_prime[i, i]))
-        # primes where the moved frame lattice differs from the base
+        # the primes of the levels, and those where the moved frame lattice
+        # differs from the base
         rel = mov @ rational_inverse(baseTp)
-        for row in rel.rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    primes.update(_pf(x.denominator))
-        dd = rel.det()
-        num = dd.numerator if isinstance(dd, Fraction) else dd
-        primes.update(_pf(abs(num)))
+        nums = [pair.T[i, i] for i in range(r)] + [pair.T_prime[i, i] for i in range(r)]
+        nums += [x.denominator for row in rel.rows for x in row if isinstance(x, Fraction)]
+        nums.append(abs(Fraction(rel.det()).numerator))
+        primes = {p for t in nums for p, _ in factor(t)}
         for p in sorted(primes):
             cls = classify_rel_rational(Jr, baseTp, mov, p)
             if cls.weight or cls.r_minus or cls.r_plus:

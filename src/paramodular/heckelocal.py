@@ -38,7 +38,7 @@ from .errors import (
     NotIsometric,
     ScaleLimit,
 )
-from .exactmat import Mat, hnf_rows, smith_divisors
+from .exactmat import Mat, clear_denominators, factor, hnf_rows, smith_divisors, valuation
 
 # ---------------------------------------------------------------------------
 # Shapes, invariant tuples, lattices.
@@ -143,16 +143,6 @@ def _pairing_int(rows, gram):
     return _matmul_int(_matmul_int(rows, gram), list(zip(*rows)))
 
 
-def _vp(x: int, p: int) -> int:
-    if x == 0:
-        raise ValueError("vp(0)")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Classification of a pair (base lattice, moving lattice).
 # ---------------------------------------------------------------------------
@@ -166,7 +156,7 @@ def _exponents(coord_rows, extra_scale: int, p: int, strict=True) -> list[int]:
         raise NotIsometric("coordinate matrix is singular")
     out = []
     for d in divs:
-        e = _vp(d, p)
+        e = valuation(d, p)
         if strict and d != p**e:
             raise NotElementary("lattice is not p-commensurable")
         out.append(e + extra_scale)
@@ -249,12 +239,12 @@ def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
     detH = abs(Mat(H).det())
     if detH == 0:
         raise NotIsometric("base lattice is degenerate")
-    e2b = _vp(detH, p)
+    e2b = valuation(detH, p)
     n = len(base_rows) // 2
     if (strict and detH != p**e2b) or e2b % 2 or e2b > 2 * n:
         raise NotElementary("base lattice determinant is not an even p-power")
-    inv, c = _clear(Mat(base_rows).inverse().rows)
-    if strict and c != p ** _vp(c, p):
+    inv, c = clear_denominators(Mat(base_rows).inverse().rows)
+    if strict and c != p ** valuation(c, p):
         raise NotElementary("base lattice is not p-commensurable")
     # base^-1 H = (inv @ H) / c, in lowest terms
     dual = _matmul_int(inv, H)
@@ -262,8 +252,8 @@ def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
     dual, cd = [[x // g for x in row] for row in dual], c // g
     if inv == [[int(i == j) for j in range(len(inv))] for i in range(len(inv))]:
         inv = None
-    return _Frame(LocalShape(p, n - e2b // 2, e2b // 2), inv, base_k - _vp(c, p),
-                  dual, base_k - _vp(cd, p), strict)
+    return _Frame(LocalShape(p, n - e2b // 2, e2b // 2), inv, base_k - valuation(c, p),
+                  dual, base_k - valuation(cd, p), strict)
 
 
 @lru_cache(maxsize=64)
@@ -307,19 +297,11 @@ def classify_pair(shape: LocalShape, L) -> LocalDoubleCoset:
     return _classify(fr, rows, k, dual_coords)
 
 
-def _clear(rows) -> tuple[list[list[int]], int]:
-    """The least c > 0 such that c * rows is integral, and the rows of c * rows."""
-    rows = [list(r) for r in rows]
-    c = math.lcm(*(x.denominator for r in rows for x in r if type(x) is Fraction))
-    return [[x.numerator * (c // x.denominator) if type(x) is Fraction else x * c
-             for x in r] for r in rows], c
-
-
 def _clear_p(rows, p: int) -> tuple[list[list[int]], int]:
     """The rows of p**k * rows for the least k making them integral; the
     denominators must be powers of p."""
-    rows, c = _clear(rows)
-    k = _vp(c, p)
+    rows, c = clear_denominators(rows)
+    k = valuation(c, p)
     if c != p**k:
         raise NotElementary("denominators must be p-powers")
     return rows, k
@@ -329,8 +311,8 @@ def _scale_to_int(M: Mat, p: int) -> tuple[list[list[int]], int]:
     """Clear denominators of a rational row matrix; the returned scale k is
     the p-part of the factor used, so the result represents the same
     p-local lattice as M."""
-    rows, c = _clear(M.rows)
-    return rows, _vp(c, p)
+    rows, c = clear_denominators(M.rows)
+    return rows, valuation(c, p)
 
 
 @lru_cache(maxsize=256)
@@ -708,23 +690,6 @@ def hecke_product(shape: LocalShape, i: int, j: int, budget=10**7):
 # ---------------------------------------------------------------------------
 
 
-def factor_Tm(T: Mat, m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m, the recipe for assembling T(m)."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _shape_of_diag(T: Mat, p: int) -> tuple[int, int]:
     n = T.nrows
     a = sum(1 for i in range(n) if T[i, i] % p)
@@ -743,12 +708,7 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
     n = T.nrows
     if Tp.nrows != n:
         raise IncompatibleLocals("sizes of T and T' differ")
-    primes = set()
-    for i in range(n):
-        for q, _ in factor_Tm(T, T[i, i]):
-            primes.add(q)
-        for q, _ in factor_Tm(Tp, Tp[i, i]):
-            primes.add(q)
+    primes = {q for M in (T, Tp) for i in range(n) for q, _ in factor(M[i, i])}
     primes |= set(locals_)
     for p in sorted(primes):
         src = _shape_of_diag(Tp, p)
@@ -784,7 +744,7 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
         cols[p] = []
         for i in range(n):
             jcol = next(j for j in range(n) if Bp[i, j])
-            exps[p].append(_vp(Bp[i, jcol], p))
+            exps[p].append(valuation(Bp[i, jcol], p))
             cols[p].append(jcol)
     den = [1] * n
     for q in work:

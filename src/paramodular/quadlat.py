@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, sqrt
+from math import ceil, floor, sqrt
 
 import numpy as np
 
@@ -30,7 +30,15 @@ from .errors import (
     NotSupported,
     ScaleLimit,
 )
-from .exactmat import Mat, hnf_rows, rational_inverse, solve_right
+from .exactmat import (
+    Mat,
+    clear_denominators,
+    factor,
+    hnf_rows,
+    rational_inverse,
+    rref_mod,
+    solve_right,
+)
 
 
 class QuadLattice:
@@ -79,11 +87,7 @@ class QuadLattice:
     def level(self) -> int:
         """Smallest N with N * Q(dual) integral."""
         inv = rational_inverse(self.gram)
-        N = 1
-        for row in inv.rows:
-            for x in row:
-                if isinstance(x, Fraction):
-                    N = N * x.denominator // gcd(N, x.denominator)
+        N = clear_denominators(inv.rows)[1]
         scaled = inv.scale(N)
         if any(scaled[i, i] % 2 for i in range(self.rank)):
             N *= 2
@@ -636,9 +640,9 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
             for v in vectors:
                 if any(bval(v, w) % p for w in basis):
                     continue
-                if _rank_fp(basis + [v], p) != dim + 1:
+                nb = rref_mod(basis + [v], p)
+                if len(nb) != dim + 1:
                     continue
-                nb = _rref_fp(basis + [v], p)
                 nkey = tuple(map(tuple, nb))
                 if nkey not in nxt:
                     nxt[nkey] = nb
@@ -709,32 +713,9 @@ def _max_singular_subspaces_f2(L: QuadLattice, scale: int, budget: int):
         current = list(nxt)
     out = []
     for ech in current:
-        rows = _rref_fp([[(b >> i) & 1 for i in range(n)] for b in ech], 2)
+        rows = rref_mod([[(b >> i) & 1 for i in range(n)] for b in ech], 2)
         out.append(tuple(map(tuple, rows)))
     return sorted(out)
-
-
-def _rref_fp(rows, p):
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return [row for row in m if any(row)]
-
-
-def _rank_fp(rows, p):
-    return len(_rref_fp(rows, p))
 
 
 @dataclass(frozen=True)
@@ -775,7 +756,10 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     for prev, cur in zip(distinct, distinct[1:]):
         if cur % prev or cur // prev < 2:
             raise InvalidLevel("each scale must be a proper multiple of the last")
-        primes.append(_squarefree_primes(cur))
+        f = factor(cur)
+        if any(e > 1 for _, e in f):
+            raise NonSquareFreeLevel("scales must be squarefree")
+        primes.append([p for p, _ in f])
     # build candidate tuples of coordinate matrices for the distinct scales
     partials = [(Mat.identity(n),)]
     for prev, ps in zip(distinct, primes):
@@ -810,7 +794,7 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
                for p in {p for ps in primes for p in ps}}
 
     def image_key(M: Mat, ps):
-        return tuple(_echelon_mod([[x % p for x in r] for r in M.rows], p) for p in ps)
+        return tuple(tuple(map(tuple, rref_mod(M.rows, p))) for p in ps)
 
     seen: dict[tuple, tuple] = {}
     for tup in partials:
@@ -868,11 +852,6 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     return classes
 
 
-def _echelon_mod(rows, p) -> tuple:
-    """Reduced echelon basis, as a tuple of tuples, of rows reduced mod p."""
-    return tuple(map(tuple, _rref_fp(rows, p))) if rows else ()
-
-
 def _act_mod(basis, gp, p) -> tuple:
     """Echelon basis of the image of a subspace of F_p^n under v -> v g^T,
     given the rows gp of g^T mod p."""
@@ -882,21 +861,5 @@ def _act_mod(basis, gp, p) -> tuple:
         for c, grow in zip(r, gp):
             if c:
                 acc = [a + c * b for a, b in zip(acc, grow)]
-        out.append([a % p for a in acc])
-    return _echelon_mod(out, p)
-
-
-def _squarefree_primes(n: int) -> list[int]:
-    """The prime factors of n, which must be squarefree."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                raise NonSquareFreeLevel("scales must be squarefree")
-            out.append(d)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        out.append(acc)
+    return tuple(map(tuple, rref_mod(out, p)))

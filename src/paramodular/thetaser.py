@@ -86,6 +86,7 @@ def theta_coefficients(chain: ParamodularChain, trace_bound: int,
     n = len(chain.T)
     G1, mats = _member_data(chain)
     members = [chain.member(j) for j in range(n)]
+    grams = [M.gram for M in members]
     shells = [shell_counts(members[j], trace_bound, budget) for j in range(n)]
     minima = [min((q for q in s if q > 0), default=1) for s in shells]
     ranks = [chain.L1.rank] * n
@@ -93,9 +94,9 @@ def theta_coefficients(chain: ParamodularChain, trace_bound: int,
         coeffs = {((2 * q,),): c for q, c in shells[0].items()}
         return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
     if n == 2:
-        coeffs = _pair_coefficients(chain, G1, mats, trace_bound, budget)
+        coeffs = _pair_coefficients(grams, G1, mats, trace_bound, budget)
         return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
-    coeffs = _tuple_coefficients(chain, G1, mats, trace_bound, budget)
+    coeffs = _tuple_coefficients(grams, G1, mats, trace_bound, budget)
     return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
 
 
@@ -106,28 +107,19 @@ def theta_coefficients_tuple(L1, coords, bound: int,
     Unlike chains, tuples need no containment or modularity; permuting a
     chain produces such a tuple and its keys are the conjugated originals.
     """
-    n = len(coords)
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
-
-    class _Fake:
-        pass
-
-    fake = _Fake()
-    fake.L1 = L1
-    fake.coords = tuple(coords)
-    fake.T = tuple([1] * n)
-    fake.member_gram = lambda j: coords[j] @ L1.gram @ coords[j].transpose()
-    if n == 2:
-        return _pair_coefficients(fake, G1, mats, bound, budget)
-    return _tuple_coefficients(fake, G1, mats, bound, budget)
+    grams = [C @ L1.gram @ C.transpose() for C in coords]
+    if len(coords) == 2:
+        return _pair_coefficients(grams, G1, mats, bound, budget)
+    return _tuple_coefficients(grams, G1, mats, bound, budget)
 
 
-def _pair_coefficients(chain, G1, mats, bound, budget):
-    g1 = chain.member_gram(0)
-    g2 = chain.member_gram(1)
-    sh1 = shell_vectors(g1, bound, budget)
-    sh2 = shell_vectors(g2, bound, budget)
+def _pair_coefficients(grams, G1, mats, bound, budget):
+    """Counts of the pair Grams, from the member Grams and the member
+    coordinates in L1 (numpy) against the Gram G1 of L1."""
+    sh1 = shell_vectors(grams[0], bound, budget)
+    sh2 = shell_vectors(grams[1], bound, budget)
     W = mats[0] @ G1 @ mats[1].T        # pairing of member coordinates
     off = 2 * bound + 1
     counts: dict[tuple, int] = {}
@@ -149,11 +141,9 @@ def _pair_coefficients(chain, G1, mats, bound, budget):
     return counts
 
 
-def _tuple_coefficients(chain, G1, mats, bound, budget):
-    n = len(chain.T)
-    shells = []
-    for j in range(n):
-        shells.append(shell_vectors(chain.member_gram(j), bound, budget))
+def _tuple_coefficients(grams, G1, mats, bound, budget):
+    n = len(grams)
+    shells = [shell_vectors(g, bound, budget) for g in grams]
     pair = [[mats[i] @ G1 @ mats[j].T for j in range(n)] for i in range(n)]
     counts: dict[tuple, int] = {}
     work = [0]
@@ -292,11 +282,6 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     return val
 
 
-def _sqrt_branch(val: complex) -> complex:
-    """Square root continuous on the half space, positive on i R_+."""
-    return cmath.sqrt(val)
-
-
 def inversion_check(L: QuadLattice, z: complex, tol: float = 1e-8) -> bool:
     """Transformation under z -> -1/z for a single even lattice.
 
@@ -311,7 +296,8 @@ def inversion_check(L: QuadLattice, z: complex, tol: float = 1e-8) -> bool:
     w = -1 / z
     lhs = theta1_value(dual_scaled, w / N)
     disc = L.disc()
-    root = _sqrt_branch(z / 1j)
+    # the principal root is continuous on the half plane and positive on i R_+
+    root = cmath.sqrt(z / 1j)
     rhs = root ** L.rank * math.sqrt(disc) * theta1_value(L, z)
     return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
 

@@ -8,7 +8,8 @@ elementary-divisor exponents and the slot recovery with the package.
 """
 
 from paramodular.errors import NotElementary, NotIsometric
-from paramodular.heckelocal import LocalDoubleCoset, LocalShape, _exponents, _recover, _vp
+from paramodular.exactmat import valuation
+from paramodular.heckelocal import LocalDoubleCoset, LocalShape, _exponents, _recover
 
 
 def _matmul_int(A, B):
@@ -52,7 +53,7 @@ def classify_internal_cofactor(p, gram_base_amb, base_rows, base_k, mov_rows, mo
         raise NotElementary("base lattice is not integral")
     H = [[x // sc for x in row] for row in H]
     detH = _det_int(H)
-    e2b = _vp(abs(detH), p)
+    e2b = valuation(abs(detH), p)
     if (strict and abs(detH) != p**e2b) or e2b % 2:
         raise NotElementary("base lattice determinant is not an even p-power")
     b = e2b // 2
@@ -62,7 +63,7 @@ def classify_internal_cofactor(p, gram_base_amb, base_rows, base_k, mov_rows, mo
 
     adjR = _adjugate(base_rows)
     detR = _det_int(base_rows)
-    vdet = _vp(abs(detR), p)
+    vdet = valuation(abs(detR), p)
     if strict and abs(detR) != p**vdet:
         raise NotElementary("base lattice is not p-commensurable")
     X = _matmul_int(mov_rows, adjR)
@@ -73,7 +74,7 @@ def classify_internal_cofactor(p, gram_base_amb, base_rows, base_k, mov_rows, mo
     dual_rows = _matmul_int(_adjugate(H), base_rows)
     adjD = _adjugate(dual_rows)
     detD = _det_int(dual_rows)
-    vdetD = _vp(abs(detD), p)
+    vdetD = valuation(abs(detD), p)
     if strict and abs(detD) != p**vdetD:
         raise NotElementary("dual coordinates are not p-powers")
     Xd = _matmul_int(mov_rows, adjD)

@@ -5,15 +5,37 @@ of criterion 12 is frozen from the first verified run and acts as a
 regression constant afterwards.
 """
 
-import pytest
+import json
+from pathlib import Path
 
 from paramodular import acceptance as acc
 
+# the details of every criterion, by name, written by the code these tests
+# were pinned on; a float is checked against the bound its criterion states
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "acceptance.json").read_text())
 
-def _report(result, limit=None):
+
+def _match(got, want, bound):
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got) < bound, (got, bound)
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            _match(got[k], want[k], bound.get(k) if isinstance(bound, dict) else bound)
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _match(g, w, bound)
+    else:
+        assert got == want
+
+
+def _report(result, limit=None, bounds=None):
     flag = "PASS" if result["passed"] else "FAIL"
     extra = f" ({result['seconds']}s)" if "seconds" in result else ""
     print(f"[{flag}] {result['name']}{extra}")
+    details = json.loads(json.dumps(result["details"], sort_keys=True, default=str))
+    _match(details, GOLDEN[result["name"]], bounds)
     assert result["passed"], result
     if limit is not None:
         assert result["seconds"] < limit, \
@@ -61,7 +83,8 @@ def test_criterion_10_eisenstein_deg1():
 
 
 def test_criterion_11_paramodularity():
-    _report(acc.criterion_paramodularity(tol=1e-8, tail_tol=1e-10), limit=300.0)
+    _report(acc.criterion_paramodularity(tol=1e-8, tail_tol=1e-10), limit=300.0,
+            bounds={"flip_defects": 1e-8, "tails": 1e-10})
 
 
 def test_criterion_12_orbit_stabilizer():

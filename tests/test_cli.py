@@ -1,10 +1,15 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from paramodular.cli import main
+
+# reports of the runs below, written by the code these tests were pinned on;
+# temporary paths appear as TMP
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args):
@@ -18,12 +23,19 @@ def run_cli(args):
     return code, buf.getvalue()
 
 
+def assert_golden(name, text, tmp_path=None):
+    if tmp_path is not None:
+        text = text.replace(str(tmp_path), "TMP")
+    assert text == (GOLDEN / name).read_text()
+
+
 def test_cusps():
     code, out = run_cli(["cusps", "--T", "1,2", "--u", "1"])
     assert code == 0
     data = json.loads(out)
     assert data["result"]["count"] == 2
     assert data["result"]["d_values"] == [1, 2]
+    assert_golden("cusps.json", out)
 
 
 def test_neighbors_count_only():
@@ -32,6 +44,7 @@ def test_neighbors_count_only():
     assert code == 0
     res = json.loads(out)["result"]
     assert res == {"formula": 66, "enumerated": 66}
+    assert_golden("neighbors.json", out)
 
 
 def test_hecke_reps():
@@ -39,6 +52,7 @@ def test_hecke_reps():
     assert code == 0
     res = json.loads(out)["result"]
     assert len(res) == 3
+    assert_golden("hecke-reps.json", out)
 
 
 def test_cosets():
@@ -46,6 +60,7 @@ def test_cosets():
     assert code == 0
     res = json.loads(out)["result"]
     assert res["total"] == 6
+    assert_golden("cosets.json", out)
 
 
 def test_garrett_kernel():
@@ -54,6 +69,7 @@ def test_garrett_kernel():
     assert code == 0
     res = json.loads(out)["result"]
     assert res["kernel_ok"]
+    assert_golden("garrett.json", out)
 
 
 def test_reports_deterministic():
@@ -82,6 +98,8 @@ def test_theta_files(tmp_path, e8):
     coeffs = json.loads(out_file.read_text())
     by_q = {c["H"][0][0]: c["count"] for c in coeffs}
     assert by_q == {0: 1, 2: 240, 4: 2160, 6: 6720}
+    assert_golden("theta.json", out, tmp_path)
+    assert_golden("theta-out.json", out_file.read_text())
 
 
 def test_chains_command(tmp_path, e8):
@@ -92,6 +110,7 @@ def test_chains_command(tmp_path, e8):
     res = json.loads(out)["result"]
     assert res["count"] == 1
     assert res["classes"][0]["stabilizer_order"] == 2580480
+    assert_golden("chains.json", out, tmp_path)
 
 
 def test_chains_budget_limits_the_searches(tmp_path, e8):
@@ -112,10 +131,14 @@ def test_genus_command(tmp_path, e8):
     res = json.loads(out)["result"]
     vals = {c["H"][0][0]: c["value"] for c in res["coefficients"]}
     assert vals == {0: "1/1", 2: "240/1", 4: "2160/1", 6: "6720/1"}
+    assert_golden("genus.json", out, tmp_path)
 
 
 def test_check_quick():
     code, out = run_cli(["check", "--quick"])
     assert code == 0
-    res = json.loads(out)["result"]
-    assert res["passed"] and res["quick"]
+    data = json.loads(out)
+    assert data["result"]["passed"] and data["result"]["quick"]
+    for r in data["result"]["results"]:
+        del r["seconds"]
+    assert_golden("check-quick.json", json.dumps(data, sort_keys=True) + "\n")

@@ -1,21 +1,33 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
+from paramodular.altlat import _solve_mod_squarefree
 from paramodular.errors import DimensionMismatch, SingularMatrix
 from paramodular.exactmat import (
     Mat,
     crt,
+    factor,
     hermite_normal_form,
     hnf_rows,
     is_symplectic,
     lattice_intersection,
     left_kernel,
     rational_inverse,
+    rref_mod,
     saturation,
+    smith_divisors,
     smith_normal_form,
+    solve_right,
+    valuation,
     xgcd,
 )
 
@@ -139,3 +151,149 @@ def test_crt_xgcd():
 def test_hnf_rows_key():
     assert hnf_rows([[0, 0], [0, 0]]) == []
     assert hnf_rows([[2, 2], [0, 2]]) == [[2, 0], [0, 2]]
+
+
+# -- the exact kernel against sympy ----------------------------------------
+
+
+def test_factor():
+    assert factor(1) == []
+    assert factor(12) == [(2, 2), (3, 1)]
+    assert factor(7) == [(7, 1)]
+    assert valuation(-48, 2) == 4 and valuation(5, 3) == 0
+    with pytest.raises(ValueError):
+        factor(0)
+    with pytest.raises(ValueError):
+        valuation(0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6))
+def test_factor_matches_sympy(n):
+    assert factor(n) == sorted(sympy.factorint(n).items())
+    assert all(valuation(n, p) == e for p, e in factor(n))
+
+
+def _int_matrix(rng, nr, nc, k):
+    # alternate dense small entries with sparse ones whose pivots often fail
+    # to divide the rest of the block
+    pool = range(-9, 10) if k % 2 else (0, 0, 0, 2, -3, 4, 6, 9, -10, 15)
+    return Mat([[rng.choice(pool) for _ in range(nc)] for _ in range(nr)])
+
+
+def test_snf_transforms_pinned():
+    # U, D, V of 400 seeded matrices, as computed before smith_normal_form
+    # and smith_divisors shared one elimination
+    rng = random.Random(2024)
+    out = []
+    for k in range(400):
+        A = _int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), k)
+        out.append([M.to_json() for M in smith_normal_form(A)])
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == \
+        "4040cfa1eaa75c8c9af15b12d2c94d656e06d4b4be49af0c452b8e49927ac655"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 10**6))
+def test_smith_divisors(nr, nc, seed):
+    A = _int_matrix(random.Random(seed), nr, nc, seed)
+    divs = smith_divisors([list(r) for r in A.rows])
+    _, D, _ = smith_normal_form(A)
+    assert divs == [D[i, i] for i in range(min(nr, nc)) if D[i, i]]
+    # d_1 ... d_k is the gcd of the k x k minors
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rows in combinations(A.rows, k):
+            for cols in combinations(range(nc), k):
+                g = gcd(g, int(sympy.Matrix([[r[c] for c in cols] for r in rows]).det()))
+        if g == 0:
+            assert len(divs) == k - 1
+            break
+        assert divs[k - 1] * prev == g
+        prev = g
+
+
+def _rational_matrix(rng, nr, nc):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.8 else 0
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def _sym(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in map(Fraction, r)] for r in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6))
+def test_det_and_inverse_match_sympy(n, seed):
+    rows = _rational_matrix(random.Random(seed), n, n)
+    A, S = Mat(rows), _sym(rows)
+    assert A.det() == S.det()
+    if S.det() == 0:
+        with pytest.raises(SingularMatrix):
+            rational_inverse(A)
+    else:
+        assert rational_inverse(A) == Mat([[Fraction(int(x.p), int(x.q)) for x in S.inv().row(i)]
+                                           for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
+def test_solve_right_matches_sympy(nr, nc, seed):
+    rng = random.Random(seed)
+    rows = _rational_matrix(rng, nr, nc)
+    b = [Fraction(rng.randint(-3, 3)) for _ in range(nr)]
+    x = solve_right(Mat(rows), b)
+    try:
+        sol, params = _sym(rows).gauss_jordan_solve(_sym([[v] for v in b]))
+    except ValueError:
+        assert x is None
+        return
+    # both set the free variables to zero
+    sol = sol.subs({t: 0 for t in params})
+    assert x == tuple(Fraction(int(v.p), int(v.q)) for v in sol)
+
+
+def _span_mod(rows, p, n):
+    return {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(n))
+            for cs in product(range(p), repeat=len(rows))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 10**6))
+def test_rref_mod(p, nr, nc, seed):
+    rng = random.Random(seed)
+    rows = [[rng.randint(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
+    out = rref_mod(rows, p)
+    leads = [next(c for c, x in enumerate(r) if x) for r in out]
+    assert leads == sorted(set(leads))
+    for r, c in zip(out, leads):
+        assert r[c] == 1 and all(0 <= x < p for x in r)
+        assert all(other[c] == 0 for other in out if other is not r)
+    assert _span_mod(out, p, nc) == _span_mod(rows, p, nc)
+
+
+def _solvable_mod(rows, b, p):
+    A = DomainMatrix([[sympy.GF(p)(x) for x in r] for r in rows], (len(rows), len(rows[0])),
+                     sympy.GF(p))
+    Ab = DomainMatrix([[sympy.GF(p)(x) for x in list(r) + [y]] for r, y in zip(rows, b)],
+                      (len(rows), len(rows[0]) + 1), sympy.GF(p))
+    return A.rank() == Ab.rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3, 6, 10, 15, 30]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 10**6))
+def test_solve_mod_squarefree(d, nr, nc, seed):
+    rng = random.Random(seed)
+    rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(nc)]
+            for _ in range(nr)]
+    b = [rng.randint(-6, 6) for _ in range(nr)]
+    x = _solve_mod_squarefree(Mat(rows), b, d)
+    if not all(_solvable_mod(rows, b, p) for p, _ in factor(d)):
+        assert x is None
+        return
+    assert x is not None
+    assert all((sum(a * v for a, v in zip(r, x)) - y) % d == 0 for r, y in zip(rows, b))

@@ -161,3 +161,12 @@ def test_not_maximal():
     small = IsotropicSubmodule.from_rows(comb.L, [[1, 0, 0, 0]])
     with pytest.raises(NotMaximal):
         project_isotropic(comb, small)
+
+
+def test_split_divisors_rejects_d_beyond_the_divisors():
+    # d = 4 needs two factors 2, the divisors (1, 2) have one; without the
+    # check the split returns [2, 2], whose tail multiplies to 2, not 4
+    with pytest.raises(InadmissibleD):
+        split_divisors([1, 2], 1, 4)
+    with pytest.raises(InadmissibleD):
+        split_divisors([1, 2], 1, 3)

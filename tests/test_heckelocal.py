@@ -16,7 +16,7 @@ from paramodular.errors import (
     NotIsometric,
     ScaleLimit,
 )
-from paramodular.exactmat import Mat, smith_divisors
+from paramodular.exactmat import Mat, smith_divisors, valuation
 from paramodular.heckelocal import (
     LocalDoubleCoset,
     LocalLattice,
@@ -26,7 +26,6 @@ from paramodular.heckelocal import (
     coset_partition,
     enumerate_Tpj,
     enumerate_neighbors,
-    factor_Tm,
     global_representative,
     hecke_product,
     left_cosets,
@@ -47,7 +46,6 @@ from paramodular.heckelocal import (
     _frame,
     _key,
     _scale_to_int,
-    _vp,
     standard_internal,
 )
 
@@ -203,13 +201,6 @@ def test_global_representative():
         global_representative(Mat.diagonal([1]), Mat.diagonal([2]), {})
 
 
-def test_factor_Tm():
-    T = Mat.diagonal([1, 6])
-    assert factor_Tm(T, 1) == []
-    assert factor_Tm(T, 12) == [(2, 2), (3, 1)]
-    assert factor_Tm(T, 7) == [(7, 1)]
-
-
 def test_classify_orbit_invariance():
     # invariant tuples do not change along products of group generators
     import random
@@ -282,7 +273,7 @@ def test_partition_classes_match_cofactor_oracle(shape, j):
             # index p**j: the elementary divisors of the intersection with
             # the standard lattice
             divs = smith_divisors([list(r) for r in rows])
-            assert sum(max(_vp(d, shape.p) - k, 0) for d in divs) == j
+            assert sum(max(valuation(d, shape.p) - k, 0) for d in divs) == j
 
 
 def _outcome(fn):
