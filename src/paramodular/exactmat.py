@@ -25,12 +25,14 @@ factors, eliminates or computes elementary divisors:
   clearing denominators);
 * one rational Gauss-Jordan pass, ``_gauss_jordan``, behind
   ``rational_inverse`` and ``solve_right``;
-* ``rref_mod``: the reduced echelon form mod a prime.
+* ``rref_mod``: the reduced echelon form mod a prime, and
+  ``_projective_vectors``: the points of F_p^n in the same normalization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import lcm
 
 import numpy as np
@@ -634,3 +636,11 @@ def rref_mod(rows, p: int) -> list[list[int]]:
                 m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
         r += 1
     return [row for row in m if any(row)]
+
+
+def _projective_vectors(dim, p):
+    """One representative per line of F_p^dim, first nonzero entry 1, after
+    the index of that entry."""
+    for lead in range(dim):
+        for tail in iproduct(range(p), repeat=dim - lead - 1):
+            yield lead, (0,) * lead + (1,) + tail

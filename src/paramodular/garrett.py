@@ -270,10 +270,10 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
 
     # frame vectors of W: sigma1 sends c_j to x_j and g_j / tau_j to y_j;
     # sigma2 sends g'_j to x_j and c'_j to tau'_j y_j
-    base2_inv = rational_inverse(base2.transpose())
-
     def sigma2_coords(w):
-        c = base2_inv.apply_to(w)
+        c = solve_right(base2.transpose(), w)
+        if c is None:
+            raise InvalidInvariant("image vector is not in the span of the frame")
         x = [c[r + i] for i in range(r)]
         y = [c[i] * tau2[i] for i in range(r)]
         return x + y
@@ -405,7 +405,9 @@ def split_divisors(divisors, r: int, d: int) -> list[int]:
 def garrett_representative(comb: CombinedLattice, triple: GarrettTriple,
                            B: Mat | None = None) -> GarrettRep:
     """The lower-unipotent coset representative attached to a triple and a
-    Hecke block.  B defaults to the identity of size r."""
+    Hecke block.  B defaults to the identity of size r, which is a block only
+    when T^-1 T' is integral: at r = 1 with T not dividing T' the default is
+    rejected with IntegralityViolation, and a block must be given."""
     m, n, r = triple.m, triple.n, triple.r
     d, dp = triple.d, triple.d_prime
     if (m, n) != (comb.m, comb.n):

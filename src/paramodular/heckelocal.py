@@ -38,7 +38,8 @@ from .errors import (
     NotIsometric,
     ScaleLimit,
 )
-from .exactmat import Mat, clear_denominators, factor, hnf_rows, smith_divisors, valuation
+from .exactmat import (Mat, _projective_vectors, clear_denominators, factor, hnf_rows,
+                       smith_divisors, valuation)
 
 # ---------------------------------------------------------------------------
 # Shapes, invariant tuples, lattices.
@@ -497,14 +498,6 @@ def neighbor_bounds_ok(p: int, n1: int, n2: int) -> bool:
     if p == 3:
         return 4 * N < 5 * 3 ** (2 * n + 1)
     return N < p ** (2 * n + 1)
-
-
-def _projective_vectors(dim, p):
-    """One representative per line of F_p^dim, first nonzero entry 1, after
-    the index of that entry."""
-    for lead in range(dim):
-        for tail in iproduct(range(p), repeat=dim - lead - 1):
-            yield lead, (0,) * lead + (1,) + tail
 
 
 def _check_budget(n2: int, p: int, budget: int):

@@ -5,7 +5,9 @@ Grams are stored as the even matrix of the doubled form, so Q(x) is half the
 matrix value and all entries stay integral.  Short-vector enumeration has an
 exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
-produces a superset.
+produces a superset.  The p-modular sublattices between L and pL, for any
+prime p, come from one bitset search for the maximal totally singular
+subspaces of L/pL.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .exactmat import (
     Mat,
+    _projective_vectors,
     clear_denominators,
     factor,
     hnf_rows,
@@ -551,20 +554,19 @@ def constant_chain(L: QuadLattice, n: int) -> ParamodularChain:
 def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
                     budget: int = 10**6) -> list[Mat]:
     """Coordinate rows of the sublattices K with L >= K >= pL that are
-    (p*scale)-modular, where L is scale-modular with p not dividing scale.
+    (p*scale)-modular, where L is scale-modular and p is any prime.
 
     These are the preimages of the maximal totally singular subspaces of the
-    reduction mod p of Q / scale.
+    reduction mod p of Q / scale, found by one bitset search for every p;
+    budget bounds the subspaces of each dimension that it builds.
     """
     n = L.rank
+    if not isinstance(p, int) or p < 2 or factor(p) != [(p, 1)]:
+        raise InvalidLevel(f"p = {p!r} is not a prime")
     if n % 2:
         raise InvalidRank("modular sublattices need even rank")
-    if p == 2:
-        subspaces = _max_singular_subspaces_f2(L, scale, budget)
-    else:
-        subspaces = _max_singular_subspaces(L, p, scale, budget)
     out = []
-    for basis in subspaces:
+    for basis in _max_singular_subspaces(L, p, scale, budget):
         rows = [list(v) for v in basis]
         for i in range(n):
             rows.append([p if t == i else 0 for t in range(n)])
@@ -591,131 +593,56 @@ def pmodular_sublattices(L: QuadLattice, p: int, budget: int = 10**6) -> list[Qu
 
 def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
     """Maximal totally singular subspaces of (L/pL, Q/scale mod p), as
-    tuples of reduced-echelon basis vectors.  Generic in p; pmodular_coords
-    takes the bitmask search below for p = 2."""
-    n = L.rank
-    k = n // 2
-    g = L.gram
+    tuples of reduced-echelon basis vectors, for any prime p.
 
-    def qval(v) -> int:
-        tot = 0
-        for i in range(n):
-            if v[i]:
-                for j in range(n):
-                    if v[j]:
-                        tot += v[i] * v[j] * g[i, j]
-        if tot % (2 * scale):
-            raise IntegralityViolation(f"Q / {scale} is not integral")
-        return (tot // (2 * scale)) % p
-
-    def bval(v, w) -> int:
-        tot = 0
-        for i in range(n):
-            if v[i]:
-                for j in range(n):
-                    if w[j]:
-                        tot += v[i] * g[i, j] * w[j]
-        if tot % scale:
-            raise IntegralityViolation(f"the form / {scale} is not integral")
-        return (tot // scale) % p
-
-    vectors = []
-    for num in range(1, p**n):
-        v = []
-        x = num
-        for _ in range(n):
-            v.append(x % p)
-            x //= p
-        # normalize: first nonzero entry 1
-        lead = next(i for i in range(n) if v[i])
-        if v[lead] != 1:
-            continue
-        if qval(v) == 0:
-            vectors.append(tuple(v))
-    level_sets = {(): ()}
-    current = {(): []}
-    for dim in range(k):
-        nxt = {}
-        for key, basis in current.items():
-            for v in vectors:
-                if any(bval(v, w) % p for w in basis):
-                    continue
-                nb = rref_mod(basis + [v], p)
-                if len(nb) != dim + 1:
-                    continue
-                nkey = tuple(map(tuple, nb))
-                if nkey not in nxt:
-                    nxt[nkey] = nb
-                    if len(nxt) > budget:
-                        raise ScaleLimit("subspace enumeration budget exceeded")
-        current = nxt
-    return [tuple(map(tuple, b)) for b in sorted(current.values())]
-
-
-def _max_singular_subspaces_f2(L: QuadLattice, scale: int, budget: int):
-    """Bitmask specialization of the subspace search over F_2.
-
-    Vectors of F_2^n are bitmasks.  The singular vectors are listed once in
-    increasing order, and each gets a bitset over that list marking the
-    singular vectors orthogonal to it.  A state (a totally singular
-    subspace, kept as its reduced echelon rows) is extended by the vectors
-    in the AND of the bitsets of its rows, one per coset of its span: the
-    one that is zero at the leading bits of the echelon rows.  Every
-    extension a vector-by-vector test finds is found, so the states at each
-    dimension, the budget count and the result are those of that test.
+    The rows of a reduced echelon basis of a totally singular subspace are
+    singular points of F_p^n (first nonzero entry 1), so a state is the tuple
+    of the indices of its rows in the list of singular points, which is
+    ordered by leading index.  Each point x gets a bitset of the points w that
+    may follow it as a later row: w orthogonal to x, lead(w) > lead(x) and
+    x zero at lead(w).  A state grows by the points in the AND of the bitsets
+    of its rows, so each subspace is built once, from the span of its rows
+    but the last; budget bounds the subspaces of each dimension.
     """
     n = L.rank
-    k = n // 2
     g = L.gram.rows
-    # doubled Q and the Gram row of every mask, built up one bit at a time
-    tot = [0] * (1 << n)
-    row = [[0] * n]
-    gv = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        prev = row[rest]
-        tot[mask] = tot[rest] + 2 * prev[i] + g[i][i]
-        cur = [a + b for a, b in zip(prev, g[i])]
-        row.append(cur)
-        if tot[mask] % (2 * scale) or any(x % scale for x in cur):
-            raise IntegralityViolation(f"the form / {scale} is not integral")
-        gv[mask] = sum(((x // scale) & 1) << j for j, x in enumerate(cur))
-    singular = [m for m in range(1, 1 << n) if (tot[m] // (2 * scale)) & 1 == 0]
-    orth = {b: sum(1 << i for i, w in enumerate(singular)
-                   if not (gv[b] & w).bit_count() & 1)
-            for b in singular}
-    zero_at = [sum(1 << i for i, w in enumerate(singular) if not w >> j & 1)
-               for j in range(n)]
+    if any(x % scale for row in g for x in row) or any(g[i][i] % (2 * scale)
+                                                     for i in range(n)):
+        raise IntegralityViolation(f"Q / {scale} is not integral")
+    # the form / scale mod 2p keeps Q mod p, and the products stay in int64
+    gs = np.array([[x // scale % (2 * p) for x in row] for row in g], dtype=np.int64)
+    pts = np.array([v for _, v in _projective_vectors(n, p)], dtype=np.int64)
+    sing = pts[(pts @ gs % (2 * p) * pts).sum(axis=1) // 2 % p == 0]
+    lead = (sing != 0).argmax(axis=1)
+    follow = []
+    step = max(1, (1 << 20) // max(len(sing), 1))     # rows per block of the S x S masks
+    for start in range(0, len(sing), step):
+        blk = sing[start:start + step]
+        mask = ((blk @ gs) % p @ sing.T % p == 0) & (blk[:, lead] == 0) \
+            & (lead > lead[start:start + step, None])
+        follow += [int.from_bytes(r.tobytes(), "little")
+                   for r in np.packbits(mask, axis=1, bitorder="little")]
+    found, counts = [], [0] * (n // 2)
 
-    # a state is a subspace, given by its reduced echelon rows (canonical):
-    # decreasing, each zero at the leading bits of the others
-    current = [()]
-    for dim in range(k):
-        nxt = {}
-        for ech in current:
-            # vectors orthogonal to the subspace, one per coset of it: the
-            # one that is zero at every leading bit of the echelon rows
-            bits = (1 << len(singular)) - 1
-            for x in ech:
-                bits &= orth[x] & zero_at[x.bit_length() - 1]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                w = singular[low.bit_length() - 1]
-                lead = 1 << (w.bit_length() - 1)
-                key = tuple(sorted([x ^ w if x & lead else x for x in ech] + [w],
-                                   reverse=True))
-                if key not in nxt:
-                    nxt[key] = None
-                    if len(nxt) > budget:
-                        raise ScaleLimit("subspace enumeration budget exceeded")
-        current = list(nxt)
-    out = []
-    for ech in current:
-        rows = rref_mod([[(b >> i) & 1 for i in range(n)] for b in ech], 2)
-        out.append(tuple(map(tuple, rows)))
-    return sorted(out)
+    def grow(state, bits):
+        if len(state) == n // 2:
+            found.append(state)
+            return
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            w = low.bit_length() - 1
+            counts[len(state)] += 1
+            if counts[len(state)] > budget:
+                raise ScaleLimit(f"subspace search reached {counts[len(state)]} subspaces of "
+                                 f"dimension {len(state) + 1} of {n // 2}, over the budget "
+                                 f"of {budget}")
+            grow(state + (w,), bits & follow[w])
+
+    grow((), (1 << len(sing)) - 1)
+    vecs = sing.tolist()
+    return sorted(tuple(map(tuple, rref_mod([vecs[x] for x in state], p)))
+                  for state in found)
 
 
 @dataclass(frozen=True)

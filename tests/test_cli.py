@@ -113,6 +113,21 @@ def test_chains_command(tmp_path, e8):
     assert_golden("chains.json", out, tmp_path)
 
 
+def test_chains_odd_prime(tmp_path, e8):
+    lat_file = tmp_path / "e8.json"
+    lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))
+    code, out = run_cli(["chains", "--lattice", str(lat_file), "--T", "1,3"])
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["count"] == 1
+    (cls,) = res["classes"]
+    # one orbit of the 2240 = (1+1)(3+1)(9+1)(27+1) 3-modular sublattices,
+    # and |O(E8)| = stabilizer * orbit
+    assert cls["orbit_size"] == 2240
+    assert cls["stabilizer_order"] * cls["orbit_size"] == 696729600
+    assert_golden("chains-1-3.json", out, tmp_path)
+
+
 def test_chains_budget_limits_the_searches(tmp_path, e8):
     lat_file = tmp_path / "e8.json"
     lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))

@@ -170,3 +170,35 @@ def test_split_divisors_rejects_d_beyond_the_divisors():
         split_divisors([1, 2], 1, 4)
     with pytest.raises(InadmissibleD):
         split_divisors([1, 2], 1, 3)
+
+
+@pytest.mark.parametrize("T", [(1, 2), (1, 3)])
+def test_rank_two_factors_roundtrip(T):
+    # both factors of rank two: representatives with r = 1 < m = n = 2 have a
+    # complement frame that is not square, and the frame solve must handle it
+    from paramodular.acceptance import _block_classes, _hecke_blocks, _p_side_generators
+    comb = CombinedLattice(T, T)
+    rng = random.Random(17)
+    g1s = sp_generators_symplectic(list(T))
+    g1s += [g.inverse() for g in g1s]
+    pgens = _p_side_generators(comb)
+    seen = []
+    for trip in admissible_triples(comb.m, comb.n, comb.N1, comb.N2, comb.D1, comb.D2):
+        for B in _hecke_blocks(comb, trip):
+            rep = garrett_representative(comb, trip, B)
+            inv = orbit_invariants(comb, rep.full)
+            assert inv[:3] == (trip.d, trip.d_prime, trip.r)
+            if trip.r and B is not None:
+                assert inv[3] == _block_classes(comb, rep)
+            seen.append((inv[:3], tuple(sorted(inv[3].items()))))
+            for _ in range(2):
+                s1 = s2 = Mat.identity(4)
+                for _w in range(4):
+                    s1 = s1 @ rng.choice(g1s)
+                    s2 = s2 @ rng.choice(g1s)
+                moved = embed_factor_pair(comb, s1, s2) @ rep.full @ rng.choice(pgens)
+                assert orbit_invariants(comb, moved) == inv
+    assert len(seen) == 10 and len(set(seen)) == 10
+    # the default block B = I is no block when T does not divide T'
+    with pytest.raises(IntegralityViolation):
+        garrett_representative(comb, GarrettTriple(2, 2, 1, T[1], 1, *[T[1]] * 4))

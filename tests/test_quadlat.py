@@ -20,7 +20,6 @@ from paramodular.quadlat import (
     ParamodularChain,
     QuadLattice,
     _max_singular_subspaces,
-    _max_singular_subspaces_f2,
     aut_order,
     aut_order_and_gens,
     constant_chain,
@@ -267,15 +266,68 @@ def test_aut_and_isometry_on_skews(name, seed):
 D4 = ROOT_LATTICES["D4"][0]
 
 
-@pytest.mark.parametrize("gram,scale", [
-    (D4, 1),
-    (ROOT_LATTICES["A1^4"][0], 1),
-    ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 1),
-    ([[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
-      [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]], 1),
-    ([[2 * x for x in row] for row in D4], 2),
-])
-def test_f2_subspaces_match_generic_search(gram, scale):
-    L = QuadLattice(Mat(gram))
-    assert _max_singular_subspaces_f2(L, scale, 10**6) == \
-        _max_singular_subspaces(L, 2, scale, 10**6)
+# count and sha256 of the compact JSON of the maximal totally singular
+# subspaces, from the vector-by-vector search that the bitset search replaced
+SUBSPACE_INPUTS = {
+    "D4": (D4, 1),
+    "A1^4": (ROOT_LATTICES["A1^4"][0], 1),
+    "A2A2": ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], 1),
+    "E6": ([[2, -1, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0], [0, -1, 2, -1, 0, -1],
+            [0, 0, -1, 2, -1, 0], [0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 2]], 1),
+    "2D4": ([[2 * x for x in row] for row in D4], 2),
+}
+SUBSPACE_PINS = {
+    ("D4", 2): (1, "5a0835448b4d3ff20285a85ec33b6fc9db0e7b0c098913e55fa3568fadf6e002"),
+    ("D4", 3): (8, "31400df68431cb716cdfca7149b086daa72cece5d32e6cdb46de75bc3ee218ff"),
+    ("D4", 5): (12, "1826b4b33303efa1785650cc942e7d5b818e56b4784ad0060700c25f90b68c18"),
+    ("A1^4", 2): (7, "9f9f264ddeb95ace4383860c0325d658ec9546a2e5146f8abf3439bd2904cf11"),
+    ("A1^4", 3): (8, "055a6b863493d42fe9dec49fa1146bd07fc3f760e259608981546ecc4126bb7b"),
+    ("A1^4", 5): (12, "981d3f519b3026f5902d46be5dd80106039e958524ce6d190c2c397bbd6d4e1d"),
+    ("A2A2", 2): (6, "cdbc100b0b9273d3a117bdfeb9514054b3192077bff5e5ef04d60712dabc1017"),
+    ("A2A2", 3): (1, "68692254541c5512750837fb069288d1b23aa685ef542738d3915947a6793f12"),
+    ("A2A2", 5): (12, "46f0b3a651b514ec51d48be290b22e4bbd7a972bf57b717ac2e161a819acb0c3"),
+    ("E6", 2): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("E6", 3): (40, "a4eabd252943474fac437dc0aeba74fa82ff83fc9a8240c6a8c347cdb413a1e7"),
+    ("E6", 5): (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("2D4", 2): (1, "5a0835448b4d3ff20285a85ec33b6fc9db0e7b0c098913e55fa3568fadf6e002"),
+    ("2D4", 3): (8, "31400df68431cb716cdfca7149b086daa72cece5d32e6cdb46de75bc3ee218ff"),
+    ("2D4", 5): (12, "1826b4b33303efa1785650cc942e7d5b818e56b4784ad0060700c25f90b68c18"),
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(SUBSPACE_PINS))
+def test_singular_subspaces_pinned(name, p):
+    gram, scale = SUBSPACE_INPUTS[name]
+    out = _max_singular_subspaces(QuadLattice(Mat(gram)), p, scale, 10**6)
+    digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode())
+    assert (len(out), digest.hexdigest()) == SUBSPACE_PINS[name, p]
+
+
+# sha256 of the compact JSON of the rows of pmodular_coords(E8, 2)
+E8_TWO_MODULAR_SHA256 = "f01559f4615ccce081f9ae5fba8839d83db894427c280acbb98b625717423ac1"
+
+
+def test_pmodular_coords_e8_pinned(e8):
+    # the budget counts the subspaces of each dimension: 2025 totally
+    # singular 3-spaces in O+(8, 2)
+    out = pmodular_coords(e8, 2, budget=2025)
+    digest = hashlib.sha256(json.dumps([M.rows for M in out], separators=(",", ":")).encode())
+    assert digest.hexdigest() == E8_TWO_MODULAR_SHA256
+    with pytest.raises(ScaleLimit, match="2025 subspaces of dimension 3 of 4.*budget of 2024"):
+        pmodular_coords(e8, 2, budget=2024)
+
+
+def test_pmodular_coords_odd_prime(e8):
+    # O+(8, 3) has (1 + 1)(3 + 1)(9 + 1)(27 + 1) = 2240 maximal totally
+    # singular subspaces, and each preimage is 3-modular
+    out = pmodular_coords(e8, 3)
+    assert len(out) == 2240 and len({M.rows for M in out}) == 2240
+    g = out[0] @ e8.gram @ out[0].transpose()
+    assert all(x % 3 == 0 for row in g.rows for x in row)
+    assert abs(Mat([[x // 3 for x in row] for row in g.rows]).det()) == 1
+
+
+@pytest.mark.parametrize("p", [1, 0, -3, 4, 6, 9])
+def test_pmodular_coords_needs_a_prime(p):
+    with pytest.raises(InvalidLevel):
+        pmodular_coords(QuadLattice(Mat(D4)), p)
