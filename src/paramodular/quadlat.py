@@ -172,7 +172,8 @@ def short_vectors_exact(L: QuadLattice, bound: int, budget: int = 2 * 10**6):
         for v in range(lo, hi + 1):
             seen[0] += 1
             if seen[0] > budget:
-                raise ScaleLimit("short vector budget exceeded")
+                raise ScaleLimit(f"exact enumeration reached {seen[0]} candidates, "
+                                 f"over the budget of {budget}")
             x[i] = v
             rec(i - 1, remaining - D[i] * (v + center) ** 2)
         x[i] = 0
@@ -205,7 +206,37 @@ def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
     """Yield int64 coordinate arrays covering all Q(x) <= bound.
 
     Floating point bounds include a slack margin, so the union is a superset;
-    callers must filter with exact arithmetic.
+    callers must filter with exact arithmetic.  The budget caps the
+    candidates examined, summed over every level of the search.
+    """
+    for X, idx, x0 in fincke_pohst_leaves(gram, bound, chunk, budget):
+        yield _join(X, idx, x0)[:, ::-1]
+
+
+def _join(X, idx, xs):
+    """Rows X[idx] with the column xs appended."""
+    Xn = np.empty((len(xs), X.shape[1] + 1), dtype=np.int64)
+    # idx is in range by construction, so clip mode only drops the bounds
+    # check and the buffered copy of the default mode
+    np.take(X, idx, axis=0, out=Xn[:, :-1], mode="clip")
+    Xn[:, -1] = xs
+    return Xn
+
+
+def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
+                        budget: int = 500 * 10**6, half: bool = False):
+    """The candidates of fincke_pohst_chunks, in the same order, before the
+    last coordinate is joined to its prefix: yields (X, idx, x0), where the
+    rows of X hold x_{n-1}, ..., x_1 and candidate k is the prefix X[idx[k]]
+    with x_0 = x0[k].  Callers that only need functions of the candidates
+    can compute the prefix part once per row of X.
+
+    With half=True the candidates are zero and exactly one vector of each
+    pair +-x: on the one row whose coordinates above level i are all zero,
+    x_i starts at 0, so the last nonzero coordinate is positive.  The
+    candidate set is symmetric under x -> -x, so the negatives of the
+    nonzero rows complete it to the full enumeration.  The full enumeration
+    keeps its order, on which the isometry search's node counts depend.
     """
     n = gram.nrows
     A = gram.to_numpy().astype(float) / 2.0
@@ -222,42 +253,45 @@ def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
     B = float(bound) + eps
     total_seen = 0
 
-    # states hold coordinates x_{n-1},...,x_{i+1} column-wise
-    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1), n - 1)]
+    # states hold coordinates x_{n-1},...,x_{i+1} column-wise, and the index
+    # of their all-zero row when half is set and the state holds it, else -1
+    stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1), n - 1, 0 if half else -1)]
     while stack:
-        X, partial, i = stack.pop()
+        X, partial, i, z = stack.pop()
         u = U[i, i + 1:][::-1]
         c = X @ u if X.shape[1] else np.zeros(len(X))
         s = np.sqrt(np.maximum(B - partial, 0.0) / D[i])
         lo = np.ceil(-c - s - 1e-9).astype(np.int64)
         hi = np.floor(-c + s + 1e-9).astype(np.int64)
+        if z >= 0:
+            lo[z] = 0
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
         if total == 0:
             continue
         total_seen += total
         if total_seen > budget:
-            raise ScaleLimit("enumeration budget exceeded")
+            raise ScaleLimit(f"enumeration reached {total_seen} candidates, "
+                             f"over the budget of {budget}")
         idx = np.repeat(np.arange(len(X)), counts)
         offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
         ranks = np.arange(total) - np.repeat(offs, counts)
         xs = lo[idx] + ranks
-        # idx is in range by construction, so clip mode only drops the
-        # bounds check and the buffered copy of the default mode
-        Xn = np.empty((total, X.shape[1] + 1), dtype=np.int64)
-        np.take(X, idx, axis=0, out=Xn[:, :-1], mode="clip")
-        Xn[:, -1] = xs
         if i == 0:
-            yield Xn[:, ::-1]
+            yield X, idx, xs
             continue
+        Xn = _join(X, idx, xs)
         pn = partial[idx] + D[i] * (xs + c[idx]) ** 2
+        # the all-zero row's first child, x_i = 0, is the next all-zero row
+        zn = int(offs[z]) if z >= 0 else -1
         if len(Xn) > chunk:
             pieces = int(np.ceil(len(Xn) / chunk))
             for t in range(pieces):
                 sl = slice(t * chunk, (t + 1) * chunk)
-                stack.append((Xn[sl], pn[sl], i - 1))
+                zt = zn - t * chunk if t * chunk <= zn < (t + 1) * chunk else -1
+                stack.append((Xn[sl], pn[sl], i - 1, zt))
         else:
-            stack.append((Xn, pn, i - 1))
+            stack.append((Xn, pn, i - 1, zn))
 
 
 def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
@@ -382,7 +416,8 @@ class _Backtracker:
         def rec(depth):
             self.nodes += 1
             if self.nodes > self.budget:
-                raise ScaleLimit("isometry search budget exceeded")
+                raise ScaleLimit(f"isometry search reached {self.nodes} nodes, "
+                                 f"over the budget of {self.budget}")
             if depth == n:
                 return True
             norm = self.Gs[depth, depth] // 2

@@ -5,7 +5,12 @@ entries are integers and the term attached to a key H is exp(pi i tr(H Z)).
 Exact coefficient maps come from joining per-member shell enumerations;
 numeric evaluation carries a certified tail bound derived from the smallest
 eigenvalue of Im Z, exact shell counts inside the truncation range, and a
-packing-ball bound outside it.
+packing-ball bound outside it.  Two-member chains are evaluated at points
+with a rational off-diagonal entry a/M from exact residue histograms: counts
+of member vectors by (Q(x), residue mod M), built by one enumeration of
+each pair +-x and shared by the points of one paramodularity check, so that
+a point costs a sum over the histogram keys and one M-adic transform, not a
+pass over vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .exactmat import Mat, rational_inverse
 from .quadlat import (
     ParamodularChain,
     QuadLattice,
-    fincke_pohst_chunks,
+    fincke_pohst_leaves,
     shell_counts,
     shell_vectors,
 )
@@ -159,7 +164,8 @@ def _tuple_coefficients(grams, G1, mats, bound, budget):
             for v in X:
                 work[0] += 1
                 if work[0] > budget:
-                    raise ScaleLimit("tuple join budget exceeded")
+                    raise ScaleLimit(f"tuple join reached {work[0]} tuples, "
+                                     f"over the budget of {budget}")
                 rec(j + 1, chosen + [(j, v, q)], used + q)
 
     rec(0, [], 0)
@@ -448,16 +454,88 @@ def _bound_for_tail(minimum: int, rank: int, rate: float, tol: float) -> int:
     return B
 
 
-def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
-                budget: int = 500 * 10**6):
-    """Certified theta value of a two-member chain at an exact point.
+_EVAL_BUDGET = 500 * 10**6
 
-    Z is a 2x2 matrix of CZ entries with exactly diagonal imaginary part and
-    rational off-diagonal entry.  Returns (value, certified_tail).  The inner
-    sum over the second member is folded into residue buckets modulo the
-    denominator of the off-diagonal entry, so the double sum costs one pass
-    over each member.
+
+def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
+                      budget: int = _EVAL_BUDGET, store: dict | None = None):
+    """Exact counts of the vectors x with Q(x) <= bound by (Q(x), residue).
+
+    The residue of a row vector x is x mod M, or x @ rmap mod M when a
+    residue map is given, read as the base-M number r = sum_i r_i M^i.
+    Returns the sorted int64 keys q M^n + r that occur, with their int64
+    counts.  One enumeration of zero and one vector of each pair +-x fills
+    the histogram by x mod M; -x has the residue -r digitwise, and a residue
+    map acts on the few distinct keys afterwards, since x @ rmap mod M
+    depends only on x mod M.
+
+    The budget caps the candidates of the enumeration, one per pair +-x.
+    A store, a dict kept by the caller, shares builds between requests on
+    one (gram, M): a request at a bound no larger than the stored one takes
+    a prefix of the stored keys and enumerates nothing; a larger bound
+    rebuilds the entry.
     """
+    n = gram.nrows
+    key = (gram_key(gram), M)
+    store = {} if store is None else store
+    if store.get(key, (-1,))[0] < bound:
+        store[key] = (bound, *_build_histogram(gram, M, bound, budget))
+    _, keys, counts = store[key]
+    end = int(np.searchsorted(keys, (bound + 1) * M**n))
+    keys, counts = keys[:end], counts[:end]
+    if rmap is not None:
+        R = np.asarray(rmap, dtype=np.int64)
+        keys = _recode(keys, M, n, lambda d: d @ R % M)
+        keys, counts = _merge(keys, counts)
+    return keys, counts
+
+
+def _build_histogram(gram: Mat, M: int, bound: int, budget: int):
+    n = gram.nrows
+    G = gram.to_numpy()
+    g00 = int(G[0, 0]) // 2
+    powers = M ** np.arange(n, dtype=np.int64)
+    nbuck = M**n
+    keys, counts = [], []
+    # a candidate is a prefix (x_1, ..., x_{n-1}) and x_0, so Q and the
+    # residue are computed once per prefix and finished on the x_0 column;
+    # small chunks keep the arrays of one step in cache and the peak low
+    for X, idx, x0 in fincke_pohst_leaves(gram, bound, 1 << 16, budget, half=True):
+        P = X[:, ::-1]
+        qp = np.einsum("ij,ij->i", P @ G[1:, 1:], P) // 2
+        bp = P @ G[1:, 0]
+        rp = P % M @ powers[1:]
+        q = qp[idx] + x0 * (bp[idx] + g00 * x0)
+        keep = q <= bound
+        k, c = np.unique((q * nbuck + rp[idx] + x0 % M)[keep], return_counts=True)
+        keys.append(k)
+        counts.append(c)
+    keys, counts = _merge(np.concatenate(keys), np.concatenate(counts))
+    # add -x for every nonzero x, which only lacks Q = 0
+    nz = keys >= nbuck
+    neg = _recode(keys[nz], M, n, lambda d: -d % M)
+    return _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
+
+
+def _recode(keys: np.ndarray, M: int, n: int, f) -> np.ndarray:
+    """Keys q M^n + r with the residue digits of r replaced by f(digits)."""
+    powers = M ** np.arange(n, dtype=np.int64)
+    q, r = np.divmod(keys, M**n)
+    return q * M**n + f(r[:, None] // powers % M) @ powers
+
+
+def _merge(keys: np.ndarray, counts: np.ndarray):
+    """Sorted distinct keys with their summed counts."""
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _flip_setup(chain: ParamodularChain, Z, tail_tol: float):
+    """Checks a sample point of chain2_eval and returns its data: the
+    off-diagonal denominator M and numerator a mod M, the member minima, the
+    tail rates and the first truncation bounds."""
     if len(chain.T) != 2:
         raise NotSupported("the bucketed evaluator is specific to two members")
     z11, z12, z22 = Z[0][0], Z[0][1], Z[1][1]
@@ -473,67 +551,72 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     a = z12.re.numerator % M
     if M**mrank > 1 << 26:
         raise NotSupported("off-diagonal denominator too large to bucket")
+    minima = [chain.member(j).min_positive() for j in range(2)]
+    rates = [2 * math.pi * float(y1), 2 * math.pi * float(y2)]
+    bounds = [_bound_for_tail(mn, mrank, rate, tail_tol / 4)
+              for mn, rate in zip(minima, rates)]
+    return M, a, minima, rates, bounds
 
+
+def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int,
+                      budget: int, store: dict | None):
+    """Residue histograms of the two members: member 1 by the pairing with
+    the member-2 basis, member 2 by its own coordinates, both mod M."""
     G1, mats = _member_data(chain)
-    g1 = chain.member_gram(0)
-    g2 = chain.member_gram(1)
-    L1m = QuadLattice(g1)
-    L2m = QuadLattice(g2)
-    mn1, mn2 = L1m.min_positive(), L2m.min_positive()
-    rate1 = 2 * math.pi * float(y1)
-    rate2 = 2 * math.pi * float(y2)
     W = mats[1] @ G1 @ mats[0].T        # b(member2 basis, member1 basis)
-    g2np = g2.to_numpy()
-    g1np = g1.to_numpy()
-    nbuck = M**mrank
-    powers = np.array([M**i for i in range(mrank)], dtype=np.int64)
-    z11c = z11.to_complex()
-    z22c = z22.to_complex()
+    return (residue_histogram(chain.member_gram(0), M, B1, W.T, budget, store),
+            residue_histogram(chain.member_gram(1), M, B2, None, budget, store))
 
-    B1 = _bound_for_tail(mn1, mrank, rate1, tail_tol / 4)
-    B2 = _bound_for_tail(mn2, mrank, rate2, tail_tol / 4)
+
+def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
+                budget: int = _EVAL_BUDGET, store: dict | None = None):
+    """Certified theta value of a two-member chain at an exact point.
+
+    Z is a 2x2 matrix of CZ entries with exactly diagonal imaginary part and
+    rational off-diagonal entry a/M.  Returns (value, certified_tail).  The
+    value is the truncated double sum over x1 in member 1, x2 in member 2 of
+    e(Q(x1) z11 + b(x1, x2) a/M + Q(x2) z22), where e(t) = exp(2 pi i t).
+    It depends on x2 only through (Q(x2), x2 mod M) and on x1 only through
+    (Q(x1), b(x1, .) mod M), so it is evaluated from the two exact residue
+    histograms (see residue_histogram): member 2's rows are weighted by
+    e(q z22) and summed per residue, an M-adic transform along each axis
+    gives the inner sum for every residue of member 1, and member 1's rows
+    are summed against it and weighted by e(q z11).  Histogram row sums give
+    the full sums that certify the tail.  The budget and the store are
+    those of residue_histogram, per member; calls on one chain that share a
+    store share its builds.
+    """
+    M, a, (mn1, mn2), (rate1, rate2), (B1, B2) = _flip_setup(chain, Z, tail_tol)
+    mrank = chain.L1.rank
+    nbuck = M**mrank
+    z11c = Z[0][0].to_complex()
+    z22c = Z[1][1].to_complex()
+    # discrete transform kernel exp(2 pi i a w c / M), applied on every axis
+    kern = np.exp(2j * math.pi * a * np.outer(np.arange(M), np.arange(M)) / M)
     for _attempt in range(4):
         tail1 = _packing_tail(mn1, mrank, B1, rate1)
         tail2 = _packing_tail(mn2, mrank, B2, rate2)
+        (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2, budget, store)
 
-        # pass over the second member: bucket complex weights by residue class
-        Are = np.zeros(nbuck)
-        Aim = np.zeros(nbuck)
-        S2 = 0.0
-        for X in fincke_pohst_chunks(g2, B2, budget=budget):
-            qv = ((X @ g2np) * X).sum(axis=1) // 2
-            keep = qv <= B2
-            X, qv = X[keep], qv[keep]
-            ph = np.exp(2j * math.pi * qv * z22c)
-            idx = (np.mod(X, M) @ powers)
-            Are += np.bincount(idx, weights=ph.real, minlength=nbuck)
-            Aim += np.bincount(idx, weights=ph.imag, minlength=nbuck)
-            S2 += float(np.exp(-rate2 * qv).sum())
-        A = (Are + 1j * Aim).reshape((M,) * mrank)
-        # discrete transform along every axis, kernel exp(2 pi i a w c / M)
-        if M > 1:
-            kern = np.exp(2j * math.pi * a
-                          * np.outer(np.arange(M), np.arange(M)) / M)
-            for axis in range(mrank):
-                A = np.tensordot(kern, np.moveaxis(A, axis, 0), axes=(1, 0))
-                A = np.moveaxis(A, 0, axis)
+        q2, r2 = np.divmod(k2, nbuck)
+        w = c2 * np.exp(2j * math.pi * np.arange(B2 + 1) * z22c)[q2]
+        A = (np.bincount(r2, weights=w.real, minlength=nbuck)
+             + 1j * np.bincount(r2, weights=w.imag, minlength=nbuck))
+        A = A.reshape((M,) * mrank)
+        for axis in range(mrank):
+            A = np.tensordot(kern, np.moveaxis(A, axis, 0), axes=(1, 0))
+            A = np.moveaxis(A, 0, axis)
         G = A.reshape(-1)
 
-        # pass over the first member
-        Wt = W.T % M if M > 1 else W.T
-        total = 0j
-        S1 = 0.0
-        for X in fincke_pohst_chunks(g1, B1, budget=budget):
-            qv = ((X @ g1np) * X).sum(axis=1) // 2
-            keep = qv <= B1
-            X, qv = X[keep], qv[keep]
-            ph = np.exp(2j * math.pi * qv * z11c)
-            if M > 1:
-                idx = (np.mod(X @ Wt, M) @ powers)
-                total += np.dot(ph, G[idx])
-            else:
-                total += ph.sum() * G[0]
-            S1 += float(np.exp(-rate1 * qv).sum())
+        q1, r1 = np.divmod(k1, nbuck)
+        w = c1 * G[r1]
+        rows = (np.bincount(q1, weights=w.real, minlength=B1 + 1)
+                + 1j * np.bincount(q1, weights=w.imag, minlength=B1 + 1))
+        total = np.exp(2j * math.pi * np.arange(B1 + 1) * z11c) @ rows
+        S1 = float(np.exp(-rate1 * np.arange(B1 + 1))
+                   @ np.bincount(q1, weights=c1, minlength=B1 + 1))
+        S2 = float(np.exp(-rate2 * np.arange(B2 + 1))
+                   @ np.bincount(q2, weights=c2, minlength=B2 + 1))
         certified = tail1 * (S2 + tail2) + (S1 + tail1) * tail2
         if certified <= tail_tol:
             return total, certified
@@ -587,11 +670,23 @@ def paramodularity_check(chain: ParamodularChain, tol: float = 1e-8,
     report = {"translations": translation_invariance_report(exp_)}
     pts = points if points is not None else default_flip_points(chain.T)
     T = chain.T
+    pairs = [(flip_image((T[0], T[1]), Z), Z) for Z in pts]
+    # build each residue histogram once, at the largest first bound of any
+    # point that uses it; every evaluation below then takes a prefix unless
+    # its tail check grows the bounds
+    largest: dict[int, tuple[int, int]] = {}
+    for pair in pairs:
+        for P in pair:
+            M, _, _, _, (B1, B2) = _flip_setup(chain, P, tail_tol)
+            b1, b2 = largest.get(M, (0, 0))
+            largest[M] = (max(b1, B1), max(b2, B2))
+    store: dict = {}
+    for M, (B1, B2) in largest.items():
+        _chain_histograms(chain, M, B1, B2, _EVAL_BUDGET, store)
     flips = []
-    for Z in pts:
-        Wm = flip_image((T[0], T[1]), Z)
-        lhs, taill = chain2_eval(chain, Wm, tail_tol)
-        rhs, tailr = chain2_eval(chain, Z, tail_tol)
+    for Wm, Z in pairs:
+        lhs, taill = chain2_eval(chain, Wm, tail_tol, store=store)
+        rhs, tailr = chain2_eval(chain, Z, tail_tol, store=store)
         # det(T Z) ** -k times the flipped value
         z = np.array([[Z[0][0].to_complex(), Z[0][1].to_complex()],
                       [Z[1][0].to_complex(), Z[1][1].to_complex()]])

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -100,6 +101,31 @@ def test_theta_files(tmp_path, e8):
     assert by_q == {0: 1, 2: 240, 4: 2160, 6: 6720}
     assert_golden("theta.json", out, tmp_path)
     assert_golden("theta-out.json", out_file.read_text())
+
+
+FLOAT = re.compile(r"-?\d+\.\d+(?:e-?\d+)?|-?\d+e-?\d+")
+
+
+def test_theta_check_modularity(tmp_path, e8, e8_chain):
+    # the README example: every field but the floats is byte-equal, the
+    # defects are below --tol and the certified tails below 1e-10
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps({
+        "gram1": e8.gram.to_json(),
+        "coords": [e8_chain.coords[1].to_json()],
+        "T": [1, 2],
+    }))
+    code, out = run_cli(["theta", "--chain", str(chain_file), "--check-modularity",
+                         "--samples", "5", "--tol", "1e-8"])
+    assert code == 0
+    out = out.replace(str(tmp_path), "TMP")
+    want = (GOLDEN / "theta-modularity.json").read_text()
+    assert FLOAT.sub("F", out) == FLOAT.sub("F", want)
+    flips = json.loads(out)["result"]["modularity"]["flip"]
+    assert len(flips) == 5
+    for f in flips:
+        assert f["defect"] < 1e-8
+        assert len(f["tails"]) == 2 and all(0 < t < 1e-10 for t in f["tails"])
 
 
 def test_chains_command(tmp_path, e8):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +20,15 @@ from paramodular.exactmat import Mat, rational_inverse
 from paramodular.quadlat import (
     ParamodularChain,
     QuadLattice,
+    _join,
     _max_singular_subspaces,
     aut_order,
     aut_order_and_gens,
     constant_chain,
     e8_lattice,
     enumerate_chain_classes,
+    fincke_pohst_chunks,
+    fincke_pohst_leaves,
     invariants,
     isometry_test,
     pmodular_coords,
@@ -146,9 +150,13 @@ def test_chain_stabilizer_divides(e8, e8_chain):
 
 
 def test_scale_limit_budget(e8):
-    from paramodular.errors import ScaleLimit
-    with pytest.raises(ScaleLimit):
+    with pytest.raises(ScaleLimit, match="reached 51 candidates, over the budget of 50"):
         short_vectors_exact(e8, 4, budget=50)
+    # the chunked enumerator checks after each step, so the count it names
+    # may pass the budget by more than one
+    with pytest.raises(ScaleLimit, match="candidates, over the budget of 16") as info:
+        shell_counts(e8, 1, budget=16)
+    assert int(re.search(r"reached (\d+)", str(info.value)).group(1)) > 16
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +186,16 @@ def test_aut_generators_pinned(e8):
     assert digest.hexdigest() == E8_GENS_SHA256
     assert rows[0][0] == [-2, -2, 1, 1, 0, 0, 0, 0]
     assert rows[-1][7] == [0, 0, 0, 0, 0, 0, 0, -1]
-    with pytest.raises(ScaleLimit):
+    with pytest.raises(ScaleLimit, match=f"reached {E8_AUT_NODES} nodes, "
+                                         f"over the budget of {E8_AUT_NODES - 1}"):
         aut_order_and_gens(e8, budget=E8_AUT_NODES - 1)
 
 
 def test_chain_stabilizer_nodes_pinned(e8):
     chain = ParamodularChain(e8, (Mat.identity(8), Mat(E8_TWO_MODULAR)), (1, 2))
     assert aut_order(chain, budget=E8_CHAIN_STAB_NODES) == 2580480
-    with pytest.raises(ScaleLimit):
+    with pytest.raises(ScaleLimit, match=f"reached {E8_CHAIN_STAB_NODES} nodes, "
+                                         f"over the budget of {E8_CHAIN_STAB_NODES - 1}"):
         aut_order(chain, budget=E8_CHAIN_STAB_NODES - 1)
 
 
@@ -261,6 +271,29 @@ def test_aut_and_isometry_on_skews(name, seed):
     g = isometry_test(L, K)
     assert g is not None
     assert g.transpose() @ K.gram @ g == L.gram
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), bound=st.integers(0, 6),
+       chunk=st.sampled_from([1, 2, 3, 7, 1 << 19]))
+def test_half_enumeration_is_one_of_each_pair(data, n, bound, chunk):
+    # 2 B B^T plus a diagonally dominant part with odd off-diagonal entries:
+    # an even positive definite Gram; a tiny chunk splits the all-zero row's
+    # state at every level
+    B = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    S = data.draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+    gram = Mat([[2 * sum(B[i][k] * B[j][k] for k in range(n))
+                 + (2 * n if i == j else S[min(i, j) * n + max(i, j)])
+                 for j in range(n)] for i in range(n)])
+    full = [tuple(r) for X in fincke_pohst_chunks(gram, bound, chunk) for r in X.tolist()]
+    half = [tuple(r) for X, idx, x0 in fincke_pohst_leaves(gram, bound, chunk, half=True)
+            for r in _join(X, idx, x0)[:, ::-1].tolist()]
+    zero = (0,) * n
+    negs = [tuple(-v for v in r) for r in half if r != zero]
+    assert half.count(zero) == 1
+    assert len(half) + len(negs) == len(full) == len(set(full))
+    assert set(half) | set(negs) == set(full)
 
 
 D4 = ROOT_LATTICES["D4"][0]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paramodular.errors import NotApplicable, NotInHalfSpace
+from paramodular import thetaser
+from paramodular.errors import NotApplicable, NotInHalfSpace, ScaleLimit
 from paramodular.exactmat import Mat
 from paramodular.quadlat import (
     ChainClass,
@@ -14,6 +15,7 @@ from paramodular.quadlat import (
     QuadLattice,
     constant_chain,
     shell_counts,
+    shell_vectors,
 )
 from paramodular.thetaser import (
     CZ,
@@ -24,6 +26,7 @@ from paramodular.thetaser import (
     flip_image,
     genus_theta,
     inversion_check,
+    residue_histogram,
     theta1_value,
     theta_coefficients,
     theta_coefficients_tuple,
@@ -189,3 +192,152 @@ def test_class_invariance_of_coefficients(e8):
     K1 = QuadLattice(coords[0] @ e8.gram @ coords[0].transpose())
     K2 = QuadLattice(coords[1] @ e8.gram @ coords[1].transpose())
     assert isometry_test(K1, K2) is not None
+
+
+# ---------------------------------------------------------------------------
+# Residue histograms and chain2_eval evaluated from them.
+# ---------------------------------------------------------------------------
+
+def _row_sums(keys, counts, n, M):
+    out = {}
+    for k, c in zip(keys.tolist(), counts.tolist()):
+        out[k // M**n] = out.get(k // M**n, 0) + c
+    return out
+
+
+def _pairing(chain):
+    # b(member2 basis, member1 basis); member 1 residues are x1 @ W.T mod M
+    G1 = chain.L1.gram.to_numpy()
+    C1, C2 = (C.to_numpy() for C in chain.coords)
+    return C2 @ G1 @ C1.T
+
+
+def test_e8_histogram_is_the_theta_series(e8):
+    keys, counts = residue_histogram(e8.gram, 2, 10)
+    assert _row_sums(keys, counts, 8, 2) == \
+        {0: 1, **{q: 240 * divisor_sigma3(q) for q in range(1, 11)}}
+
+
+def test_member_histogram_row_sums(e8_chain):
+    K = e8_chain.member(1)
+    keys, counts = residue_histogram(K.gram, 2, 12)
+    assert _row_sums(keys, counts, 8, 2) == shell_counts(K, 12)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("paired", [False, True])
+def test_histogram_against_full_enumeration(e8_chain, M, paired):
+    # every vector of the full enumeration, bucketed by its residue
+    gram = e8_chain.member_gram(0)
+    R = _pairing(e8_chain).T if paired else np.eye(8, dtype=np.int64)
+    powers = M ** np.arange(8, dtype=np.int64)
+    want = {}
+    for q, X in shell_vectors(gram, 4).items():
+        for r in ((X @ R) % M @ powers).tolist():
+            want[q * M**8 + r] = want.get(q * M**8 + r, 0) + 1
+    keys, counts = residue_histogram(gram, M, 4, R if paired else None)
+    assert dict(zip(keys.tolist(), counts.tolist())) == want
+    assert keys.tolist() == sorted(want)
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = thetaser._build_histogram
+
+    def counted(*args):
+        builds.append(args[1:3])
+        return build(*args)
+    monkeypatch.setattr(thetaser, "_build_histogram", counted)
+    return builds
+
+
+def test_histogram_prefix_matches_fresh_build(e8_chain, monkeypatch):
+    K = e8_chain.member(1)
+    builds = _count_builds(monkeypatch)
+    store = {}
+    residue_histogram(K.gram, 2, 14, store=store)
+    cut = residue_histogram(K.gram, 2, 9, store=store)
+    assert builds == [(2, 14)]
+    fresh = residue_histogram(K.gram, 2, 9)
+    assert all(np.array_equal(a, b) for a, b in zip(cut, fresh))
+    residue_histogram(K.gram, 2, 15, store=store)    # a larger bound rebuilds
+    assert builds == [(2, 14), (2, 9), (2, 15)]
+
+
+def test_stored_chain2_eval_runs_no_enumeration(e8_chain, monkeypatch):
+    Z = [[CZ(0, 2), CZ(Fraction(1, 2), 0)], [CZ(Fraction(1, 2), 0), CZ(0, 3)]]
+    store = {}
+    first = chain2_eval(e8_chain, Z, store=store)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated with a filled store")
+    monkeypatch.setattr(thetaser, "fincke_pohst_leaves", no_enumeration)
+    assert chain2_eval(e8_chain, Z, store=store) == first
+    with pytest.raises(AssertionError):
+        chain2_eval(e8_chain, Z)
+
+
+def test_histogram_budget_counts_pairs(e8):
+    # the full enumeration of E8 at Q <= 4 examines 49,844 candidates over
+    # its eight levels; the half one examines the all-zero prefix once per
+    # level and one of every other pair, (49,844 + 8) / 2
+    full, half = 49844, 24926
+    assert sum(shell_counts(e8, 4, budget=full).values()) == 26641
+    with pytest.raises(ScaleLimit, match=f"over the budget of {full - 1}"):
+        shell_counts(e8, 4, budget=full - 1)
+    keys, counts = residue_histogram(e8.gram, 2, 4, budget=half)
+    assert int(counts.sum()) == 26641
+    with pytest.raises(ScaleLimit, match=f"over the budget of {half - 1}"):
+        residue_histogram(e8.gram, 2, 4, budget=half - 1)
+
+
+def _reference(chain, Z, B1, B2):
+    """The truncated double sum of chain2_eval at Z, in 30-digit arithmetic,
+    from the exact histograms."""
+    mpmath = pytest.importorskip("mpmath")
+    z12 = Z[0][1].re
+    M, a = z12.denominator, z12.numerator % z12.denominator
+    n = chain.L1.rank
+    k1, c1 = residue_histogram(chain.member_gram(0), M, B1, _pairing(chain).T)
+    k2, c2 = residue_histogram(chain.member_gram(1), M, B2)
+    digits = [[(r // M**i) % M for i in range(n)] for r in range(M**n)]
+    with mpmath.workdps(30):
+        def e(z, q):
+            x = mpmath.mpf(z.re.numerator) / z.re.denominator
+            y = mpmath.mpf(z.im.numerator) / z.im.denominator
+            return mpmath.exp(2j * mpmath.pi * q * mpmath.mpc(x, y))
+
+        A = [mpmath.mpc(0)] * M**n
+        for k, c in zip(k2.tolist(), c2.tolist()):
+            A[k % M**n] += c * e(Z[1][1], k // M**n)
+        roots = [mpmath.exp(2j * mpmath.pi * t / M) for t in range(M)]
+        total = mpmath.mpc(0)
+        for k, c in zip(k1.tolist(), c1.tolist()):
+            d = digits[k % M**n]
+            inner = sum(A[w] * roots[a * sum(x * y for x, y in zip(d, digits[w])) % M]
+                        for w in range(M**n) if A[w])
+            total += c * e(Z[0][0], k // M**n) * inner
+        return complex(total)
+
+
+def test_chain2_eval_matches_30_digit_reference(e8_chain, monkeypatch):
+    # the first default point and its flip image: the truncation bounds are
+    # the ones of the last histogram request, and no digit of the value may
+    # be lost beyond the double precision of the terms
+    Z = default_flip_points((1, 2))[0]
+    seen = []
+    chain_histograms = thetaser._chain_histograms
+    monkeypatch.setattr(thetaser, "_chain_histograms",
+                        lambda chain, M, B1, B2, *rest:
+                        seen.append((B1, B2)) or chain_histograms(chain, M, B1, B2, *rest))
+    for P in (Z, flip_image((1, 2), Z)):
+        val, tail = chain2_eval(e8_chain, P)
+        ref = _reference(e8_chain, P, *seen[-1])
+        assert abs(val - ref) < 1e-13, (val, ref)
+        assert tail < 1e-10
+
+
+def test_tuple_join_names_its_count():
+    A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
+    with pytest.raises(ScaleLimit, match="tuple join reached 21 tuples, over the budget of 20"):
+        theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 1, budget=20)
