@@ -445,11 +445,6 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return [r for r in a if any(r)]
 
 
-def hnf_key(rows) -> tuple:
-    """Canonical hashable key for the row lattice spanned by ``rows``."""
-    return tuple(tuple(r) for r in hnf_rows([list(r) for r in rows]))
-
-
 # ---------------------------------------------------------------------------
 # Rational elimination: inverse and solving.
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ subspaces of L/pL.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, sqrt
@@ -39,7 +40,7 @@ from .exactmat import (
     factor,
     hnf_rows,
     rational_inverse,
-    rref_mod,
+    smith_normal_form,
     solve_right,
 )
 
@@ -77,12 +78,6 @@ class QuadLattice:
         if tot % 2:
             raise NotEven("odd value of the doubled form")
         return tot // 2
-
-    def bilinear(self, x, y) -> int:
-        g = self.gram
-        n = self.rank
-        return sum(x[i] * sum(g[i, j] * y[j] for j in range(n))
-                   for i in range(n) if x[i])
 
     def disc(self) -> int:
         return self.gram.det()
@@ -307,14 +302,8 @@ def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[
 
 def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
     """All x with Q(x) <= bound via the chunked enumerator, as {q: [tuples]}."""
-    G = L.gram.to_numpy()
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
-        qv = ((X @ G) * X).sum(axis=1) // 2
-        keep = qv <= bound
-        for row, q in zip(X[keep], qv[keep]):
-            out.setdefault(int(q), []).append(tuple(int(v) for v in row))
-    return out
+    return {q: list(map(tuple, X.tolist()))
+            for q, X in shell_vectors(L.gram, bound, budget).items()}
 
 
 def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6) -> dict[int, np.ndarray]:
@@ -349,9 +338,14 @@ class _Backtracker:
     them, so the search tree, and with it the node count that the budget
     caps, is the same.  The products are exact: the constructor raises
     NotSupported unless n^2 * max|Gram| * max|candidate|^2 < 2^63.
+
+    Each of the sublattices (coordinate rows) must map into itself.  Its
+    rows echelonized against the reversed coordinates are supported on
+    prefixes, so each row's image is tested at the depth of its last one.
     """
 
-    def __init__(self, gram_target: Mat, gram_source: Mat, budget: int = 10**7):
+    def __init__(self, gram_target: Mat, gram_source: Mat, budget: int = 10**7,
+                 sublattices=()):
         # columns of a solution g are target-coordinates of the images of
         # the source basis:  t(g) . gram_target . g = gram_source
         self.Gt = gram_target
@@ -373,45 +367,47 @@ class _Backtracker:
         # Gram rows of the candidates: the inner products with an image v
         # are self._cg[q] @ v
         self._cg = {q: C @ self._gt for q, C in self.cands.items()}
+        # per depth, the sublattice rows decided there: the earlier depths
+        # and their coefficients, the quotient map, the last term reduced
+        self.checks = [[] for _ in range(n)]
+        for S in sublattices:
+            rows = [list(r)[::-1] for r in hnf_rows([list(r)[::-1] for r in S.rows])]
+            V, mods = _quotient_map(S.rows, self._cmax * max((sum(map(abs, r)) for r in rows),
+                                                            default=0))
+            for r in rows:
+                *before, d = [t for t in range(n) if r[t]]
+                C = self.cands[gram_source[d, d] // 2]
+                self.checks[d].append((before, np.array([r[t] for t in before], dtype=V.dtype),
+                                       V, mods, r[d] * (C.astype(V.dtype) @ V) % mods))
 
-    def extend(self, fixed, constraints=None):
+    def passing(self, depth, hits, images):
+        """Mask of the hits (candidates for e_depth) that pass the rows decided here."""
+        ok = np.ones(len(hits), dtype=bool)
+        for before, coeff, V, mods, last in self.checks[depth]:
+            base = coeff @ images[before].astype(V.dtype) @ V % mods
+            ok &= ~((last[hits] + base) % mods != 0).any(axis=1)
+        return ok
+
+    def extend(self, fixed):
         """Complete fixed images to a full isometry; None if impossible.
 
         fixed holds the images of e_0, e_1, ... in order, each a vector of
-        its shell.  constraints, when given, is a list of (coeff_row,
-        lattice_hnf) pairs: once all coordinates appearing in coeff_row are
-        assigned, the image of the combination must reduce to zero against
-        the lattice rows.
-        """
+        its shell.  At each depth one mask drops the hits failing a sublattice
+        row, so only passing candidates become nodes."""
         n = self.n
         gs = self._gs
-        # the constraints that become decidable at each depth
-        checks = [[] for _ in range(n)]
-        for coeff, hnf in constraints or ():
-            support = [t for t in range(n) if coeff[t]]
-            if support:
-                checks[max(support)].append(
-                    (support, [coeff[t] for t in support], hnf))
-
         images = np.zeros((n, n), dtype=np.int64)   # row d: image of e_d
         rows = np.zeros((n, n), dtype=np.int64)     # row d: gram_target @ images[d]
-
-        def ok_partial(depth):
-            for support, coeff, hnf in checks[depth]:
-                sel = images[support].tolist()
-                vec = [sum(c * v[k] for c, v in zip(coeff, sel)) for k in range(n)]
-                if not _in_lattice(vec, hnf):
-                    return False
-            return True
-
         fixed = np.asarray(fixed, dtype=np.int64).reshape(-1, n)
         if len(fixed) and int(np.abs(fixed).max()) > self._cmax:
             raise NotSupported("fixed image outside the candidate shells")
         for depth, v in enumerate(fixed):
+            if self.checks[depth]:
+                k = np.flatnonzero((self.cands[self.Gs[depth, depth] // 2] == v).all(axis=1))
+                if not len(k) or not self.passing(depth, k, images)[0]:
+                    return None
             images[depth] = v
             rows[depth] = self._gt @ v
-            if not ok_partial(depth):
-                return None
 
         def rec(depth):
             self.nodes += 1
@@ -426,12 +422,14 @@ class _Backtracker:
                 hits = np.flatnonzero(
                     (C @ rows[:depth].T == gs[:depth, depth]).all(axis=1))
             else:
-                hits = range(len(C))
+                hits = np.arange(len(C))
+            if self.checks[depth]:
+                hits = hits[self.passing(depth, hits, images)]
             cg = self._cg[norm]
             for k in hits:
                 images[depth] = C[k]
                 rows[depth] = cg[k]
-                if ok_partial(depth) and rec(depth + 1):
+                if rec(depth + 1):
                     return True
             return False
 
@@ -440,19 +438,21 @@ class _Backtracker:
         return None
 
 
-def _in_lattice(vec, hnf_rows_list) -> bool:
-    v = list(vec)
-    for row in hnf_rows_list:
-        piv = next((t for t, x in enumerate(row) if x), None)
-        if piv is None:
-            continue
-        if v[piv] % row[piv]:
-            return False
-        q = v[piv] // row[piv]
-        if q:
-            for t in range(piv, len(v)):
-                v[t] -= q * row[t]
-    return not any(v)
+def _quotient_map(rows, vmax: int):
+    """(V, mods): a vector v with |entries| <= vmax lies in the row lattice
+    of rows exactly when v @ V is divisible by mods.  With U rows V = D in
+    Smith form, that is (v V)_i divisible by d_i, where d_i = 0 past the
+    rank; d_i = 1 is dropped and d_i = 0 becomes a modulus above |(v V)_i|.
+    The entries are int64 if that modulus is below 2^62, else Python ints."""
+    n = len(rows[0])
+    _, D, V = smith_normal_form(Mat(rows))
+    d = [D[i, i] if i < D.nrows else 0 for i in range(n)]
+    keep = [i for i in range(n) if d[i] != 1]
+    cols = [[V[r, i] for i in keep] for r in range(n)]
+    bound = n * vmax * max((abs(x) for r in cols for x in r), default=0)
+    dtype = np.int64 if bound < 1 << 62 else object
+    return (np.array(cols, dtype=dtype).reshape(n, len(keep)),
+            np.array([d[i] or bound + 1 for i in keep], dtype=dtype))
 
 
 def isometry_test(L: QuadLattice, K: QuadLattice, budget: int = 10**7) -> Mat | None:
@@ -488,15 +488,7 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     the candidates' Gram rows selects them, in shell order.
     """
     n = L.rank
-    constraints = []
-    for S in sublattices:
-        hnf = hnf_rows([list(r) for r in S.rows])
-        # constraint rows with short prefixes prune early: echelonize against
-        # the reversed coordinate order so each row is supported on a prefix
-        rev = hnf_rows([list(r)[::-1] for r in S.rows])
-        for row in rev:
-            constraints.append((list(row)[::-1], hnf))
-    bt = _Backtracker(L.gram, L.gram, budget)
+    bt = _Backtracker(L.gram, L.gram, budget, sublattices)
     G = bt._gs
     eye = np.eye(n, dtype=np.int64)
     order = 1
@@ -510,7 +502,7 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
         fixed = eye[:depth + 1].copy()
         for k in hits:
             fixed[depth] = C[k]
-            g = bt.extend(fixed, constraints or None)
+            g = bt.extend(fixed)
             if g is not None:
                 count += 1
                 if not np.array_equal(C[k], eye[depth]):
@@ -525,8 +517,7 @@ def aut_order(obj, budget: int = 10**7) -> int:
     """Order of the simultaneous stabilizer of a chain (or a single lattice)."""
     if isinstance(obj, QuadLattice):
         return aut_order_and_gens(obj, (), budget)[0]
-    subs = [c for c in obj.coords[1:]]
-    return aut_order_and_gens(obj.L1, subs, budget)[0]
+    return aut_order_and_gens(obj.L1, obj.coords[1:], budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,31 +584,42 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
 
     These are the preimages of the maximal totally singular subspaces of the
     reduction mod p of Q / scale, found by one bitset search for every p;
-    budget bounds the subspaces of each dimension that it builds.
+    budget bounds the subspaces of each dimension that it builds.  For all
+    K at once, in int64 (Python ints if that could overflow), the check is
+    exact: the Gram is divisible by t = p*scale, its diagonal by 2t, and
+    det(K)^2 disc(L) = t^n, that is |det(Gram / t)| = 1.  Sorted by rows.
     """
     n = L.rank
     if not isinstance(p, int) or p < 2 or factor(p) != [(p, 1)]:
         raise InvalidLevel(f"p = {p!r} is not a prime")
     if n % 2:
         raise InvalidRank("modular sublattices need even rank")
-    out = []
-    for basis in _max_singular_subspaces(L, p, scale, budget):
-        rows = [list(v) for v in basis]
-        for i in range(n):
-            rows.append([p if t == i else 0 for t in range(n)])
-        K = Mat(hnf_rows(rows))
-        g = K @ L.gram @ K.transpose()
-        t = p * scale
-        if any(x % t for row in g.rows for x in row):
-            raise IntegralityViolation(f"sublattice Gram is not divisible by {t}")
-        if any(g[i, i] % (2 * t) for i in range(n)):
-            raise NotEven(f"sublattice is not {t}-even")
-        scaled = Mat([[x // t for x in row] for row in g.rows])
-        if abs(scaled.det()) != 1:
-            raise InvalidInvariant(f"sublattice is not {t}-modular")
-        out.append(K)
-    out.sort(key=lambda M: M.rows)
-    return out
+    bases = _max_singular_subspaces(L, p, scale, budget)
+    if not bases:
+        return []
+    t = p * scale
+    B = np.array(bases, dtype=np.int64).reshape(len(bases), -1, n)
+    gmax = max(abs(x) for row in L.gram.rows for x in row)
+    dtype = np.int64 if n * n * p * p * gmax < 1 << 63 else object
+    K = _echelon_preimages(B, p)
+    Kd = K.astype(dtype)
+    g = Kd @ np.array(L.gram.rows, dtype=dtype) @ Kd.transpose(0, 2, 1)
+    if (g % t != 0).any():
+        raise IntegralityViolation(f"sublattice Gram is not divisible by {t}")
+    if (np.diagonal(g, axis1=1, axis2=2) % (2 * t) != 0).any():
+        raise NotEven(f"sublattice is not {t}-even")
+    if p ** (2 * (n - B.shape[1])) * abs(L.disc()) != t ** n:
+        raise InvalidInvariant(f"sublattice is not {t}-modular")
+    return [Mat(rows) for rows in sorted(K.tolist())]
+
+
+def _echelon_preimages(B, p: int) -> np.ndarray:
+    """Hermite forms of the preimages in Z^n of the subspaces mod p with the
+    reduced echelon bases B (N, k, n): the row with pivot i as row i and
+    p e_i as every other row, so each has determinant p^(n - k)."""
+    K = np.tile(p * np.eye(B.shape[2], dtype=np.int64), (len(B), 1, 1))
+    K[np.arange(len(B))[:, None], (B != 0).argmax(axis=2)] = B
+    return K
 
 
 def pmodular_sublattices(L: QuadLattice, p: int, budget: int = 10**6) -> list[QuadLattice]:
@@ -675,9 +677,9 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
             grow(state + (w,), bits & follow[w])
 
     grow((), (1 << len(sing)) - 1)
-    vecs = sing.tolist()
-    return sorted(tuple(map(tuple, rref_mod([vecs[x] for x in state], p)))
-                  for state in found)
+    if not found:
+        return []
+    return sorted(tuple(map(tuple, E)) for E in _echelon_mod(sing[found], p).tolist())
 
 
 @dataclass(frozen=True)
@@ -701,19 +703,17 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     Each refinement step keeps p * (previous member) inside the new one, so
     the member M at scale t contains t L1, and M is determined by its image
     in L1 / t L1, that is by its image in L1 / p L1 for each prime p | t.
-    Members are keyed and moved by those images: a generator, reduced mod p
-    once, acts on the reduced-echelon basis of each image.  The orbits, and
-    so the representatives, the stabilizer searches and their node counts,
-    are those of the action on the lattices themselves.
+    The candidates are keyed by the echelon bases of those images and
+    numbered once, in order of first appearance.  One batched echelon of the
+    images under a generator of O(L1) gives its permutation of the numbers,
+    and the orbits are read off those.  Each representative is the first of
+    its orbit, as in the action on the lattices themselves.
     """
     T = tuple(T)
     if not T or T[0] != 1:
         raise InvalidLevel("the first scale must be 1")
     n = L1.rank
-    distinct = []
-    for t in T:
-        if not distinct or t != distinct[-1]:
-            distinct.append(t)
+    distinct = [t for i, t in enumerate(T) if not i or t != T[i - 1]]
     primes = []     # the primes of each distinct scale after the first
     for prev, cur in zip(distinct, distinct[1:]):
         if cur % prev or cur // prev < 2:
@@ -723,7 +723,8 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
             raise NonSquareFreeLevel("scales must be squarefree")
         primes.append([p for p, _ in f])
     # build candidate tuples of coordinate matrices for the distinct scales
-    partials = [(Mat.identity(n),)]
+    I = Mat.identity(n)
+    partials = [(I,)]
     for prev, ps in zip(distinct, primes):
         newparts = []
         for tup in partials:
@@ -735,76 +736,57 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
                 next_mats = []
                 for M in mats:
                     ML = QuadLattice(M @ L1.gram @ M.transpose())
-                    for K in pmodular_coords(ML, p, scale_now):
-                        next_mats.append(K @ M)
+                    Ks = pmodular_coords(ML, p, scale_now)
+                    next_mats += Ks if M == I else [K @ M for K in Ks]
                 mats = next_mats
                 scale_now *= p
-            for M in mats:
-                newparts.append(tup + (M,))
+            newparts += [tup + (M,) for M in mats]
         partials = newparts
-    # expand back to full chains following T
-    def expand(tup):
-        out = []
-        for t in T:
-            out.append(tup[distinct.index(t)])
-        return tuple(out)
-
     order1, gens = aut_order_and_gens(L1, budget=budget)
     gens = list({g.rows: g for g in gens}.values())
-    # rows of g^T mod p: the image of a row vector v is v g^T
-    reduced = {p: [[[x % p for x in col] for col in zip(*g.rows)] for g in gens]
-               for p in {p for ps in primes for p in ps}}
-
-    def image_key(M: Mat, ps):
-        return tuple(tuple(map(tuple, rref_mod(M.rows, p))) for p in ps)
-
-    seen: dict[tuple, tuple] = {}
-    for tup in partials:
-        key = tuple(image_key(M, ps) for M, ps in zip(tup[1:], primes))
-        if key not in seen:
-            seen[key] = tup
+    if len(distinct) == 1:
+        # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
+        return [ChainClass(ParamodularChain(L1, partials[0] * len(T), T), order1, 1)]
+    if not partials:
+        return []
+    # key each candidate by the echelon bases of its images, a block of
+    # columns per member and prime, and number the keys by first appearance
+    slots = [(j, p) for j, ps in enumerate(primes, 1) for p in ps]
+    bases = [_echelon_mod(np.array([tup[j].rows for tup in partials], dtype=object) % p, p)
+             for j, p in slots]
+    bases = [E[:, :int((E != 0).any(axis=2).sum(axis=1).max())] for E in bases]
+    keys = np.concatenate([B.reshape(len(partials), -1) for B in bases], axis=1)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    cands = [partials[i] for i in first]
+    find = _row_index(keys[first])
+    bases = [B[first] for B in bases]
+    perms = []      # perms[i][c]: the number of the image of candidate c under gens[i]
 
     def orbit_partition(used):
-        orbits = []
-        unvisited = dict(seen)
-        while unvisited:
-            key0, tup0 = next(iter(unvisited.items()))
-            frontier = [key0]
-            orbit = {key0}
-            del unvisited[key0]
-            while frontier:
-                key = frontier.pop()
-                for gi in range(used):
-                    mk = tuple(tuple(_act_mod(basis, reduced[p][gi], p)
-                                     for basis, p in zip(member, ps))
-                               for member, ps in zip(key, primes))
-                    if mk not in orbit:
-                        if mk not in seen:
-                            raise NotStabilizing("generator left the candidate set")
-                        orbit.add(mk)
-                        if mk in unvisited:
-                            del unvisited[mk]
-                        frontier.append(mk)
-            orbits.append((tup0, len(orbit)))
-        return orbits
+        while len(perms) < used:
+            gt = gens[len(perms)].to_numpy().T
+            ids = find(np.concatenate([_echelon_mod(B @ (gt % p), p).reshape(len(cands), -1)
+                                       for B, (_, p) in zip(bases, slots)], axis=1))
+            if (ids < 0).any():
+                raise NotStabilizing("generator left the candidate set")
+            perms.append(ids)
+        label = _orbit_labels(np.array(perms[:used]).reshape(used, len(cands)))
+        reps = np.flatnonzero(label == np.arange(len(cands)))
+        sizes = np.bincount(label)[reps]
+        return [(cands[r], int(size)) for r, size in zip(reps, sizes)]
 
     # start with a few generators and enlarge until the orbit-stabilizer
     # identity certifies the partition
-    step = max(4, len(gens) // 16)
-    used = step
+    used = max(4, len(gens) // 16)
     while True:
-        orbits = orbit_partition(min(used, len(gens)))
         classes = []
-        good = True
-        for tup, size in orbits:
-            chain = ParamodularChain(L1, expand(tup), T)
-            # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
-            stab = order1 if len(distinct) == 1 else aut_order(chain, budget)
+        for tup, size in orbit_partition(min(used, len(gens))):
+            chain = ParamodularChain(L1, tuple(tup[distinct.index(t)] for t in T), T)
+            stab = aut_order(chain, budget)
             if order1 != stab * size:
-                good = False
                 break
             classes.append(ChainClass(chain, stab, size))
-        if good:
+        else:
             break
         if used >= len(gens):
             raise InvalidInvariant("orbit-stabilizer identity failed with all generators")
@@ -814,14 +796,58 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     return classes
 
 
-def _act_mod(basis, gp, p) -> tuple:
-    """Echelon basis of the image of a subspace of F_p^n under v -> v g^T,
-    given the rows gp of g^T mod p."""
-    out = []
-    for r in basis:
-        acc = [0] * len(gp)
-        for c, grow in zip(r, gp):
-            if c:
-                acc = [a + c * b for a, b in zip(acc, grow)]
-        out.append(acc)
-    return tuple(map(tuple, rref_mod(out, p)))
+def _echelon_mod(A, p: int) -> np.ndarray:
+    """The reduced echelon forms mod the prime p of a stack of integer
+    matrices, as rref_mod gives them with the zero rows kept last: one
+    elimination step per column for the whole stack."""
+    A = np.asarray(A, dtype=np.int64) % p
+    N, r, n = A.shape
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    rank = np.zeros(N, dtype=np.int64)
+    for c in range(n):
+        free = (A[:, :, c] != 0) & (np.arange(r) >= rank[:, None])
+        b = np.flatnonzero(free.any(axis=1))
+        if not len(b):
+            continue
+        piv, rk = free[b].argmax(axis=1), rank[b]
+        prow = A[b, piv]
+        A[b, piv] = A[b, rk]
+        prow = prow * inv[prow[:, c]][:, None] % p
+        A[b, rk] = prow
+        f = A[b, :, c]
+        f[np.arange(len(b)), rk] = 0
+        A[b] = (A[b] - f[:, :, None] * prow[:, None, :]) % p
+        rank[b] += 1
+    return A
+
+
+def _row_index(table):
+    """The function giving the index of each of its rows among the distinct
+    rows of table, or -1: a row is hashed by a wrapping int64 product with
+    seeded random weights, redrawn while the table's hashes collide, found
+    by binary search, and kept only if it equals that table row: exact."""
+    rng = random.Random(0)
+    while True:
+        w = np.array([rng.getrandbits(63) for _ in range(table.shape[1])], dtype=np.int64)
+        order = np.argsort(table @ w)
+        hashes = (table @ w)[order]
+        if (np.diff(hashes) != 0).all():
+            break
+
+    def find(rows):
+        pos = order[np.searchsorted(hashes, rows @ w).clip(max=len(order) - 1)]
+        return np.where((table[pos] == rows).all(axis=1), pos, -1)
+
+    return find
+
+
+def _orbit_labels(perms) -> np.ndarray:
+    """The least point of each orbit of the permutations (rows of perms): minima
+    pulled back along each (a union of cycles) with pointer jumping, until stable."""
+    label = np.arange(perms.shape[1])
+    while True:
+        new = np.minimum(label, label[perms].min(axis=0, initial=len(label)))
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new

@@ -57,10 +57,6 @@ def divisor_sigma3(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def gram_key(H: Mat) -> tuple:
-    return tuple(tuple(int(x) for x in row) for row in H.rows)
-
-
 @dataclass
 class ThetaExpansion:
     """Exact counts of vector tuples by doubled Gram, up to a trace bound.
@@ -81,28 +77,20 @@ class ThetaExpansion:
         return len(self.T)
 
 
-def _member_data(chain: ParamodularChain):
-    return chain.L1.gram.to_numpy(), [C.to_numpy() for C in chain.coords]
-
-
 def theta_coefficients(chain: ParamodularChain, trace_bound: int,
                        budget: int = 200 * 10**6) -> ThetaExpansion:
-    """Exact tuple counts for every doubled Gram with total Q below the bound."""
+    """Exact tuple counts for every doubled Gram with total Q below the bound.
+    Each member is enumerated once; the shell counts of two or more members
+    are read off the rows of the join."""
     n = len(chain.T)
-    G1, mats = _member_data(chain)
-    members = [chain.member(j) for j in range(n)]
-    grams = [M.gram for M in members]
-    shells = [shell_counts(members[j], trace_bound, budget) for j in range(n)]
-    minima = [min((q for q in s if q > 0), default=1) for s in shells]
-    ranks = [chain.L1.rank] * n
     if n == 1:
+        shells = [shell_counts(chain.member(0), trace_bound, budget)]
         coeffs = {((2 * q,),): c for q, c in shells[0].items()}
-        return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
-    if n == 2:
-        coeffs = _pair_coefficients(grams, G1, mats, trace_bound, budget)
-        return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
-    coeffs = _tuple_coefficients(grams, G1, mats, trace_bound, budget)
-    return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, ranks)
+    else:
+        coeffs, vecs = _join(chain.L1, chain.coords, trace_bound, budget)
+        shells = [{q: len(sh[q]) for q in sorted(sh)} for sh in vecs]
+    minima = [min((q for q in s if q > 0), default=1) for s in shells]
+    return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, [chain.L1.rank] * n)
 
 
 def theta_coefficients_tuple(L1, coords, bound: int,
@@ -112,77 +100,75 @@ def theta_coefficients_tuple(L1, coords, bound: int,
     Unlike chains, tuples need no containment or modularity; permuting a
     chain produces such a tuple and its keys are the conjugated originals.
     """
+    return _join(L1, coords, bound, budget)[0]
+
+
+def _join(L1, coords, bound, budget):
+    """The tuple counts, and the member shells ({q: rows}) joined for them."""
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
-    grams = [C @ L1.gram @ C.transpose() for C in coords]
+    shells = [shell_vectors(C @ L1.gram @ C.transpose(), bound, budget) for C in coords]
     if len(coords) == 2:
-        return _pair_coefficients(grams, G1, mats, bound, budget)
-    return _tuple_coefficients(grams, G1, mats, bound, budget)
+        return _pair_coefficients(shells, mats[0] @ G1 @ mats[1].T, bound), shells
+    return _tuple_coefficients(shells, G1, mats, bound, budget), shells
 
 
-def _pair_coefficients(grams, G1, mats, bound, budget):
-    """Counts of the pair Grams, from the member Grams and the member
-    coordinates in L1 (numpy) against the Gram G1 of L1."""
-    sh1 = shell_vectors(grams[0], bound, budget)
-    sh2 = shell_vectors(grams[1], bound, budget)
-    W = mats[0] @ G1 @ mats[1].T        # pairing of member coordinates
+def _pair_coefficients(shells, W, bound):
+    """Counts of the pair Grams from the two members' shells ({q: rows})
+    and the pairing W of their coordinates.  x1 and -x1 meet each x2 with
+    b12 and -b12, so one vector of each pair +-x1 (first nonzero entry
+    positive) is joined and its b12 histogram is mirrored; the zero vector,
+    its own negative, counts once.  The keys come in the full join's order.
+    """
+    sh1, sh2 = shells
     off = 2 * bound + 1
     counts: dict[tuple, int] = {}
     for q1, X1 in sh1.items():
+        if q1:
+            X1 = X1[X1[np.arange(len(X1)), (X1 != 0).argmax(axis=1)] > 0]
         for q2, X2 in sh2.items():
             if q1 + q2 > bound:
                 continue
-            cross_all = np.zeros(2 * off + 1, dtype=np.int64)
+            cross = np.zeros(2 * off + 1, dtype=np.int64)
             block = max(1, (1 << 23) // max(1, len(X2)))
-            Y2 = (W @ X2.T)
+            Y2 = W @ X2.T
             for t in range(0, len(X1), block):
-                piece = X1[t:t + block] @ Y2
-                cross_all += np.bincount((piece + off).ravel(),
-                                         minlength=2 * off + 1)
-            for b12, c in enumerate(cross_all):
-                if c:
-                    H = ((2 * q1, b12 - off), (b12 - off, 2 * q2))
-                    counts[H] = counts.get(H, 0) + int(c)
+                cross += np.bincount((X1[t:t + block] @ Y2 + off).ravel(),
+                                     minlength=2 * off + 1)
+            if q1:
+                cross += cross[::-1]
+            for b in np.flatnonzero(cross):
+                counts[((2 * q1, int(b) - off), (int(b) - off, 2 * q2))] = int(cross[b])
     return counts
 
 
-def _tuple_coefficients(grams, G1, mats, bound, budget):
-    n = len(grams)
-    shells = [shell_vectors(g, bound, budget) for g in grams]
+def _tuple_coefficients(shells, G1, mats, bound, budget):
+    """Counts of the tuple Grams, by recursion over the members' vectors."""
+    n = len(shells)
     pair = [[mats[i] @ G1 @ mats[j].T for j in range(n)] for i in range(n)]
     counts: dict[tuple, int] = {}
-    work = [0]
+    work = 0
 
-    def rec(j, chosen, used):
-        if j == n:
-            H = tuple(tuple(row) for row in _gram_of(chosen, pair))
+    def rec(chosen, used):
+        nonlocal work
+        if len(chosen) == n:
+            H = tuple(tuple(2 * qa if a == b else int(va @ pair[a][b] @ vb)
+                            for b, (vb, _) in enumerate(chosen))
+                      for a, (va, qa) in enumerate(chosen))
             counts[H] = counts.get(H, 0) + 1
             return
-        for q, X in shells[j].items():
+        for q, X in shells[len(chosen)].items():
             if used + q > bound:
                 continue
             for v in X:
-                work[0] += 1
-                if work[0] > budget:
-                    raise ScaleLimit(f"tuple join reached {work[0]} tuples, "
+                work += 1
+                if work > budget:
+                    raise ScaleLimit(f"tuple join reached {work} tuples, "
                                      f"over the budget of {budget}")
-                rec(j + 1, chosen + [(j, v, q)], used + q)
+                rec(chosen + [(v, q)], used + q)
 
-    rec(0, [], 0)
+    rec([], 0)
     return counts
-
-
-def _gram_of(chosen, pair):
-    n = len(chosen)
-    H = [[0] * n for _ in range(n)]
-    for a in range(n):
-        ja, va, qa = chosen[a]
-        H[a][a] = 2 * qa
-        for b in range(a + 1, n):
-            jb, vb, _ = chosen[b]
-            val = int(va @ pair[ja][jb] @ vb)
-            H[a][b] = H[b][a] = val
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +200,6 @@ def _packing_tail(minimum: int, rank: int, bound: int, rate: float) -> float:
     return tail
 
 
-def _series_sum(shell: dict[int, int], rate: float) -> float:
-    return sum(c * math.exp(-rate * q) for q, c in shell.items())
-
-
 def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
                with_tail: bool = False):
     """Evaluate the truncated series and certify the truncation error.
@@ -234,18 +216,15 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
     y0 = float(evs.min())
     rate = 2 * math.pi * y0
     # tail over tuples with total Q above the bound, by the packing bound
+    def tuple_term(t):
+        return math.prod(_packing_count(t, mn, dim)
+                         for mn, dim in zip(exp_.minima, exp_.ranks)) * math.exp(-rate * t)
+
     tail = 0.0
     t = exp_.trace_bound + 1
     while True:
-        cnt = 1.0
-        for mn, dim in zip(exp_.minima, exp_.ranks):
-            cnt *= _packing_count(t, mn, dim)
-        term = cnt * math.exp(-rate * t)
+        term, nxt = tuple_term(t), tuple_term(t + 1)
         tail += term
-        cnt2 = 1.0
-        for mn, dim in zip(exp_.minima, exp_.ranks):
-            cnt2 *= _packing_count(t + 1, mn, dim)
-        nxt = cnt2 * math.exp(-rate * (t + 1))
         if term == 0.0 or (nxt < 0.5 * term and term < 1e-32):
             tail += 2.0 * nxt
             break
@@ -476,7 +455,7 @@ def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
     rebuilds the entry.
     """
     n = gram.nrows
-    key = (gram_key(gram), M)
+    key = (gram.rows, M)
     store = {} if store is None else store
     if store.get(key, (-1,))[0] < bound:
         store[key] = (bound, *_build_histogram(gram, M, bound, budget))
@@ -562,8 +541,8 @@ def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int,
                       budget: int, store: dict | None):
     """Residue histograms of the two members: member 1 by the pairing with
     the member-2 basis, member 2 by its own coordinates, both mod M."""
-    G1, mats = _member_data(chain)
-    W = mats[1] @ G1 @ mats[0].T        # b(member2 basis, member1 basis)
+    C1, C2 = (C.to_numpy() for C in chain.coords)
+    W = C2 @ chain.L1.gram.to_numpy() @ C1.T        # b(member2 basis, member1 basis)
     return (residue_histogram(chain.member_gram(0), M, B1, W.T, budget, store),
             residue_histogram(chain.member_gram(1), M, B2, None, budget, store))
 

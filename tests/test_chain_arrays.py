@@ -1,0 +1,183 @@
+"""Differential tests of the whole-array chain code against the slow
+reference paths in chain_oracle.py: candidate numbering and generator
+images, Hermite forms written from echelon bases, the stabilizer's
+sublattice test, and the sign-halved pair join."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import paramodular.quadlat as quadlat
+from chain_oracle import act_mod, in_lattice, pair_coefficients, tuple_coefficients
+from paramodular.errors import IntegralityViolation, InvalidInvariant, NotEven
+from paramodular.exactmat import Mat, hnf_rows, rref_mod
+from paramodular.quadlat import (
+    QuadLattice,
+    _echelon_mod,
+    _echelon_preimages,
+    _max_singular_subspaces,
+    _quotient_map,
+    _row_index,
+    aut_order_and_gens,
+    pmodular_coords,
+    shell_counts,
+    shell_vectors,
+)
+from paramodular.thetaser import (
+    _pair_coefficients,
+    theta_coefficients,
+    theta_coefficients_tuple,
+)
+from test_quadlat import SUBSPACE_INPUTS, SUBSPACE_PINS
+
+
+@pytest.fixture(scope="module")
+def e8_gens(e8):
+    return aut_order_and_gens(e8)[1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_candidate_images_match_act_mod(e8, e8_gens, p):
+    # the numbering and the batched images of enumerate_chain_classes: every
+    # generator of O(E8) against the one-subspace oracle on 12 candidates,
+    # so that every candidate is checked, and the first 25 generators (the
+    # ones the class search starts with) as permutations of all candidates
+    Ks = pmodular_coords(e8, p)
+    N = len(Ks)
+    subspaces = [tuple(map(tuple, rref_mod(K.rows, p))) for K in Ks]
+    number = {S: i for i, S in enumerate(subspaces)}
+    E = _echelon_mod(np.array([K.rows for K in Ks]), p)
+    assert not E[:, 4:].any()
+    assert E[:, :4].tolist() == [[list(r) for r in S] for S in subspaces]
+    E = E[:, :4]
+    find = _row_index(E.reshape(N, -1))
+    assert find(E.reshape(N, -1)).tolist() == list(range(N))
+    rng = random.Random(p)
+    for gi, g in enumerate(e8_gens):
+        if gi < 25:
+            ids = find(_echelon_mod(E @ g.to_numpy().T, p).reshape(N, -1))
+            assert sorted(ids.tolist()) == list(range(N))
+        cs = sorted({(12 * gi + j) % N for j in range(6)} | set(rng.sample(range(N), 6)))
+        ids = find(_echelon_mod(E[cs] @ g.to_numpy().T, p).reshape(len(cs), -1))
+        gp = [[x % p for x in col] for col in zip(*g.rows)]
+        assert ids.tolist() == [number[act_mod(subspaces[c], gp, p)] for c in cs]
+
+
+def test_row_index_absent_rows():
+    table = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1]])
+    find = _row_index(table)
+    assert find(np.array([[1, 1, 1], [0, 0, 0], [0, 1, 2], [2, 1, 1]])).tolist() == [2, -1, 0, -1]
+
+
+def _preimage_hnfs(bases, p, n):
+    return sorted(hnf_rows([list(v) for v in basis]
+                           + [[p * (t == i) for t in range(n)] for i in range(n)])
+                  for basis in bases)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_echelon_hermite_forms_e8(e8, p):
+    bases = _max_singular_subspaces(e8, p, 1, 10**6)
+    assert len(bases) == {2: 270, 3: 2240}[p]
+    assert [list(map(list, K.rows)) for K in pmodular_coords(e8, p)] == \
+        _preimage_hnfs(bases, p, 8)
+
+
+@pytest.mark.parametrize("name,p", sorted(k for k, (count, _) in SUBSPACE_PINS.items() if count))
+def test_echelon_hermite_forms_pinned_inputs(name, p):
+    # these lattices are not all unimodular, so the preimages are compared
+    # without the modularity check of pmodular_coords
+    gram, scale = SUBSPACE_INPUTS[name]
+    n = len(gram)
+    bases = _max_singular_subspaces(QuadLattice(Mat(gram)), p, scale, 10**6)
+    got = _echelon_preimages(np.array(bases, dtype=np.int64).reshape(len(bases), -1, n), p)
+    assert sorted(got.tolist()) == _preimage_hnfs(bases, p, n)
+
+
+def test_modularity_check_raises(e8, monkeypatch):
+    # the cheap check still rejects what the search should never return:
+    # e0 + e1 and e0 + e3 are singular mod 2 but not orthogonal, e0 is not
+    # singular, and the line of e0 + e1 is totally singular but not maximal
+    e = [[int(i == j) for j in range(8)] for i in range(8)]
+    add = lambda a, b: [x + y for x, y in zip(a, b)]
+    cases = [(IntegralityViolation, [add(e[0], e[1]), add(e[0], e[3])]),
+             (NotEven, [e[0]]),
+             (InvalidInvariant, [add(e[0], e[1])])]
+    for error, rows in cases:
+        basis = tuple(map(tuple, rref_mod(rows, 2)))
+        monkeypatch.setattr(quadlat, "_max_singular_subspaces", lambda *a, b=basis: [b])
+        with pytest.raises(error):
+            pmodular_coords(e8, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 5), big=st.booleans())
+def test_quotient_map_matches_pivot_walk(data, n, m, big):
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    hnf = hnf_rows(rows)
+    X = []
+    for _ in range(8):
+        x = [sum(c * r[t] for c, r in zip(data.draw(st.lists(st.integers(-3, 3), min_size=m,
+                                                             max_size=m)), rows))
+             for t in range(n)]
+        if data.draw(st.booleans()):
+            x[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(-2, 2))
+        X.append(x)
+    vmax = 2**70 if big else max(abs(x) for v in X for x in v)
+    V, mods = _quotient_map(rows, vmax)
+    assert V.dtype == (object if big and V.size else np.int64)
+    mask = ~((np.array(X, dtype=V.dtype) @ V) % mods != 0).any(axis=1)
+    assert mask.tolist() == [in_lattice(x, hnf) for x in X]
+
+
+def _even_gram(data, n):
+    # 2 B B^T plus a diagonally dominant part with odd off-diagonal entries
+    B = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    S = data.draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+    return Mat([[2 * sum(B[i][k] * B[j][k] for k in range(n))
+                 + (2 * n if i == j else S[min(i, j) * n + max(i, j)])
+                 for j in range(n)] for i in range(n)])
+
+
+def _sublattice(data, n):
+    # a Hermite-form basis, as every sublattice of full rank has
+    return Mat([[data.draw(st.integers(1, 3)) if j == i else
+                 data.draw(st.integers(-2, 2)) if j > i else 0
+                 for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), bound=st.integers(0, 5))
+def test_halved_pair_join_matches_full_join(data, n, bound):
+    L1 = QuadLattice(_even_gram(data, n))
+    coords = [_sublattice(data, n), _sublattice(data, n)]
+    grams = [C @ L1.gram @ C.transpose() for C in coords]
+    G1, mats = L1.gram.to_numpy(), [C.to_numpy() for C in coords]
+    want = pair_coefficients(grams, G1, mats, bound)
+    shells = [shell_vectors(g, bound) for g in grams]
+    got = _pair_coefficients(shells, mats[0] @ G1 @ mats[1].T, bound)
+    assert list(got.items()) == list(want.items())
+    assert list(theta_coefficients_tuple(L1, coords, bound).items()) == list(want.items())
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), bound=st.integers(0, 3))
+def test_tuple_join_matches_reference(data, n, bound):
+    L1 = QuadLattice(_even_gram(data, n))
+    coords = [_sublattice(data, n) for _ in range(3)]
+    grams = [C @ L1.gram @ C.transpose() for C in coords]
+    want = tuple_coefficients(grams, L1.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
+    assert list(theta_coefficients_tuple(L1, coords, bound).items()) == list(want.items())
+
+
+def test_chain_shells_from_join_rows(e8_chain):
+    exp_ = theta_coefficients(e8_chain, 4)
+    assert exp_.shells == [shell_counts(e8_chain.member(j), 4) for j in range(2)]
+    G1, mats = e8_chain.L1.gram.to_numpy(), [C.to_numpy() for C in e8_chain.coords]
+    grams = [e8_chain.member_gram(j) for j in range(2)]
+    assert exp_.coefficients == pair_coefficients(grams, G1, mats, 4)

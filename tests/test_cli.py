@@ -73,6 +73,33 @@ def test_garrett_kernel():
     assert_golden("garrett.json", out)
 
 
+# the README examples below are pinned on reports written by the code
+# before chain classes and joins became whole-array
+
+
+def test_cosets_odd_prime():
+    code, out = run_cli(["cosets", "--p", "3", "--shape", "1,1", "--j", "1"])
+    assert code == 0
+    assert_golden("cosets-p3.json", out)
+
+
+def test_garrett_list_and_kernel():
+    code, out = run_cli(["garrett", "--T1", "1,2", "--T2", "2", "--list", "--check-kernel",
+                         "--samples", "20", "--tol", "1e-10"])
+    assert code == 0
+    assert json.loads(out)["result"]["kernel_ok"]
+    assert_golden("garrett-list.json", out)
+
+
+def test_genus_trace_bound_ten(tmp_path, e8):
+    lat_file = tmp_path / "e8.json"
+    lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))
+    code, out = run_cli(["genus", "--lattice", str(lat_file), "--T", "1",
+                         "--trace-bound", "10"])
+    assert code == 0
+    assert_golden("genus-10.json", out, tmp_path)
+
+
 def test_reports_deterministic():
     _, out1 = run_cli(["cusps", "--T", "1,3", "--u", "1"])
     _, out2 = run_cli(["cusps", "--T", "1,3", "--u", "1"])
