@@ -55,7 +55,9 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_norm(x) for x in row) for row in rows)
+        # _norm returns every entry of a row without Fractions as it is
+        self.rows = tuple(tuple(map(_norm, r)) if Fraction in map(type, r) else r
+                          for r in map(tuple, rows))
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):

@@ -5,9 +5,11 @@ Grams are stored as the even matrix of the doubled form, so Q(x) is half the
 matrix value and all entries stay integral.  Short-vector enumeration has an
 exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
-produces a superset.  The p-modular sublattices between L and pL, for any
-prime p, come from one bitset search for the maximal totally singular
-subspaces of L/pL.
+produces a superset.  Shell counts enumerate zero and one vector of each pair
++-x and finish Q per prefix.  The isometry search keeps each depth's live
+candidates as a bitset, cut by masks of inner products.  The p-modular
+sublattices between L and pL, for any prime p, come from one bitset search
+for the maximal totally singular subspaces of L/pL.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, sqrt
+from operator import and_
 
 import numpy as np
 
@@ -289,14 +292,27 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
             stack.append((Xn, pn, i - 1, zn))
 
 
+def leaf_norms(G: np.ndarray, X, idx, x0):
+    """(P, q) for a leaf (X, idx, x0) of fincke_pohst_leaves and the int64
+    Gram G: the rows of P hold the prefixes (x_1, ..., x_{n-1}), and q[k] is
+    the exact Q of candidate k, computed once per prefix and finished on the
+    x_0 column.  The candidates are a superset: callers keep q <= bound."""
+    P = X[:, ::-1]
+    qp = np.einsum("ij,ij->i", P @ G[1:, 1:], P) // 2
+    bp = P @ G[1:, 0]
+    return P, qp[idx] + x0 * (bp[idx] + G[0, 0] // 2 * x0)
+
+
 def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
-    """Exact counts {q: #vectors with Q = q} for q <= bound."""
+    """Exact counts {q: #vectors with Q = q} for q <= bound, from zero and
+    one vector of each pair +-x; the budget caps those candidates."""
     G = L.gram.to_numpy()
     counts = np.zeros(bound + 1, dtype=np.int64)
-    for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
-        qv = ((X @ G) * X).sum(axis=1) // 2
-        qv = qv[qv <= bound]
-        counts += np.bincount(qv, minlength=bound + 1)
+    # small chunks keep the arrays of one step in cache and the peak low
+    for leaf in fincke_pohst_leaves(L.gram, bound, 1 << 16, budget, half=True):
+        q = leaf_norms(G, *leaf)[1]
+        counts += np.bincount(q[q <= bound], minlength=bound + 1)
+    counts[1:] *= 2
     return {q: int(counts[q]) for q in range(bound + 1) if counts[q]}
 
 
@@ -329,112 +345,145 @@ class _Backtracker:
     """Search for linear maps carrying one Gram to another over shells.
 
     The image of source basis vector d is chosen among the target vectors of
-    norm Q(e_d), the candidates, after the images of e_0..e_{d-1}.  Each
-    norm's candidates are one int64 matrix, built once in shell order.  At a
-    node of depth d a single product of that matrix with the Gram rows of
-    the images chosen so far selects the candidates whose inner products
-    with them are the source Gram entries, and the hits are walked in shell
-    order.  That is the order in which a candidate-by-candidate test visits
-    them, so the search tree, and with it the node count that the budget
-    caps, is the same.  The products are exact: the constructor raises
-    NotSupported unless n^2 * max|Gram| * max|candidate|^2 < 2^63.
+    norm Q(e_d), the candidates of depth d, numbered in shell order.  Each
+    depth keeps its live candidates as a Python-int bitset.  Choosing
+    candidate k at depth d ANDs every later depth e with the mask of the
+    candidates c with b(k, c) = gram_source[d, e]; the masks of k come from
+    int64 products of Gram rows with the candidates, are built with those of
+    its block when k is first chosen at d, and are kept by the search object
+    (no other cache holds them).  The live bits
+    are walked low first, in shell order, which is the order in which a
+    candidate-by-candidate test visits them, so the search tree, and with it
+    the node count that the budget caps, is the same.  The products are
+    exact: the constructor raises NotSupported unless
+    n^2 * max|Gram| * max|candidate|^2 < 2^63.
 
     Each of the sublattices (coordinate rows) must map into itself.  Its
     rows echelonized against the reversed coordinates are supported on
-    prefixes, so each row's image is tested at the depth of its last one.
+    prefixes, so each row's image is tested at the depth d of its last one:
+    the candidates of depth d pass when their residue class in the quotient
+    by the sublattice cancels that of the earlier images, one bitset per
+    class.
     """
 
     def __init__(self, gram_target: Mat, gram_source: Mat, budget: int = 10**7,
                  sublattices=()):
         # columns of a solution g are target-coordinates of the images of
         # the source basis:  t(g) . gram_target . g = gram_source
-        self.Gt = gram_target
-        self.Gs = gram_source
         self.n = n = gram_source.nrows
         self.budget = budget
-        norms = sorted({gram_source[i, i] // 2 for i in range(n)})
-        shells = shell_vectors(gram_target, max(norms))
+        self.norms = [gram_source[d, d] // 2 for d in range(n)]
+        shells = shell_vectors(gram_target, max(self.norms))
         self.cands = {q: shells.get(q, np.zeros((0, n), dtype=np.int64))
-                      for q in norms}
+                      for q in self.norms}
         self.nodes = 0
-        self._gt = gram_target.to_numpy()
         self._gs = gram_source.to_numpy()
-        self._cmax = max((int(np.abs(C).max()) for C in self.cands.values() if len(C)),
-                         default=0)
+        cmax = max((int(np.abs(C).max()) for C in self.cands.values() if len(C)), default=0)
         gmax = max(abs(x) for row in gram_target.rows for x in row)
-        if n * n * gmax * self._cmax ** 2 >= 1 << 63:
+        if n * n * gmax * cmax ** 2 >= 1 << 63:
             raise NotSupported("candidate inner products may overflow int64")
-        # Gram rows of the candidates: the inner products with an image v
-        # are self._cg[q] @ v
-        self._cg = {q: C @ self._gt for q, C in self.cands.items()}
-        # per depth, the sublattice rows decided there: the earlier depths
-        # and their coefficients, the quotient map, the last term reduced
+        # Gram rows of the candidates: the inner products of candidate k
+        # with the candidates C are C @ self._cg[q][k]
+        self._cg = {q: C @ gram_target.to_numpy() for q, C in self.cands.items()}
+        # self._masks[d][k]: the masks of the depths after d for candidate k
+        # at d, built for blocks of candidates with at most 2^16 products each
+        self._masks = [[None] * len(self.cands[q]) for q in self.norms]
+        self._block = max(1, min(64, (1 << 16) // max(1, *map(len, self.cands.values()))))
+        self._number = {}       # norm: {candidate as a tuple: its number}, when first asked
+        # per depth, the sublattice rows decided there: for each earlier
+        # depth the residues of its candidates times the row coefficient,
+        # the moduli, and the bitsets of the candidates by residue
         self.checks = [[] for _ in range(n)]
         for S in sublattices:
             rows = [list(r)[::-1] for r in hnf_rows([list(r)[::-1] for r in S.rows])]
-            V, mods = _quotient_map(S.rows, self._cmax * max((sum(map(abs, r)) for r in rows),
-                                                            default=0))
+            V, mods = _quotient_map(S.rows, cmax * max((sum(map(abs, r)) for r in rows),
+                                                       default=0))
+            res = {q: C.astype(V.dtype) @ V for q, C in self.cands.items()}
             for r in rows:
                 *before, d = [t for t in range(n) if r[t]]
-                C = self.cands[gram_source[d, d] // 2]
-                self.checks[d].append((before, np.array([r[t] for t in before], dtype=V.dtype),
-                                       V, mods, r[d] * (C.astype(V.dtype) @ V) % mods))
+                classes: dict[tuple, int] = {}
+                for k, c in enumerate(map(tuple, (r[d] * res[self.norms[d]] % mods).tolist())):
+                    classes[c] = classes.get(c, 0) | 1 << k
+                self.checks[d].append(
+                    ([(t, r[t] * res[self.norms[t]] % mods) for t in before], mods, classes))
 
-    def passing(self, depth, hits, images):
-        """Mask of the hits (candidates for e_depth) that pass the rows decided here."""
-        ok = np.ones(len(hits), dtype=bool)
-        for before, coeff, V, mods, last in self.checks[depth]:
-            base = coeff @ images[before].astype(V.dtype) @ V % mods
-            ok &= ~((last[hits] + base) % mods != 0).any(axis=1)
-        return ok
+    def _passing(self, depth, chosen) -> int:
+        """The candidates of depth that pass the rows decided there."""
+        bits = -1
+        for parts, mods, classes in self.checks[depth]:
+            base = mods * 0
+            for t, R in parts:
+                base = (base + R[chosen[t]]) % mods
+            bits &= classes.get(tuple((-base % mods).tolist()), 0)
+        return bits
+
+    def _masks_of(self, d, k):
+        """For candidate k at depth d, the masks of the depths after d.  They
+        are built with those of the block of candidates around k: one int64
+        product of the block's Gram rows with each norm's candidates."""
+        masks = self._masks[d][k]
+        if masks is None:
+            start = k - k % self._block
+            rows = self._cg[self.norms[d]][start:start + self._block]
+            prods = {q: rows @ self.cands[q].T for q in set(self.norms[d + 1:])}
+            # the (norm, b = gram_source[d, e]) asked by each later depth e
+            later = [(self.norms[e], int(self._gs[d, e])) for e in range(d + 1, self.n)]
+            bits = {(q, b): [int.from_bytes(r.tobytes(), "little")
+                             for r in np.packbits(prods[q] == b, axis=1, bitorder="little")]
+                    for q, b in set(later)}
+            self._masks[d][start:start + len(rows)] = \
+                list(zip(*(bits[e] for e in later))) or [()] * len(rows)
+            masks = self._masks[d][k]
+        return masks
 
     def extend(self, fixed):
         """Complete fixed images to a full isometry; None if impossible.
 
         fixed holds the images of e_0, e_1, ... in order, each a vector of
-        its shell.  At each depth one mask drops the hits failing a sublattice
-        row, so only passing candidates become nodes."""
+        its shell, else NotSupported is raised.  Only candidates passing
+        the sublattice rows of their depth become nodes."""
         n = self.n
-        gs = self._gs
-        images = np.zeros((n, n), dtype=np.int64)   # row d: image of e_d
-        rows = np.zeros((n, n), dtype=np.int64)     # row d: gram_target @ images[d]
-        fixed = np.asarray(fixed, dtype=np.int64).reshape(-1, n)
-        if len(fixed) and int(np.abs(fixed).max()) > self._cmax:
-            raise NotSupported("fixed image outside the candidate shells")
-        for depth, v in enumerate(fixed):
-            if self.checks[depth]:
-                k = np.flatnonzero((self.cands[self.Gs[depth, depth] // 2] == v).all(axis=1))
-                if not len(k) or not self.passing(depth, k, images)[0]:
-                    return None
-            images[depth] = v
-            rows[depth] = self._gt @ v
+        # live[i]: the candidates of depth len(chosen) + i left by the choices
+        live = tuple((1 << len(self.cands[q])) - 1 for q in self.norms)
+        chosen = []
+        for depth, v in enumerate(np.asarray(fixed, dtype=np.int64).reshape(-1, n).tolist()):
+            q = self.norms[depth]
+            if q not in self._number:
+                self._number[q] = {c: k for k, c in enumerate(map(tuple, self.cands[q].tolist()))}
+            k = self._number[q].get(tuple(v))
+            if k is None:
+                raise NotSupported(f"fixed image {v} of e_{depth} is not in its shell")
+            if self.checks[depth] and not self._passing(depth, chosen) >> k & 1:
+                return None
+            chosen.append(k)
+            live = tuple(map(and_, live[1:], self._masks_of(depth, k)))
 
-        def rec(depth):
+        masks_of, memo = self._masks_of, self._masks
+
+        def rec(depth, live):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise ScaleLimit(f"isometry search reached {self.nodes} nodes, "
                                  f"over the budget of {self.budget}")
             if depth == n:
                 return True
-            norm = self.Gs[depth, depth] // 2
-            C = self.cands[norm]
-            if depth:
-                hits = np.flatnonzero(
-                    (C @ rows[:depth].T == gs[:depth, depth]).all(axis=1))
-            else:
-                hits = np.arange(len(C))
+            bits = live[0]
             if self.checks[depth]:
-                hits = hits[self.passing(depth, hits, images)]
-            cg = self._cg[norm]
-            for k in hits:
-                images[depth] = C[k]
-                rows[depth] = cg[k]
-                if rec(depth + 1):
+                bits &= self._passing(depth, chosen)
+            later = live[1:]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                k = low.bit_length() - 1
+                chosen.append(k)
+                masks = memo[depth][k] or masks_of(depth, k)
+                if rec(depth + 1, tuple(map(and_, later, masks))):
                     return True
+                chosen.pop()
             return False
 
-        if rec(len(fixed)):
-            return Mat(images.T.tolist())
+        if rec(len(chosen), live):
+            return Mat(np.array([self.cands[q][k] for q, k in zip(self.norms, chosen)]).T.tolist())
         return None
 
 
@@ -489,15 +538,13 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     """
     n = L.rank
     bt = _Backtracker(L.gram, L.gram, budget, sublattices)
-    G = bt._gs
+    G = L.gram.to_numpy()
     eye = np.eye(n, dtype=np.int64)
     order = 1
     gens: list[Mat] = []
     for depth in range(n):
-        norm = L.gram[depth, depth] // 2
-        C = bt.cands[norm]
-        hits = np.flatnonzero(
-            (bt._cg[norm][:, :depth] == G[depth, :depth]).all(axis=1))
+        C = bt.cands[L.gram[depth, depth] // 2]
+        hits = np.flatnonzero((C @ G[:, :depth] == G[depth, :depth]).all(axis=1))
         count = 0
         fixed = eye[:depth + 1].copy()
         for k in hits:

@@ -35,6 +35,7 @@ from .quadlat import (
     ParamodularChain,
     QuadLattice,
     fincke_pohst_leaves,
+    leaf_norms,
     shell_counts,
     shell_vectors,
 )
@@ -187,8 +188,8 @@ def _packing_tail(minimum: int, rank: int, bound: int, rate: float) -> float:
     """Certified bound on sum_{q > bound} r(q) exp(-rate q) via ball packing."""
     tail = 0.0
     q = bound + 1
+    term = _packing_count(q, minimum, rank) * math.exp(-rate * q)
     while True:
-        term = _packing_count(q, minimum, rank) * math.exp(-rate * q)
         tail += term
         nxt = _packing_count(q + 1, minimum, rank) * math.exp(-rate * (q + 1))
         if term == 0.0 or (nxt < 0.5 * term and term < 1e-32 * max(tail, 1.0)):
@@ -197,6 +198,7 @@ def _packing_tail(minimum: int, rank: int, bound: int, rate: float) -> float:
         q += 1
         if q > bound + 10000:
             return math.inf
+        term = nxt
     return tail
 
 
@@ -222,8 +224,9 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
 
     tail = 0.0
     t = exp_.trace_bound + 1
+    term = tuple_term(t)
     while True:
-        term, nxt = tuple_term(t), tuple_term(t + 1)
+        nxt = tuple_term(t + 1)
         tail += term
         if term == 0.0 or (nxt < 0.5 * term and term < 1e-32):
             tail += 2.0 * nxt
@@ -232,6 +235,7 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
         if t > exp_.trace_bound + 20000:
             tail = math.inf
             break
+        term = nxt
     if tail > tail_tol:
         raise TailTooLarge(f"certified tail {tail:.3e} exceeds {tail_tol}")
     total = 0j
@@ -472,19 +476,14 @@ def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
 def _build_histogram(gram: Mat, M: int, bound: int, budget: int):
     n = gram.nrows
     G = gram.to_numpy()
-    g00 = int(G[0, 0]) // 2
     powers = M ** np.arange(n, dtype=np.int64)
     nbuck = M**n
     keys, counts = [], []
-    # a candidate is a prefix (x_1, ..., x_{n-1}) and x_0, so Q and the
-    # residue are computed once per prefix and finished on the x_0 column;
+    # the residue, like Q, is computed once per prefix and finished on x_0;
     # small chunks keep the arrays of one step in cache and the peak low
     for X, idx, x0 in fincke_pohst_leaves(gram, bound, 1 << 16, budget, half=True):
-        P = X[:, ::-1]
-        qp = np.einsum("ij,ij->i", P @ G[1:, 1:], P) // 2
-        bp = P @ G[1:, 0]
+        P, q = leaf_norms(G, X, idx, x0)
         rp = P % M @ powers[1:]
-        q = qp[idx] + x0 * (bp[idx] + g00 * x0)
         keep = q <= bound
         k, c = np.unique((q * nbuck + rp[idx] + x0 % M)[keep], return_counts=True)
         keys.append(k)

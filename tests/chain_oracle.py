@@ -10,15 +10,23 @@ used before their whole-array forms.
 * `pair_coefficients` joins every vector of member 1 with every vector of
   member 2; the package joins one vector of each pair +-x1 and mirrors.
 * `tuple_coefficients` is the tuple recursion with its separate Gram function.
+* `NumpyBacktracker` is the isometry search that multiplies all candidates
+  of a depth with the chosen images at every node and tests sublattice rows
+  through the quotient map, and `numpy_aut_order_and_gens` runs it; the
+  package keeps each depth's live candidates as a bitset and looks up the
+  residue class.
+* `full_row_shell_counts` counts shells from the full rows of the chunked
+  enumerator; the package counts one vector of each pair +-x from the
+  enumeration leaves.
 
 They serve only as differential oracles on small inputs.
 """
 
 import numpy as np
 
-from paramodular.errors import ScaleLimit
-from paramodular.exactmat import rref_mod
-from paramodular.quadlat import shell_vectors
+from paramodular.errors import NotIsometric, NotSupported, ScaleLimit
+from paramodular.exactmat import Mat, hnf_rows, rref_mod
+from paramodular.quadlat import _quotient_map, fincke_pohst_chunks, shell_vectors
 
 
 def act_mod(basis, gp, p) -> tuple:
@@ -112,3 +120,161 @@ def _gram_of(chosen, pair):
             val = int(va @ pair[ja][jb] @ vb)
             H[a][b] = H[b][a] = val
     return H
+
+
+class NumpyBacktracker:
+    """Search for linear maps carrying one Gram to another over shells.
+
+    The image of source basis vector d is chosen among the target vectors of
+    norm Q(e_d), the candidates, after the images of e_0..e_{d-1}.  Each
+    norm's candidates are one int64 matrix, built once in shell order.  At a
+    node of depth d a single product of that matrix with the Gram rows of
+    the images chosen so far selects the candidates whose inner products
+    with them are the source Gram entries, and the hits are walked in shell
+    order.  That is the order in which a candidate-by-candidate test visits
+    them, so the search tree, and with it the node count that the budget
+    caps, is the same.  The products are exact: the constructor raises
+    NotSupported unless n^2 * max|Gram| * max|candidate|^2 < 2^63.
+
+    Each of the sublattices (coordinate rows) must map into itself.  Its
+    rows echelonized against the reversed coordinates are supported on
+    prefixes, so each row's image is tested at the depth of its last one.
+    """
+
+    def __init__(self, gram_target: Mat, gram_source: Mat, budget: int = 10**7,
+                 sublattices=()):
+        # columns of a solution g are target-coordinates of the images of
+        # the source basis:  t(g) . gram_target . g = gram_source
+        self.Gt = gram_target
+        self.Gs = gram_source
+        self.n = n = gram_source.nrows
+        self.budget = budget
+        norms = sorted({gram_source[i, i] // 2 for i in range(n)})
+        shells = shell_vectors(gram_target, max(norms))
+        self.cands = {q: shells.get(q, np.zeros((0, n), dtype=np.int64))
+                      for q in norms}
+        self.nodes = 0
+        self._gt = gram_target.to_numpy()
+        self._gs = gram_source.to_numpy()
+        self._cmax = max((int(np.abs(C).max()) for C in self.cands.values() if len(C)),
+                         default=0)
+        gmax = max(abs(x) for row in gram_target.rows for x in row)
+        if n * n * gmax * self._cmax ** 2 >= 1 << 63:
+            raise NotSupported("candidate inner products may overflow int64")
+        # Gram rows of the candidates: the inner products with an image v
+        # are self._cg[q] @ v
+        self._cg = {q: C @ self._gt for q, C in self.cands.items()}
+        # per depth, the sublattice rows decided there: the earlier depths
+        # and their coefficients, the quotient map, the last term reduced
+        self.checks = [[] for _ in range(n)]
+        for S in sublattices:
+            rows = [list(r)[::-1] for r in hnf_rows([list(r)[::-1] for r in S.rows])]
+            V, mods = _quotient_map(S.rows, self._cmax * max((sum(map(abs, r)) for r in rows),
+                                                            default=0))
+            for r in rows:
+                *before, d = [t for t in range(n) if r[t]]
+                C = self.cands[gram_source[d, d] // 2]
+                self.checks[d].append((before, np.array([r[t] for t in before], dtype=V.dtype),
+                                       V, mods, r[d] * (C.astype(V.dtype) @ V) % mods))
+
+    def passing(self, depth, hits, images):
+        """Mask of the hits (candidates for e_depth) that pass the rows decided here."""
+        ok = np.ones(len(hits), dtype=bool)
+        for before, coeff, V, mods, last in self.checks[depth]:
+            base = coeff @ images[before].astype(V.dtype) @ V % mods
+            ok &= ~((last[hits] + base) % mods != 0).any(axis=1)
+        return ok
+
+    def extend(self, fixed):
+        """Complete fixed images to a full isometry; None if impossible.
+
+        fixed holds the images of e_0, e_1, ... in order, each a vector of
+        its shell.  At each depth one mask drops the hits failing a sublattice
+        row, so only passing candidates become nodes."""
+        n = self.n
+        gs = self._gs
+        images = np.zeros((n, n), dtype=np.int64)   # row d: image of e_d
+        rows = np.zeros((n, n), dtype=np.int64)     # row d: gram_target @ images[d]
+        fixed = np.asarray(fixed, dtype=np.int64).reshape(-1, n)
+        if len(fixed) and int(np.abs(fixed).max()) > self._cmax:
+            raise NotSupported("fixed image outside the candidate shells")
+        for depth, v in enumerate(fixed):
+            if self.checks[depth]:
+                k = np.flatnonzero((self.cands[self.Gs[depth, depth] // 2] == v).all(axis=1))
+                if not len(k) or not self.passing(depth, k, images)[0]:
+                    return None
+            images[depth] = v
+            rows[depth] = self._gt @ v
+
+        def rec(depth):
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise ScaleLimit(f"isometry search reached {self.nodes} nodes, "
+                                 f"over the budget of {self.budget}")
+            if depth == n:
+                return True
+            norm = self.Gs[depth, depth] // 2
+            C = self.cands[norm]
+            if depth:
+                hits = np.flatnonzero(
+                    (C @ rows[:depth].T == gs[:depth, depth]).all(axis=1))
+            else:
+                hits = np.arange(len(C))
+            if self.checks[depth]:
+                hits = hits[self.passing(depth, hits, images)]
+            cg = self._cg[norm]
+            for k in hits:
+                images[depth] = C[k]
+                rows[depth] = cg[k]
+                if rec(depth + 1):
+                    return True
+            return False
+
+        if rec(len(fixed)):
+            return Mat(images.T.tolist())
+        return None
+
+
+def numpy_aut_order_and_gens(L, sublattices=(), budget: int = 10**7):
+    """Order and generators of the isometries preserving every sublattice.
+
+    Stabilizer chain over the standard basis: the order is the product over
+    levels of the number of extendable images of each basis vector.  With
+    e_0..e_{d-1} fixed, the candidate images of e_d are those whose Gram
+    row starts with the Gram entries (gram[j, d])_{j<d}; one comparison of
+    the candidates' Gram rows selects them, in shell order.
+    """
+    n = L.rank
+    bt = NumpyBacktracker(L.gram, L.gram, budget, sublattices)
+    G = bt._gs
+    eye = np.eye(n, dtype=np.int64)
+    order = 1
+    gens = []
+    for depth in range(n):
+        norm = L.gram[depth, depth] // 2
+        C = bt.cands[norm]
+        hits = np.flatnonzero(
+            (bt._cg[norm][:, :depth] == G[depth, :depth]).all(axis=1))
+        count = 0
+        fixed = eye[:depth + 1].copy()
+        for k in hits:
+            fixed[depth] = C[k]
+            g = bt.extend(fixed)
+            if g is not None:
+                count += 1
+                if not np.array_equal(C[k], eye[depth]):
+                    gens.append(g)
+        if count < 1:
+            raise NotIsometric(f"the identity does not extend at depth {depth}")
+        order *= count
+    return order, gens
+
+
+def full_row_shell_counts(L, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
+    G = L.gram.to_numpy()
+    counts = np.zeros(bound + 1, dtype=np.int64)
+    for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
+        qv = ((X @ G) * X).sum(axis=1) // 2
+        qv = qv[qv <= bound]
+        counts += np.bincount(qv, minlength=bound + 1)
+    return {q: int(counts[q]) for q in range(bound + 1) if counts[q]}

@@ -1,7 +1,8 @@
 """Differential tests of the whole-array chain code against the slow
 reference paths in chain_oracle.py: candidate numbering and generator
 images, Hermite forms written from echelon bases, the stabilizer's
-sublattice test, and the sign-halved pair join."""
+sublattice test, the sign-halved pair join, the bitset isometry search and
+the shell counts from half-enumeration leaves."""
 
 import random
 
@@ -11,11 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paramodular.quadlat as quadlat
-from chain_oracle import act_mod, in_lattice, pair_coefficients, tuple_coefficients
+from chain_oracle import (
+    NumpyBacktracker,
+    act_mod,
+    full_row_shell_counts,
+    in_lattice,
+    numpy_aut_order_and_gens,
+    pair_coefficients,
+    tuple_coefficients,
+)
 from paramodular.errors import IntegralityViolation, InvalidInvariant, NotEven
 from paramodular.exactmat import Mat, hnf_rows, rref_mod
 from paramodular.quadlat import (
     QuadLattice,
+    _Backtracker,
     _echelon_mod,
     _echelon_preimages,
     _max_singular_subspaces,
@@ -25,13 +35,14 @@ from paramodular.quadlat import (
     pmodular_coords,
     shell_counts,
     shell_vectors,
+    short_vectors_exact,
 )
 from paramodular.thetaser import (
     _pair_coefficients,
     theta_coefficients,
     theta_coefficients_tuple,
 )
-from test_quadlat import SUBSPACE_INPUTS, SUBSPACE_PINS
+from test_quadlat import E8_TWO_MODULAR, SUBSPACE_INPUTS, SUBSPACE_PINS
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +192,61 @@ def test_chain_shells_from_join_rows(e8_chain):
     G1, mats = e8_chain.L1.gram.to_numpy(), [C.to_numpy() for C in e8_chain.coords]
     grams = [e8_chain.member_gram(j) for j in range(2)]
     assert exp_.coefficients == pair_coefficients(grams, G1, mats, 4)
+
+
+def _basis_change(data, n):
+    # a unimodular matrix: the identity with a few rows added to others
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 2)) if n > 1 else 0):
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        c = data.draw(st.sampled_from([-1, 1]))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return Mat(U)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), subs=st.integers(0, 2))
+def test_bitset_search_matches_numpy_search(data, n, subs):
+    # the same map or None and the same node count as the search that
+    # multiplies all candidates at every node, from random fixed prefixes
+    target = _even_gram(data, n)
+    U = _basis_change(data, n)
+    source = U.transpose() @ target @ U if data.draw(st.booleans()) else target
+    sublattices = [_sublattice(data, n) for _ in range(subs)]
+    want = NumpyBacktracker(target, source, 10**6, sublattices)
+    got = _Backtracker(target, source, 10**6, sublattices)
+    assert {q: C.tolist() for q, C in got.cands.items()} == \
+        {q: C.tolist() for q, C in want.cands.items()}
+    fixed = []
+    for d in range(data.draw(st.integers(0, n))):
+        C = want.cands[source[d, d] // 2]
+        if not len(C):
+            break
+        fixed.append(C[data.draw(st.integers(0, len(C) - 1))].tolist())
+    assert got.extend(fixed) == want.extend(fixed)
+    assert got.nodes == want.nodes
+    L = QuadLattice(target)
+    assert aut_order_and_gens(L, sublattices) == numpy_aut_order_and_gens(L, sublattices)
+
+
+def test_bitset_search_pins_match_numpy_search(e8):
+    # the E8 searches of the node pins, node for node and generator for generator
+    for sublattices in ([], [Mat(E8_TWO_MODULAR)]):
+        want = numpy_aut_order_and_gens(e8, sublattices)
+        assert aut_order_and_gens(e8, sublattices) == want
+        a = NumpyBacktracker(e8.gram, e8.gram, 10**6, sublattices)
+        b = _Backtracker(e8.gram, e8.gram, 10**6, sublattices)
+        for g in want[1][::37]:
+            fixed = np.array(g.rows).T[:3]
+            assert b.extend(fixed) == a.extend(fixed)
+            assert b.nodes == a.nodes
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), bound=st.integers(0, 8))
+def test_leaf_shell_counts_match_exact_and_full_rows(data, n, bound):
+    L = QuadLattice(_even_gram(data, n))
+    got = shell_counts(L, bound)
+    assert got == {q: len(v) for q, v in sorted(short_vectors_exact(L, bound).items())}
+    assert got == full_row_shell_counts(L, bound)
+

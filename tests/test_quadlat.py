@@ -20,6 +20,7 @@ from paramodular.exactmat import Mat, rational_inverse
 from paramodular.quadlat import (
     ParamodularChain,
     QuadLattice,
+    _Backtracker,
     _join,
     _max_singular_subspaces,
     aut_order,
@@ -235,6 +236,18 @@ def test_int64_overflow_is_typed():
     # entries that fit int64 but whose candidate products may not
     with pytest.raises(NotSupported):
         aut_order(QuadLattice(Mat([[2**62, 0], [0, 2**62]])))
+
+
+def test_fixed_image_outside_its_shell_is_typed(e8):
+    # the search numbers each depth's candidates, so a fixed image must be
+    # one of them: e0 + e1 (Q = 2), the zero vector and a vector past the
+    # candidates' magnitude are all rejected as images of e1 (Q = 1)
+    bt = _Backtracker(e8.gram, e8.gram)
+    e = [[int(i == j) for j in range(8)] for i in range(8)]
+    assert bt.extend(e[:2]) is not None
+    for bad in ([1, 1, 0, 0, 0, 0, 0, 0], [0] * 8, [0] * 7 + [9]):
+        with pytest.raises(NotSupported, match="is not in its shell"):
+            bt.extend([e[0], bad])
 
 
 ROOT_LATTICES = {

@@ -280,11 +280,12 @@ def test_stored_chain2_eval_runs_no_enumeration(e8_chain, monkeypatch):
 def test_histogram_budget_counts_pairs(e8):
     # the full enumeration of E8 at Q <= 4 examines 49,844 candidates over
     # its eight levels; the half one examines the all-zero prefix once per
-    # level and one of every other pair, (49,844 + 8) / 2
-    full, half = 49844, 24926
-    assert sum(shell_counts(e8, 4, budget=full).values()) == 26641
-    with pytest.raises(ScaleLimit, match=f"over the budget of {full - 1}"):
-        shell_counts(e8, 4, budget=full - 1)
+    # level and one of every other pair, (49,844 + 8) / 2.  Both the shell
+    # counts and the histograms enumerate half
+    half = 24926
+    assert sum(shell_counts(e8, 4, budget=half).values()) == 26641
+    with pytest.raises(ScaleLimit, match=f"over the budget of {half - 1}"):
+        shell_counts(e8, 4, budget=half - 1)
     keys, counts = residue_histogram(e8.gram, 2, 4, budget=half)
     assert int(counts.sum()) == 26641
     with pytest.raises(ScaleLimit, match=f"over the budget of {half - 1}"):
