@@ -348,15 +348,14 @@ class _Backtracker:
     norm Q(e_d), the candidates of depth d, numbered in shell order.  Each
     depth keeps its live candidates as a Python-int bitset.  Choosing
     candidate k at depth d ANDs every later depth e with the mask of the
-    candidates c with b(k, c) = gram_source[d, e]; the masks of k come from
-    int64 products of Gram rows with the candidates, are built with those of
-    its block when k is first chosen at d, and are kept by the search object
-    (no other cache holds them).  The live bits
-    are walked low first, in shell order, which is the order in which a
-    candidate-by-candidate test visits them, so the search tree, and with it
-    the node count that the budget caps, is the same.  The products are
-    exact: the constructor raises NotSupported unless
-    n^2 * max|Gram| * max|candidate|^2 < 2^63.
+    candidates c with b(k, c) = gram_source[d, e].  The masks come from
+    int64 products of Gram rows with the candidates, are built for a block
+    of candidates when one of them is first chosen, and are kept by the
+    search object only.  The live bits are walked low first, in shell order,
+    which is the order in which a candidate-by-candidate test visits them,
+    so the search tree, and with it the node count that the budget caps, is
+    the same.  The products are exact: the constructor raises NotSupported
+    unless n^2 * max|Gram| * max|candidate|^2 < 2^63.
 
     Each of the sublattices (coordinate rows) must map into itself.  Its
     rows echelonized against the reversed coordinates are supported on
@@ -386,8 +385,10 @@ class _Backtracker:
         # with the candidates C are C @ self._cg[q][k]
         self._cg = {q: C @ gram_target.to_numpy() for q, C in self.cands.items()}
         # self._masks[d][k]: the masks of the depths after d for candidate k
-        # at d, built for blocks of candidates with at most 2^16 products each
-        self._masks = [[None] * len(self.cands[q]) for q in self.norms]
+        # at d; self._bits[q, q2, b, start]: for the candidates of norm q in
+        # the block from start (at most 2^16 products a block), the masks of
+        # the candidates of norm q2 with inner product b
+        self._masks, self._bits = [[None] * len(self.cands[q]) for q in self.norms], {}
         self._block = max(1, min(64, (1 << 16) // max(1, *map(len, self.cands.values()))))
         self._number = {}       # norm: {candidate as a tuple: its number}, when first asked
         # per depth, the sublattice rows decided there: for each earlier
@@ -418,21 +419,21 @@ class _Backtracker:
         return bits
 
     def _masks_of(self, d, k):
-        """For candidate k at depth d, the masks of the depths after d.  They
-        are built with those of the block of candidates around k: one int64
-        product of the block's Gram rows with each norm's candidates."""
+        """The masks of the depths after d for candidate k at d, set for its
+        block at once; depths share them, as a mask only depends on the two
+        norms and on the inner product b asked."""
         masks = self._masks[d][k]
         if masks is None:
-            start = k - k % self._block
-            rows = self._cg[self.norms[d]][start:start + self._block]
-            prods = {q: rows @ self.cands[q].T for q in set(self.norms[d + 1:])}
-            # the (norm, b = gram_source[d, e]) asked by each later depth e
+            q, start = self.norms[d], k - k % self._block
             later = [(self.norms[e], int(self._gs[d, e])) for e in range(d + 1, self.n)]
-            bits = {(q, b): [int.from_bytes(r.tobytes(), "little")
-                             for r in np.packbits(prods[q] == b, axis=1, bitorder="little")]
-                    for q, b in set(later)}
-            self._masks[d][start:start + len(rows)] = \
-                list(zip(*(bits[e] for e in later))) or [()] * len(rows)
+            for q2, b in later:
+                if (q, q2, b, start) not in self._bits:
+                    eq = self._cg[q][start:start + self._block] @ self.cands[q2].T == b
+                    self._bits[q, q2, b, start] = [int.from_bytes(r.tobytes(), "little") for r
+                                                   in np.packbits(eq, axis=1, bitorder="little")]
+            size = min(self._block, len(self.cands[q]) - start)
+            self._masks[d][start:start + size] = \
+                list(zip(*(self._bits[q, q2, b, start] for q2, b in later))) or [()] * size
             masks = self._masks[d][k]
         return masks
 

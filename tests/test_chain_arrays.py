@@ -230,16 +230,20 @@ def test_bitset_search_matches_numpy_search(data, n, subs):
 
 
 def test_bitset_search_pins_match_numpy_search(e8):
-    # the E8 searches of the node pins, node for node and generator for generator
+    # the E8 searches of the node pins, node for node and generator for
+    # generator; 240 candidates fill several mask blocks, and a block of 7
+    # (as a shell of over 1024 vectors gets) leaves a partial one at the end
     for sublattices in ([], [Mat(E8_TWO_MODULAR)]):
         want = numpy_aut_order_and_gens(e8, sublattices)
         assert aut_order_and_gens(e8, sublattices) == want
-        a = NumpyBacktracker(e8.gram, e8.gram, 10**6, sublattices)
-        b = _Backtracker(e8.gram, e8.gram, 10**6, sublattices)
-        for g in want[1][::37]:
-            fixed = np.array(g.rows).T[:3]
-            assert b.extend(fixed) == a.extend(fixed)
-            assert b.nodes == a.nodes
+        for block in (64, 7):
+            a = NumpyBacktracker(e8.gram, e8.gram, 10**6, sublattices)
+            b = _Backtracker(e8.gram, e8.gram, 10**6, sublattices)
+            b._block = block
+            for g in want[1][::37]:
+                fixed = np.array(g.rows).T[:3]
+                assert b.extend(fixed) == a.extend(fixed)
+                assert b.nodes == a.nodes
 
 
 @settings(max_examples=80, deadline=None)
