@@ -21,10 +21,10 @@ factors, eliminates or computes elementary divisors:
 * one Smith elimination, ``_snf_inplace``, with optional transforms, behind
   ``smith_normal_form`` and ``smith_divisors``;
 * one Hermite elimination, ``_hnf_inplace``;
-* determinants by Bareiss fraction-free elimination (rational matrices after
-  clearing denominators);
-* one rational Gauss-Jordan pass, ``_gauss_jordan``, behind
-  ``rational_inverse`` and ``solve_right``;
+* one fraction-free Gauss-Jordan elimination over Python ints,
+  ``_eliminate`` (Bareiss 1968), behind ``Mat.det``, ``leading_minors``,
+  ``rational_inverse`` and ``solve_right``: rational input is scaled to
+  integers first, and a solution is divided by the last pivot once at the end;
 * ``rref_mod``: the reduced echelon form mod a prime, and
   ``_projective_vectors``: the points of F_p^n in the same normalization.
 """
@@ -173,11 +173,12 @@ class Mat:
     def det(self) -> Scalar:
         if not self.is_square():
             raise DimensionMismatch("determinant of non-square matrix")
-        if self.is_integral():
-            return _det_bareiss([list(r) for r in self.rows])
         # det(cA) = c^n det(A) for the least c making cA integral
-        m, c = clear_denominators(self.rows)
-        return Fraction(_det_bareiss(m), c ** self.nrows)
+        m, c = ([list(r) for r in self.rows], 1) if self.is_integral() else \
+            clear_denominators(self.rows)
+        cols, minors, swaps = _eliminate(m, self.nrows, jordan=False)
+        d = (-1) ** swaps * minors[-1] if len(cols) == self.nrows else 0
+        return d if c == 1 else Fraction(d, c ** self.nrows)
 
     def inverse(self) -> "Mat":
         return rational_inverse(self)
@@ -204,28 +205,6 @@ class Mat:
             return int(s)
 
         return cls([[dec(x) for x in row] for row in data])
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def clear_denominators(rows) -> tuple[list[list[int]], int]:
@@ -448,60 +427,79 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination: inverse and solving.
+# Fraction-free elimination: determinants, inverses and solving.
 # ---------------------------------------------------------------------------
 
 
-def _gauss_jordan(m, nc: int) -> list[int]:
-    """Reduce the Fraction rows m in place to reduced echelon form over
-    their first nc columns; returns the pivot columns.  The pivot of a
-    column is its first nonzero entry at or below the current row."""
-    nr = len(m)
-    pivots = []
-    r = 0
+def _eliminate(m, nc: int, jordan: bool = True) -> tuple[list[int], list[int], int]:
+    """Fraction-free elimination of the integer rows m in place over their
+    first nc columns (Bareiss, Math. Comp. 22, 1968; Cohen 2.2).  The pivot
+    of a column c is its first nonzero entry at or below the current row;
+    with p that pivot and prev the one before, the columns after c of every
+    later row (every other row if jordan) become (p * row - f * pivot row) /
+    prev, f the row's entry at c, an exact division, as each entry is a minor
+    of the input.  Columns at or before c are not read again and are left as
+    they are.  After a Gauss-Jordan pass, the columns from nc on are d times
+    those of the reduced echelon form, d the last pivot.  Returns the pivot
+    columns, [1] followed by the pivots, and the number of row swaps; with no
+    swap and every column a pivot column, the pivots are the leading
+    principal minors."""
+    nr, width = len(m), len(m[0]) if m else 0
+    cols, pivots, swaps = [], [1], 0
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] != 0:
-                piv = i
-                break
+        r = len(cols)
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        # rows r.. are zero before column c, so the row operations start there
-        inv = 1 / m[r][c]
-        pr = m[r][c:] = [x * inv for x in m[r][c:]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i][c:] = [a - f * b for a, b in zip(m[i][c:], pr)]
-        pivots.append(c)
-        r += 1
-    return pivots
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        pr, p, prev = m[r], m[r][c], pivots[-1]
+        for i in range(0 if jordan else r + 1, nr):
+            if i != r:
+                row, f = m[i], m[i][c]
+                for j in range(c + 1, width):
+                    row[j] = (p * row[j] - f * pr[j]) // prev
+        cols.append(c)
+        pivots.append(p)
+    return cols, pivots, swaps
+
+
+def leading_minors(A: Mat) -> list[int] | None:
+    """[1, P_1, ..., P_n], the leading principal minors of the square
+    integral A from one fraction-free pass; None if one of them is 0."""
+    cols, minors, swaps = _eliminate([list(r) for r in A.rows], A.nrows, jordan=False)
+    return minors if not swaps and len(cols) == A.nrows else None
+
+
+def _quotient(x: int, d: int) -> Scalar:
+    return x // d if x % d == 0 else Fraction(x, d)
 
 
 def rational_inverse(A: Mat) -> Mat:
     if not A.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
     n = A.nrows
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(A.rows)]
-    if len(_gauss_jordan(m, n)) < n:
+    m = clear_denominators([list(row) + [1 if i == j else 0 for j in range(n)]
+                            for i, row in enumerate(A.rows)])[0]
+    cols, pivots, _ = _eliminate(m, n)
+    if len(cols) < n:
         raise SingularMatrix("matrix is singular")
-    return Mat([row[n:] for row in m])
+    return Mat([[_quotient(x, pivots[-1]) for x in row[n:]] for row in m])
 
 
 def solve_right(A: Mat, b) -> tuple | None:
-    """Exact solution x of A x = b, or None if inconsistent."""
+    """Exact solution x of A x = b, or None if inconsistent; the free
+    variables are 0."""
     nc = A.ncols
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A.rows)]
-    pivots = _gauss_jordan(m, nc)
-    if any(row[nc] != 0 for row in m[len(pivots):]):
+    m = clear_denominators([list(row) + [b[i]] for i, row in enumerate(A.rows)])[0]
+    cols, pivots, _ = _eliminate(m, nc)
+    if any(row[nc] for row in m[len(cols):]):
         return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = m[i][nc]
-    return tuple(_norm(v) for v in x)
+    x = [0] * nc
+    for row, c in zip(m, cols):
+        x[c] = _quotient(row[nc], pivots[-1])
+    return tuple(x)
 
 
 def is_symplectic(g: Mat, J: Mat) -> bool:

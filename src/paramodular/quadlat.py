@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, sqrt
-from operator import and_
+from operator import add, and_
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .exactmat import (
     clear_denominators,
     factor,
     hnf_rows,
+    leading_minors,
     rational_inverse,
     smith_normal_form,
     solve_right,
@@ -61,10 +62,11 @@ class QuadLattice:
             for j in range(i):
                 if gram[i, j] != gram[j, i]:
                     raise NotPositiveDefinite("Gram must be symmetric")
-        # positive definiteness via leading principal minors
-        for k in range(1, n + 1):
-            if gram.submatrix(0, k, 0, k).det() <= 0:
-                raise NotPositiveDefinite("form is not positive definite")
+        # positive definite: every leading principal minor, a pivot of one
+        # fraction-free pass, is positive
+        minors = leading_minors(gram)
+        if minors is None or min(minors) <= 0:
+            raise NotPositiveDefinite("form is not positive definite")
         self.gram = gram
         self.rank = n
 
@@ -85,18 +87,21 @@ class QuadLattice:
     def disc(self) -> int:
         return self.gram.det()
 
-    def level(self) -> int:
-        """Smallest N with N * Q(dual) integral."""
+    def dual_and_level(self) -> tuple[Mat, int]:
+        """The inverse Gram, whose rows are a basis of the dual lattice in
+        the coordinates of this one, and the level: the smallest N with
+        N * Q(dual) integral.  One exact inverse gives both."""
         inv = rational_inverse(self.gram)
         N = clear_denominators(inv.rows)[1]
-        scaled = inv.scale(N)
-        if any(scaled[i, i] % 2 for i in range(self.rank)):
-            N *= 2
-        return N
+        return inv, 2 * N if any(N * inv[i, i] % 2 for i in range(self.rank)) else N
+
+    def level(self) -> int:
+        """Smallest N with N * Q(dual) integral."""
+        return self.dual_and_level()[1]
 
     def dual_basis(self) -> Mat:
         """Rows are a basis of the dual lattice in the coordinates of this one."""
-        return rational_inverse(self.gram)
+        return self.dual_and_level()[0]
 
     def min_positive(self) -> int:
         """Minimum of Q on nonzero vectors."""
@@ -110,7 +115,8 @@ class QuadLattice:
 
 
 def invariants(L: QuadLattice):
-    return L.level(), L.disc(), L.dual_basis()
+    dual, level = L.dual_and_level()
+    return level, L.disc(), dual
 
 
 def e8_lattice() -> QuadLattice:
@@ -392,8 +398,9 @@ class _Backtracker:
         self._block = max(1, min(64, (1 << 16) // max(1, *map(len, self.cands.values()))))
         self._number = {}       # norm: {candidate as a tuple: its number}, when first asked
         # per depth, the sublattice rows decided there: for each earlier
-        # depth the residues of its candidates times the row coefficient,
-        # the moduli, and the bitsets of the candidates by residue
+        # depth the residues of its candidates times the row coefficient, as
+        # tuples of Python ints, the moduli, and the bitsets of the
+        # candidates by residue
         self.checks = [[] for _ in range(n)]
         for S in sublattices:
             rows = [list(r)[::-1] for r in hnf_rows([list(r)[::-1] for r in S.rows])]
@@ -406,16 +413,17 @@ class _Backtracker:
                 for k, c in enumerate(map(tuple, (r[d] * res[self.norms[d]] % mods).tolist())):
                     classes[c] = classes.get(c, 0) | 1 << k
                 self.checks[d].append(
-                    ([(t, r[t] * res[self.norms[t]] % mods) for t in before], mods, classes))
+                    ([(t, list(map(tuple, (r[t] * res[self.norms[t]] % mods).tolist())))
+                      for t in before], mods.tolist(), classes))
 
     def _passing(self, depth, chosen) -> int:
         """The candidates of depth that pass the rows decided there."""
         bits = -1
         for parts, mods, classes in self.checks[depth]:
-            base = mods * 0
+            base = [0] * len(mods)
             for t, R in parts:
-                base = (base + R[chosen[t]]) % mods
-            bits &= classes.get(tuple((-base % mods).tolist()), 0)
+                base = map(add, base, R[chosen[t]])
+            bits &= classes.get(tuple(-b % m for b, m in zip(base, mods)), 0)
         return bits
 
     def _masks_of(self, d, k):

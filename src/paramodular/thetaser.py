@@ -30,7 +30,7 @@ from .errors import (
     ScaleLimit,
     TailTooLarge,
 )
-from .exactmat import Mat, rational_inverse
+from .exactmat import Mat, leading_minors
 from .quadlat import (
     ParamodularChain,
     QuadLattice,
@@ -250,25 +250,57 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
+def _tail_bound(minimum: int, rank: int, rate: float, tail_tol: float) -> int:
+    """The first B of 1, 2, 3, 4, 6, 9, ... (B += max(1, B // 2), up to
+    10^6) with _packing_tail below tail_tol.  The guess is the first B whose
+    tail, estimated from its first two terms as a geometric series, is below
+    tail_tol; when it is right, it and its predecessor are the only
+    _packing_tail calls, and as the tail falls with B, the walk on from a
+    wrong guess ends at the same B as a call per step."""
+    seq = [1]
+    while seq[-1] + max(1, seq[-1] // 2) <= 10**6:
+        seq.append(seq[-1] + max(1, seq[-1] // 2))
+
+    def term(q):
+        return _packing_count(q, minimum, rank) * math.exp(-rate * q)
+
+    k = next((k for k, B in enumerate(seq)
+              if (a := term(B + 1)) * a <= tail_tol * (a - term(B + 2))), len(seq) - 1)
+    while _packing_tail(minimum, rank, seq[k], rate) >= tail_tol:
+        k += 1
+        if k == len(seq):
+            raise TailTooLarge("cannot certify the tail at this point")
+    while k and _packing_tail(minimum, rank, seq[k - 1], rate) < tail_tol:
+        k -= 1
+    return seq[k]
+
+
 def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
                  budget: int = 200 * 10**6) -> complex:
-    """Degree-1 theta value with certified truncation."""
+    """Degree-1 theta value with certified truncation, from one enumeration.
+
+    On nonzero vectors Q is at least m0 = ceil(min_i D_i), where the pivots
+    D_i of Q are ratios of its leading principal minors.  One enumeration
+    runs to the bound B0 that m0 certifies.  Its counts give the true
+    minimum, which certifies the bound B <= B0 that the minimum alone gives,
+    and the sum runs over q <= B.  Only when the minimum lies beyond B0, or
+    m0 certifies no bound, does the value take more enumerations."""
     y = z.imag
     if y <= 0:
         raise NotInHalfSpace("z must have positive imaginary part")
     rate = 2 * math.pi * y
-    mn = L.min_positive()
-    B = 1
-    while True:
-        t = _packing_tail(mn, L.rank, B, rate)
-        if t < tail_tol:
-            break
-        B += max(1, B // 2)
-        if B > 10**6:
-            raise TailTooLarge("cannot certify the tail at this point")
-    counts = shell_counts(L, B, budget)
-    val = sum(c * cmath.exp(2j * math.pi * q * z) for q, c in counts.items())
-    return val
+    P = leading_minors(L.gram)
+    m0 = min(-(-P[i + 1] // (2 * P[i])) for i in range(L.rank))
+    try:
+        B0 = _tail_bound(m0, L.rank, rate, tail_tol)
+    except TailTooLarge:
+        B0 = m0 = 0         # the true minimum may still certify a bound
+    counts = shell_counts(L, B0, budget)
+    mn = min((q for q in counts if q), default=0) or L.min_positive()
+    B = B0 if mn == m0 else _tail_bound(mn, L.rank, rate, tail_tol)
+    if B > B0:
+        counts = shell_counts(L, B, budget)
+    return sum(c * cmath.exp(2j * math.pi * q * z) for q, c in counts.items() if q <= B)
 
 
 def inversion_check(L: QuadLattice, z: complex, tol: float = 1e-8) -> bool:
@@ -276,12 +308,13 @@ def inversion_check(L: QuadLattice, z: complex, tol: float = 1e-8) -> bool:
 
     Compares the dual-lattice series at -1/z against sqrt(z/i)^m sqrt(disc)
     times the series at z.  The dual series is evaluated through the level
-    rescaling, which has integral even Gram.
+    rescaling, which has integral even Gram.  Per lattice this takes one
+    exact inverse, for the dual and the level, and one enumeration.
     """
     if z.imag <= 0:
         raise NotInHalfSpace("z must be in the upper half plane")
-    N = L.level()
-    dual_scaled = QuadLattice(rational_inverse(L.gram).scale(N))
+    dual, N = L.dual_and_level()
+    dual_scaled = QuadLattice(dual.scale(N))
     w = -1 / z
     lhs = theta1_value(dual_scaled, w / N)
     disc = L.disc()

@@ -10,6 +10,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import fraction_oracle as oracle
+
 from paramodular.altlat import _solve_mod_squarefree
 from paramodular.errors import DimensionMismatch, SingularMatrix
 from paramodular.exactmat import (
@@ -19,6 +21,7 @@ from paramodular.exactmat import (
     hermite_normal_form,
     hnf_rows,
     is_symplectic,
+    leading_minors,
     lattice_intersection,
     left_kernel,
     rational_inverse,
@@ -253,6 +256,75 @@ def test_solve_right_matches_sympy(nr, nc, seed):
     # both set the free variables to zero
     sol = sol.subs({t: 0 for t in params})
     assert x == tuple(Fraction(int(v.p), int(v.q)) for v in sol)
+
+
+def _kernel_input(rng, nr, nc, kind):
+    """An nr x nc matrix: integers up to 10^6, small Fractions, or of rank
+    below min(nr, nc) with either kind of entries."""
+    big = kind == "int" or kind == "deficient" and rng.random() < 0.5
+
+    def entry():
+        if big:
+            return rng.randint(-10**6, 10**6)
+        return Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 30))
+    if kind in ("int", "fraction"):
+        return [[entry() for _ in range(nc)] for _ in range(nr)]
+    basis = [[entry() for _ in range(nc)] for _ in range(rng.randint(0, min(nr, nc) - 1))]
+    return [[sum((rng.randint(-3, 3) * b[j] for b in basis), Fraction(0)) for j in range(nc)]
+            for _ in range(nr)]
+
+
+def _qq(rows, nc):
+    return DomainMatrix([[sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, r)]
+                         for r in rows], (len(rows), nc), sympy.QQ)
+
+
+def _frac(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(["int", "fraction", "deficient"]),
+       st.integers(0, 10**6))
+def test_fraction_free_kernel_matches_oracle_and_sympy(n, nc, kind, seed):
+    rng = random.Random(seed)
+    A = Mat(_kernel_input(rng, n, n, kind))
+    d = A.det()
+    assert d == oracle.det(A) == _frac(_qq(A.rows, n).det())
+    assert type(d) is type(oracle.det(A))
+    if d == 0:
+        with pytest.raises(SingularMatrix):
+            rational_inverse(A)
+    else:
+        inv = rational_inverse(A)
+        assert inv == oracle.rational_inverse(A)
+        assert inv.rows == tuple(tuple(map(_frac, r)) for r in _qq(A.rows, n).inv().to_list())
+        # normalized entries: ints where integral, as Mat keeps them
+        assert all(type(x) is int or x.denominator > 1 for r in inv.rows for x in r)
+    # a system A x = b, rank deficient when kind says so, consistent or not
+    R = _kernel_input(rng, n, nc, kind)
+    b = [sum(rng.randint(-2, 2) * x for x in r) for r in R]
+    if rng.random() < 0.5:
+        b = [x + rng.randint(-1, 1) for x in b]
+    x = solve_right(Mat(R), b)
+    assert x == oracle.solve_right(Mat(R), b)
+    assert x is None or all(type(v) is int or v.denominator > 1 for v in x)
+    rref, piv = _qq([list(r) + [v] for r, v in zip(R, b)], nc + 1).rref()
+    if nc in piv:
+        assert x is None
+    else:
+        want = [Fraction(0)] * nc
+        for i, c in enumerate(piv):
+            want[c] = _frac(rref.to_list()[i][nc])
+        assert x == tuple(want)
+
+
+def test_leading_minors():
+    assert leading_minors(Mat([[2, -1], [-1, 2]])) == [1, 2, 3]
+    assert leading_minors(Mat([[0, 2], [2, 0]])) is None
+    assert leading_minors(Mat([[1, 1], [1, 1]])) is None
+    assert leading_minors(Mat([[4, 2, 0], [2, -1, 1], [0, 1, 3]])) == [1, 4, -8, -28]
+    assert leading_minors(Mat([])) == [1]
 
 
 def _span_mod(rows, p, n):

@@ -146,6 +146,19 @@ def test_neighbor_enumeration_small():
         assert len(keys) == len(got)
 
 
+@pytest.mark.parametrize("a, b", [(3, 0), (2, 1), (1, 2), (0, 3)])
+def test_neighbor_enumeration_rank_three(a, b):
+    got = enumerate_neighbors(LocalShape(2, a, b))
+    assert len(got) == neighbor_count_formula(2, a, b)
+    assert len({_key(*L.to_internal(2)) for L in got}) == len(got)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1)])
+def test_products_commute_at_p5(a, b):
+    shape = LocalShape(5, a, b)
+    assert hecke_product(shape, 1, 2) == hecke_product(shape, 2, 1)
+
+
 def test_bounds():
     assert neighbor_bounds_ok(5, 2, 1)
     assert neighbor_bounds_ok(3, 0, 2)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paramodular import thetaser
-from paramodular.errors import NotApplicable, NotInHalfSpace, ScaleLimit
+import fraction_oracle as oracle
+
+from paramodular import quadlat, thetaser
+from paramodular.errors import NotApplicable, NotInHalfSpace, ScaleLimit, TailTooLarge
 from paramodular.exactmat import Mat
 from paramodular.quadlat import (
     ChainClass,
@@ -111,6 +114,111 @@ def test_inversion_degree_one(e8):
     assert inversion_check(e8, complex(-0.4, 0.9))
     # the flip fixed point is symmetric by construction
     assert inversion_check(e8, complex(0, 1.0), tol=1e-10)
+
+
+def _skewed_even_gram(rng, n):
+    """U^T diag(2 a_i) U for a random unimodular U: even, positive definite,
+    and its pivot bound ceil(min D_i) often lies below its minimum."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 6) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    D = [2 * rng.randint(1, 6) for _ in range(n)]
+    return [[sum(U[k][i] * D[k] * U[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+# (Gram, Im z): the minimum is above the pivot bound 1, and the bound it
+# certifies is below the one the pivot bound certifies, with vectors in
+# between; the last two have their minimum 10 beyond the first bound
+# (Im z = 2) or inside it (Im z = 0.3)
+THETA1_CASES = [
+    ([[98, -30, 0], [-30, 58, -24], [0, -24, 12]], 0.531),
+    ([[58, 18, -18], [18, 6, -6], [-18, -6, 10]], 1.682),
+    ([[8, 0, 0], [0, 78, -24], [0, -24, 8]], 1.685),
+    ([[352, -1308, -348, 48], [-1308, 4928, 1308, -184], [-348, 1308, 348, -48],
+      [48, -184, -48, 8]], 0.562),
+    ([[200, 60], [60, 20]], 2.0),
+    ([[200, 60], [60, 20]], 0.3),
+]
+
+
+@pytest.mark.parametrize("gram, y", THETA1_CASES)
+def test_theta1_value_equals_oracle_below_the_minimum(gram, y):
+    L = QuadLattice(Mat(gram))
+    assert L.min_positive() > 1
+    for x in (0.0, 0.37, -0.81):
+        assert theta1_value(L, complex(x, y)) == oracle.theta1_value(L, complex(x, y))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10**6), st.floats(-1, 1), st.floats(0.3, 2))
+def test_theta1_value_equals_oracle(n, seed, x, y):
+    L = QuadLattice(Mat(_skewed_even_gram(__import__("random").Random(seed), n)))
+    assert theta1_value(L, complex(x, y)) == oracle.theta1_value(L, complex(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 100), st.integers(1, 16), st.floats(0.05, 5),
+       st.sampled_from([1e-3, 1e-8, 1e-12, 1e-14]))
+def test_tail_bound_matches_a_call_per_step(minimum, rank, y, tol):
+    rate = 2 * math.pi * y
+    assert thetaser._tail_bound(minimum, rank, rate, tol) == oracle.tail_bound(minimum, rank,
+                                                                               rate, tol)
+
+
+@pytest.mark.parametrize("minimum, rank, y, B", [(2, 8, 0.5, 9), (1, 4, 1.0, 13)])
+def test_tail_bound_walks_from_a_wrong_guess(minimum, rank, y, B):
+    # a tolerance between the tail at B and its two-term estimate moves the
+    # guess one step after the answer (first case) or onto B, one step
+    # before it (second case)
+    rate = 2 * math.pi * y
+    a, b = (thetaser._packing_count(q, minimum, rank) * math.exp(-rate * q) for q in (B + 1, B + 2))
+    tol = (thetaser._packing_tail(minimum, rank, B, rate) + a * a / (a - b)) / 2
+    assert thetaser._tail_bound(minimum, rank, rate, tol) == oracle.tail_bound(minimum, rank,
+                                                                               rate, tol)
+
+
+def test_tail_bound_raises_where_a_call_per_step_does():
+    with pytest.raises(TailTooLarge):
+        oracle.tail_bound(1, 8, 2 * math.pi * 1e-4, 1e-12)
+    with pytest.raises(TailTooLarge):
+        thetaser._tail_bound(1, 8, 2 * math.pi * 1e-4, 1e-12)
+
+
+def test_theta1_value_enumerates_once(e8, monkeypatch):
+    bounds = []
+    leaves = quadlat.fincke_pohst_leaves
+
+    def counted(gram, bound, *args, **kwargs):
+        bounds.append(bound)
+        return leaves(gram, bound, *args, **kwargs)
+    monkeypatch.setattr(quadlat, "fincke_pohst_leaves", counted)
+    grams = [[[2]], [[2, 0], [0, 2]], [[2, -1], [-1, 2]], [[2, -1, 0, 0], [-1, 2, -1, -1],
+                                                           [0, -1, 2, 0], [0, -1, 0, 2]]]
+    for L in [QuadLattice(Mat(g)) for g in grams] + [e8]:
+        dual, N = L.dual_and_level()
+        for M in (L, QuadLattice(dual.scale(N))):
+            for z in (1j, complex(0.3, 0.8), complex(-0.45, 1.3)):
+                bounds.clear()
+                theta1_value(M, z)
+                assert len(bounds) == 1, (M, z, bounds)
+    # a minimum above the pivot bound but inside the first bound
+    gram, y = THETA1_CASES[0]
+    bounds.clear()
+    theta1_value(QuadLattice(Mat(gram)), complex(0.2, y))
+    assert bounds == [13]
+
+
+@pytest.mark.parametrize("gram", [[[2]], [[2, -1], [-1, 2]], [[4, 2], [2, 6]],
+                                  [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                                   [0, -1, 0, 2]]] + [g for g, _ in THETA1_CASES[:4]])
+def test_inversion_check_matches_oracle(gram):
+    L = QuadLattice(Mat(gram))
+    assert L.dual_and_level() == (oracle.rational_inverse(L.gram), oracle.level(L))
+    for z in (1j, complex(0.3, 0.8), complex(-0.45, 1.3)):
+        assert inversion_check(L, z) == oracle.inversion_check(L, z)
 
 
 def test_genus_theta_single_class(e8):

@@ -7,9 +7,17 @@ Each DIR is a source checkout with its own perfbench/.  For every workload
 the two sides run `perfbench/run.py --trace 0` in turn, the first side
 alternating from pair to pair, with the same seed and run length.  For each
 end-to-end metric of BENCHMARK.json the output holds every run, the median
-and quartiles of each side, and the number of pairs in which the change is
-better (ties count for neither).  Runs are sequential: nothing else should
-use the machine meanwhile.
+and quartiles of each side, the number of pairs in which the change is
+better (ties count for neither), and a verdict:
+
+* `wins_nine_tenths`: the change is better in at least 9/10 of the pairs;
+* `gain_beyond_parent_iqr`: the change's median is better than the parent's
+  by more than the parent's Q3 - Q1;
+* `within_bound`: the change's median is no worse than the parent's by more
+  than the metric's `bound` in BENCHMARK.json, as a fraction of the parent's;
+* `gain`: the first two together, the rule for claiming a gain.
+
+Runs are sequential: nothing else should use the machine meanwhile.
 """
 
 import argparse
@@ -35,6 +43,18 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
+            bound: float) -> dict:
+    """The rule for a gain and the bound for a regression, computed from
+    the two summaries; sign is 1 when lower is better, -1 when higher is."""
+    gain = sign * (parent["median"] - change["median"])
+    out = {"wins_nine_tenths": 10 * wins >= 9 * pairs,
+           "gain_beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
+           "within_bound": -gain <= bound * abs(parent["median"])}
+    out["gain"] = out["wins_nine_tenths"] and out["gain_beyond_parent_iqr"]
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -46,7 +66,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     report = {"seed": args.seed, "seconds": args.seconds,
               "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "machine": platform.machine()},
@@ -61,14 +81,15 @@ def main(argv=None) -> int:
                 runs[side].append(run(checkout, name, args.seed, args.seconds))
                 print(f"{name} pair {i + 1} {side}: {time.time() - t0:.0f} s", file=sys.stderr)
         metrics = {}
-        for m, direction in better.items():
+        for m, (direction, bound) in better.items():
             p = [r["metrics"][m]["value"] for r in runs["parent"]]
             c = [r["metrics"][m]["value"] for r in runs["change"]]
             sign = 1 if direction == "lower" else -1
+            wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
             metrics[m] = {"unit": runs["parent"][0]["metrics"][m]["unit"], "better": direction,
-                          "parent": summary(p), "change": summary(c),
-                          "change_wins": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
-                          "pairs": len(p)}
+                          "bound": bound, "parent": summary(p), "change": summary(c),
+                          "change_wins": wins, "pairs": len(p),
+                          "verdict": verdict(summary(p), summary(c), wins, len(p), sign, bound)}
         report["workloads"][name] = {
             "metrics": metrics,
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
