@@ -472,10 +472,6 @@ def leading_minors(A: Mat) -> list[int] | None:
     return minors if not swaps and len(cols) == A.nrows else None
 
 
-def _quotient(x: int, d: int) -> Scalar:
-    return x // d if x % d == 0 else Fraction(x, d)
-
-
 def rational_inverse(A: Mat) -> Mat:
     if not A.is_square():
         raise DimensionMismatch("inverse of non-square matrix")
@@ -485,12 +481,11 @@ def rational_inverse(A: Mat) -> Mat:
     cols, pivots, _ = _eliminate(m, n)
     if len(cols) < n:
         raise SingularMatrix("matrix is singular")
-    return Mat([[_quotient(x, pivots[-1]) for x in row[n:]] for row in m])
+    return Mat([[Fraction(x, pivots[-1]) for x in row[n:]] for row in m])
 
 
 def solve_right(A: Mat, b) -> tuple | None:
-    """Exact solution x of A x = b, or None if inconsistent; the free
-    variables are 0."""
+    """Exact solution x of A x = b with the free variables 0, or None."""
     nc = A.ncols
     m = clear_denominators([list(row) + [b[i]] for i, row in enumerate(A.rows)])[0]
     cols, pivots, _ = _eliminate(m, nc)
@@ -498,7 +493,7 @@ def solve_right(A: Mat, b) -> tuple | None:
         return None
     x = [0] * nc
     for row, c in zip(m, cols):
-        x[c] = _quotient(row[nc], pivots[-1])
+        x[c] = _norm(Fraction(row[nc], pivots[-1]))
     return tuple(x)
 
 

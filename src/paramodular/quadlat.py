@@ -62,8 +62,7 @@ class QuadLattice:
             for j in range(i):
                 if gram[i, j] != gram[j, i]:
                     raise NotPositiveDefinite("Gram must be symmetric")
-        # positive definite: every leading principal minor, a pivot of one
-        # fraction-free pass, is positive
+        # positive definite: every leading principal minor is positive
         minors = leading_minors(gram)
         if minors is None or min(minors) <= 0:
             raise NotPositiveDefinite("form is not positive definite")
@@ -397,10 +396,9 @@ class _Backtracker:
         self._masks, self._bits = [[None] * len(self.cands[q]) for q in self.norms], {}
         self._block = max(1, min(64, (1 << 16) // max(1, *map(len, self.cands.values()))))
         self._number = {}       # norm: {candidate as a tuple: its number}, when first asked
-        # per depth, the sublattice rows decided there: for each earlier
-        # depth the residues of its candidates times the row coefficient, as
-        # tuples of Python ints, the moduli, and the bitsets of the
-        # candidates by residue
+        # per depth, the sublattice rows decided there: for each earlier depth
+        # the residues of its candidates times the row coefficient as tuples of
+        # Python ints, the moduli, and the bitsets of the candidates by residue
         self.checks = [[] for _ in range(n)]
         for S in sublattices:
             rows = [list(r)[::-1] for r in hnf_rows([list(r)[::-1] for r in S.rows])]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -250,29 +251,31 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 
-def _tail_bound(minimum: int, rank: int, rate: float, tail_tol: float) -> int:
-    """The first B of 1, 2, 3, 4, 6, 9, ... (B += max(1, B // 2), up to
-    10^6) with _packing_tail below tail_tol.  The guess is the first B whose
-    tail, estimated from its first two terms as a geometric series, is below
-    tail_tol; when it is right, it and its predecessor are the only
-    _packing_tail calls, and as the tail falls with B, the walk on from a
-    wrong guess ends at the same B as a call per step."""
-    seq = [1]
-    while seq[-1] + max(1, seq[-1] // 2) <= 10**6:
-        seq.append(seq[-1] + max(1, seq[-1] // 2))
+# the truncation bounds of the degree-one tail, in the order tried
+_BOUNDS = [1]
+while _BOUNDS[-1] + max(1, _BOUNDS[-1] // 2) <= 10**6:
+    _BOUNDS.append(_BOUNDS[-1] + max(1, _BOUNDS[-1] // 2))
 
+
+def _tail_bound(minimum: int, rank: int, rate: float, tail_tol: float) -> int:
+    """The first B of _BOUNDS, 1, 2, 3, 4, 6, 9, ... (B += max(1, B // 2),
+    up to 10^6), with _packing_tail below tail_tol.  The guess, found by
+    bisection, is the first B whose tail, estimated from its first two terms
+    as a geometric series, is below tail_tol; when it is right, it and its
+    predecessor are the only _packing_tail calls, and as the tail falls with
+    B, the walk on from a wrong guess ends at the same B as a call per step."""
     def term(q):
         return _packing_count(q, minimum, rank) * math.exp(-rate * q)
 
-    k = next((k for k, B in enumerate(seq)
-              if (a := term(B + 1)) * a <= tail_tol * (a - term(B + 2))), len(seq) - 1)
-    while _packing_tail(minimum, rank, seq[k], rate) >= tail_tol:
+    k = min(bisect_left(_BOUNDS, True, key=lambda B: (a := term(B + 1)) * a
+                        <= tail_tol * (a - term(B + 2))), len(_BOUNDS) - 1)
+    while _packing_tail(minimum, rank, _BOUNDS[k], rate) >= tail_tol:
         k += 1
-        if k == len(seq):
+        if k == len(_BOUNDS):
             raise TailTooLarge("cannot certify the tail at this point")
-    while k and _packing_tail(minimum, rank, seq[k - 1], rate) < tail_tol:
+    while k and _packing_tail(minimum, rank, _BOUNDS[k - 1], rate) < tail_tol:
         k -= 1
-    return seq[k]
+    return _BOUNDS[k]
 
 
 def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
