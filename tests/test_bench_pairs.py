@@ -13,12 +13,15 @@ def _summary(values):
     return bench_pairs.summary(values)
 
 
-def test_verdict_gain_needs_nine_tenths_and_the_parent_iqr():
+def test_verdict_gain_needs_ten_pairs_nine_tenths_and_the_parent_iqr():
     parent = _summary([10.0, 11, 12, 13, 14, 10, 11, 12, 13, 14])
     # lower is better: 4 below the parent's median, IQR 2
     v = bench_pairs.verdict(parent, _summary([8.0] * 10), 10, 10, 1, 0.25)
-    assert v == {"wins_nine_tenths": True, "gain_beyond_parent_iqr": True,
+    assert v == {"ten_pairs": True, "wins_nine_tenths": True, "gain_beyond_parent_iqr": True,
                  "within_bound": True, "gain": True}
+    five = _summary([10.0, 11, 12, 13, 14])
+    v = bench_pairs.verdict(five, _summary([8.0] * 5), 5, 5, 1, 0.25)
+    assert v["wins_nine_tenths"] and v["gain_beyond_parent_iqr"] and not v["gain"]
     v = bench_pairs.verdict(parent, _summary([8.0] * 10), 8, 10, 1, 0.25)
     assert not v["wins_nine_tenths"] and not v["gain"]
     v = bench_pairs.verdict(parent, _summary([11.0] * 10), 9, 10, 1, 0.25)

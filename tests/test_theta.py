@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_theta1_value_equals_oracle_below_the_minimum(gram, y):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10**6), st.floats(-1, 1), st.floats(0.3, 2))
 def test_theta1_value_equals_oracle(n, seed, x, y):
-    L = QuadLattice(Mat(_skewed_even_gram(__import__("random").Random(seed), n)))
+    L = QuadLattice(Mat(_skewed_even_gram(random.Random(seed), n)))
     assert theta1_value(L, complex(x, y)) == oracle.theta1_value(L, complex(x, y))
 
 

@@ -10,12 +10,13 @@ end-to-end metric of BENCHMARK.json the output holds every run, the median
 and quartiles of each side, the number of pairs in which the change is
 better (ties count for neither), and a verdict:
 
+* `ten_pairs`: at least ten pairs ran;
 * `wins_nine_tenths`: the change is better in at least 9/10 of the pairs;
 * `gain_beyond_parent_iqr`: the change's median is better than the parent's
   by more than the parent's Q3 - Q1;
 * `within_bound`: the change's median is no worse than the parent's by more
   than the metric's `bound` in BENCHMARK.json, as a fraction of the parent's;
-* `gain`: the first two together, the rule for claiming a gain.
+* `gain`: the first three together, the rule for claiming a gain.
 
 Runs are sequential: nothing else should use the machine meanwhile.
 """
@@ -48,10 +49,10 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
     """The rule for a gain and the bound for a regression, computed from
     the two summaries; sign is 1 when lower is better, -1 when higher is."""
     gain = sign * (parent["median"] - change["median"])
-    out = {"wins_nine_tenths": 10 * wins >= 9 * pairs,
+    out = {"ten_pairs": pairs >= 10, "wins_nine_tenths": 10 * wins >= 9 * pairs,
            "gain_beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
            "within_bound": -gain <= bound * abs(parent["median"])}
-    out["gain"] = out["wins_nine_tenths"] and out["gain_beyond_parent_iqr"]
+    out["gain"] = out["ten_pairs"] and out["wins_nine_tenths"] and out["gain_beyond_parent_iqr"]
     return out
 
 
