@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+from paramodular.acceptance import SEED
 
 from paramodular.altlat import (
     AltLattice,
@@ -206,3 +209,30 @@ def test_sampling_rank_three():
             assert sorted(seen) == adm, (T, u, seen, adm)
             lp = sum(1 for t in T if t % p == 0)
             assert len(adm) == cusp_count(3, u, {p: lp})
+
+
+def _sample_digest(levels, draws, seed):
+    """sha256 of the (Z.generators, d) sequence that one random.Random(seed)
+    stream gives, drawing `draws` submodules per (T, u) in order."""
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for T, us in levels:
+        L = standard_lattice(T)
+        for u in us:
+            for _ in range(draws):
+                Z = sample_isotropic(L, u, rng)
+                h.update(repr((Z.generators.rows, d_invariant(L, Z))).encode())
+    return h.hexdigest()
+
+
+def test_criterion_01_samples_pinned():
+    # the levels and the stream of acceptance criterion 01, 2,000 draws each
+    levels = [((1, 2), (1, 2)), ((1, 3), (1, 2))]
+    assert _sample_digest(levels, 2000, SEED) == \
+        "8e583e96f7db6c855523f238c1ab3ae0b40a0497d1d0ef4343e8e204388c68bb"
+
+
+def test_rank_three_samples_pinned():
+    levels = [((1, 2, 2), (1, 2, 3)), ((1, 3, 3), (3,))]
+    assert _sample_digest(levels, 300, 77) == \
+        "b6c0249d079ecada310bde4021211afe3f4de8418407737de9eb81613007f8bb"
