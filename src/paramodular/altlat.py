@@ -13,13 +13,13 @@ lattice basis, and the pairing of rows x, y is  x G (t_y).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 import random
 
 from .approx import sl_lift
 from .errors import (
     DegenerateForm,
+    DimensionMismatch,
     InadmissibleD,
     IntegralityViolation,
     InvalidInvariant,
@@ -33,11 +33,12 @@ from .exactmat import (
     Mat,
     _hnf_inplace,
     crt,
+    echelon_mod,
     factor,
     hnf_rows,
     lattice_intersection,
     left_kernel,
-    rref_mod,
+    matmul_int,
     smith_divisors,
     smith_normal_form,
     solve_right,
@@ -85,9 +86,7 @@ class AltLattice:
         return f"AltLattice(rank={self.rank})"
 
     def pairing(self, x, y):
-        g = self.gram
-        return sum(xi * sum(g[i, j] * y[j] for j in range(self.rank))
-                   for i, xi in enumerate(x) if xi)
+        return matmul_int(matmul_int([x], self._gram_list), [[v] for v in y])[0][0]
 
     def para_basis(self) -> ParaBasis:
         if self._para is None:
@@ -107,12 +106,23 @@ class IsotropicSubmodule:
         Z = Mat(rows)
         if Z.nrows == 0:
             return cls(Z, 0)
-        if not (Z @ L.gram @ Z.transpose()).is_zero():
-            raise NotIsotropic("generators do not span an isotropic module")
-        divs = smith_divisors([list(r) for r in Z.rows])
-        if len(divs) != Z.nrows or any(d != 1 for d in divs):
-            raise NotPrimitive("generators are not a primitive system")
+        _isotropic_pairing(L, Z.rows)
         return cls(Mat(hnf_rows([list(r) for r in Z.rows])), Z.nrows)
+
+
+def _isotropic_pairing(L: AltLattice, rows) -> list[list[int]]:
+    """The pairings rows @ gram of generator rows checked to be integral and
+    to span a primitive totally isotropic submodule of L."""
+    if any(len(r) != L.rank for r in rows):
+        raise DimensionMismatch(f"generators must have {L.rank} coordinates")
+    if not all(isinstance(x, int) for r in rows for x in r):
+        raise IntegralityViolation("generators must be integral")
+    P = matmul_int(rows, L._gram_list)
+    if any(map(any, matmul_int(P, list(zip(*rows))))):
+        raise NotIsotropic("generators do not span a totally isotropic module")
+    if not _primitive_rows(rows):
+        raise NotPrimitive("generators are not a primitive system")
+    return P
 
 
 def standard_lattice(T) -> AltLattice:
@@ -224,10 +234,7 @@ def level_and_det(L: AltLattice) -> tuple[int, int]:
     """(level N, positive determinant-root D) with D**2 = |det gram|."""
     if L._level_det is None:
         pb = L.para_basis()
-        N = reduce(lcm, pb.divisors, 1)
-        D = 1
-        for d in pb.divisors:
-            D *= d
+        N, D = lcm(*pb.divisors), prod(pb.divisors)
         if D * D != abs(L.gram.det()):
             raise InvalidInvariant("divisor product does not match the determinant")
         L._level_det = (N, D)
@@ -237,10 +244,11 @@ def level_and_det(L: AltLattice) -> tuple[int, int]:
 def _solve_mod_squarefree(A: Mat, b, d: int):
     """Some integer x with A x = b (mod d), d squarefree; None if unsolvable."""
     nc = A.ncols
+    aug = [list(r) + [bb] for r, bb in zip(A.rows, b)]
     sols, mods = [], []
     for p, _ in factor(d):
         x = [0] * nc
-        for row in rref_mod([list(r) + [bb] for r, bb in zip(A.rows, b)], p):
+        for row in filter(any, echelon_mod([[[v % p for v in r] for r in aug]], p)[0].tolist()):
             lead = next(c for c, v in enumerate(row) if v)
             if lead == nc:
                 return None
@@ -261,11 +269,7 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
     N, _ = level_and_det(L)
     if any(e > 1 for _, e in factor(N)):
         raise NonSquareFreeLevel(f"level {N} is not squarefree")
-    if not (Z.generators @ L.gram @ Z.generators.transpose()).is_zero():
-        raise NotIsotropic("Z is not totally isotropic")
-    divs = smith_divisors([list(r) for r in Z.generators.rows])
-    if len(divs) != Z.rank or any(d != 1 for d in divs):
-        raise NotPrimitive("Z is not primitive")
+    _isotropic_pairing(L, Z.generators.rows)
 
     n = L.rank
     embed = Mat.identity(n)          # rows: current sublattice basis in L coords
@@ -283,33 +287,27 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
             raise InvalidInvariant(f"pairing content {d} does not divide the level {N}")
         e = Mat([U.rows[0]]) @ Zc
         erow = list(e.rows[0])
-        a = [sum(erow[t] * Gc[t, j] for t in range(dim)) for j in range(dim)]
+        a = matmul_int([erow], Gc.rows)[0]
         # particular solution of a . y = d
-        g = 0
-        for x in a:
-            g = gcd(g, x)
-        if g != d:
+        if gcd(*a) != d:
             raise InvalidInvariant("pairing content differs from the Smith divisor")
         y0 = _solve_linear_one([x // d for x in a])
         # kernel of a . y = 0
         ker = left_kernel(Mat([[x] for x in a]))
-        # impose Gc y = 0 mod d on y = y0 + t K
-        Gy0 = [sum(Gc[i, j] * y0[j] for j in range(dim)) for i in range(dim)]
+        # impose Gc y = 0 mod d on y = y0 + t K; -Gc y0 = y0 Gc, as Gc alternates
         if ker.nrows:
             GK = Gc @ ker.transpose()
-            t = _solve_mod_squarefree(GK, [-x for x in Gy0], d)
+            t = _solve_mod_squarefree(GK, matmul_int([y0], Gc.rows)[0], d)
             if t is None:
                 raise InvalidInvariant("dual-adjusted partner must exist at squarefree level")
-            y = [y0[j] + sum(t[k] * ker[k, j] for k in range(ker.nrows)) for j in range(dim)]
+            frow = [x + y for x, y in zip(y0, matmul_int([t], ker.rows)[0])]
         else:
-            y = list(y0)
-        frow = y
-        if sum(erow[t] * sum(Gc[t, j] * frow[j] for j in range(dim)) for t in range(dim)) != d:
-            raise InvalidInvariant("the partner does not pair to the Smith divisor")
+            frow = list(y0)
         # orthogonal complement of the pair inside the current lattice
-        cols = Mat([[sum(Gc[i, j] * v[j] for j in range(dim)) for v in (erow, frow)]
-                    for i in range(dim)])
-        C = left_kernel(cols)
+        cols = matmul_int(Gc.rows, list(zip(erow, frow)))
+        if matmul_int([erow], cols)[0][1] != d:
+            raise InvalidInvariant("the partner does not pair to the Smith divisor")
+        C = left_kernel(Mat(cols))
         if C.nrows != dim - 2:
             raise DegenerateForm("the hyperbolic pair has a degenerate complement")
         pairs.append((tuple((Mat([erow]) @ embed).rows[0]),
@@ -361,22 +359,7 @@ def d_invariant(L: AltLattice, Z: IsotropicSubmodule) -> int:
     N, _ = level_and_det(L)
     if any(e > 1 for _, e in factor(N)):
         raise NonSquareFreeLevel(f"level {N} is not squarefree")
-    n = L.rank
-    g = L._gram_list
-    zr = [list(r) for r in Z.generators.rows]
-    pairing = [[sum(row[t] * g[t][j] for t in range(n) if row[t])
-                for j in range(n)] for row in zr]
-    for a, ra in enumerate(zr):
-        for b in range(a + 1):
-            if sum(ra[t] * pairing[b][t] for t in range(n) if ra[t]):
-                raise NotIsotropic("Z is not totally isotropic")
-    divs = smith_divisors([r[:] for r in zr])
-    if len(divs) != Z.rank or any(x != 1 for x in divs):
-        raise NotPrimitive("Z is not primitive")
-    out = 1
-    for d in smith_divisors(pairing):
-        out *= d
-    return out
+    return prod(smith_divisors(_isotropic_pairing(L, Z.generators.rows)))
 
 
 def orbit_equivalent(L: AltLattice, Z1: IsotropicSubmodule, Z2: IsotropicSubmodule) -> bool:
@@ -390,6 +373,8 @@ def admissible_d_values(m: int, u: int, N: int, D: int) -> list[int]:
     """All d | D with d | N**u and (D/d) | N**(m-u), ascending."""
     if not (0 <= u <= m):
         raise InvalidRank(f"need 0 <= u <= m, got u={u}, m={m}")
+    if N < 1 or D < 1:
+        raise InvalidLevel(f"need N >= 1 and D >= 1, got N={N}, D={D}")
     fN = factor(N)
     if any(e > 1 for _, e in fN):
         raise NonSquareFreeLevel(f"N={N} is not squarefree")
@@ -498,18 +483,6 @@ def _perm_sign(sigma) -> int:
     return sign
 
 
-def cusp_isotropic_of(L: AltLattice, S: Mat, u: int) -> IsotropicSubmodule:
-    """Intersection of the moved flag with the lattice, in L coordinates."""
-    m = L.m
-    r = m - u
-    pb = L.para_basis()
-    rows = []
-    for j in range(r, m):
-        coeff = [S[i, j] for i in range(m)] + [0] * m
-        rows.append(list((Mat([coeff]) @ pb.transform).rows[0]))
-    return IsotropicSubmodule.from_rows(L, rows)
-
-
 # ---------------------------------------------------------------------------
 # Pseudo-random primitive isotropic submodules (reproducible via seed).
 # ---------------------------------------------------------------------------
@@ -521,10 +494,10 @@ def sample_isotropic(L: AltLattice, u: int, rng: random.Random,
 
     Builds up greedily: a random primitive vector, then random vectors from
     the integer kernel of the pairing with the span so far, rejecting
-    extensions that are not primitive or not isotropic.
+    extensions that are not primitive.  Each extension is isotropic: w pairs
+    to 0 with the rows by its choice and with itself as the form alternates.
     """
     n = L.rank
-    g = L._gram_list
     rows: list[list[int]] = []
     guard = 0
     while len(rows) < u:
@@ -534,27 +507,12 @@ def sample_isotropic(L: AltLattice, u: int, rng: random.Random,
         if not rows:
             rows = [_random_primitive(n, rng, spread)]
             continue
-        pairing = [[sum(row[t] * g[t][j] for t in range(n) if row[t])
-                    for j in range(n)] for row in rows]
-        K = _int_kernel_rows(pairing)
+        K = _int_kernel_rows(matmul_int(rows, L._gram_list))
         if len(K) <= len(rows):
             raise InvalidRank("no isotropic extension exists")
         coeffs = [rng.randint(-spread, spread) for _ in range(len(K))]
-        w = [sum(c * K[k][j] for k, c in enumerate(coeffs)) for j in range(n)]
-        cand = hnf_rows(rows + [w])
-        if len(cand) != len(rows) + 1 or not _primitive_rows(cand):
-            continue
-        ok = True
-        for a, ra in enumerate(cand):
-            pra = [sum(ra[t] * g[t][j] for t in range(n) if ra[t])
-                   for j in range(n)]
-            for rb in cand[: a + 1]:
-                if sum(rb[t] * pra[t] for t in range(n) if rb[t]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        cand = hnf_rows(rows + matmul_int([coeffs], K))
+        if len(cand) == len(rows) + 1 and _primitive_rows(cand):
             rows = cand
     return IsotropicSubmodule(Mat(hnf_rows(rows)), u)
 
@@ -570,10 +528,7 @@ def _int_kernel_rows(pairing: list[list[int]]) -> list[list[int]]:
 
 def _primitive_rows(rows: list[list[int]]) -> bool:
     if len(rows) == 1:
-        g = 0
-        for x in rows[0]:
-            g = gcd(g, x)
-        return g == 1
+        return gcd(*rows[0]) == 1
     if len(rows) == 2:
         g = 0
         n = len(rows[0])
@@ -584,16 +539,14 @@ def _primitive_rows(rows: list[list[int]]) -> bool:
                 if g == 1:
                     return True
         return g == 1
-    divs = smith_divisors([r[:] for r in rows])
+    divs = smith_divisors([list(r) for r in rows])
     return len(divs) == len(rows) and all(d == 1 for d in divs)
 
 
 def _random_primitive(n, rng, spread):
     while True:
         v = [rng.randint(-spread, spread) for _ in range(n)]
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         if g:
             return [x // g for x in v]
 

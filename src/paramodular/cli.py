@@ -15,7 +15,6 @@ import sys
 from .altlat import (
     admissible_d_values,
     cusp_count,
-    cusp_matrix_S,
     cusp_representative,
     level_and_det,
     standard_lattice,

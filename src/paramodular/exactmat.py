@@ -3,7 +3,8 @@
 Everything downstream (lattice reduction, Hecke enumeration, Garrett
 representatives) is built on the routines here.  Entries are Python ints or
 ``fractions.Fraction``; there is no floating point in this module, and numpy
-appears only in ``Mat.to_numpy``, the int64 hand-off to the enumerators.
+appears only in ``Mat.to_numpy``, the int64 hand-off to the enumerators, and
+in ``echelon_mod``.
 
 Conventions:
 
@@ -25,8 +26,10 @@ factors, eliminates or computes elementary divisors:
   ``_eliminate`` (Bareiss 1968), behind ``Mat.det``, ``leading_minors``,
   ``rational_inverse`` and ``solve_right``: rational input is scaled to
   integers first, and a solution is divided by the last pivot once at the end;
-* ``rref_mod``: the reduced echelon form mod a prime, and
-  ``_projective_vectors``: the points of F_p^n in the same normalization.
+* ``echelon_mod``: the reduced echelon forms mod a prime of a whole stack
+  of matrices, and ``_projective_vectors``: the points of F_p^n in the same
+  normalization;
+* ``matmul_int`` and ``pairing_int``: integer products of plain row lists.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -141,8 +145,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        ot = list(zip(*other.rows)) if other.rows else []
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows])
+        return Mat(matmul_int(self.rows, other.rows))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -213,6 +216,17 @@ def clear_denominators(rows) -> tuple[list[list[int]], int]:
     c = lcm(*(x.denominator for r in rows for x in r if type(x) is Fraction))
     return [[x.numerator * (c // x.denominator) if type(x) is Fraction else x * c
              for x in r] for r in rows], c
+
+
+def matmul_int(A, B) -> list[list[int]]:
+    """The product of two plain row lists (Fraction entries work as well)."""
+    Bt = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
+
+
+def pairing_int(rows, gram) -> list[list[int]]:
+    """rows @ gram @ t(rows), the pairings of the rows under gram."""
+    return matmul_int(matmul_int(rows, gram), list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +534,6 @@ def left_kernel(A: Mat) -> Mat:
     return Mat(hnf_rows([list(r) for r in ker])) if ker else Mat.zeros(0, A.nrows)
 
 
-def saturation(rows: Mat) -> Mat:
-    """Saturation of the row lattice: (QQ-span) intersected with ZZ^n."""
-    if rows.nrows == 0:
-        return rows
-    U, D, V = smith_normal_form(rows)
-    r = sum(1 for i in range(min(D.nrows, D.ncols)) if D[i, i])
-    vinv = rational_inverse(V)
-    sat = [vinv.rows[i] for i in range(r)]
-    return Mat(hnf_rows([list(x) for x in sat]))
-
-
 def lattice_intersection(A: Mat, B: Mat) -> Mat:
     """Intersection of the two integer row lattices, as HNF rows."""
     if A.nrows == 0 or B.nrows == 0:
@@ -607,25 +610,33 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
-def rref_mod(rows, p: int) -> list[list[int]]:
-    """Reduced echelon basis mod the prime p of the row space of rows, with
-    entries in [0, p); the first nonzero entry of each row is 1."""
-    m = [[x % p for x in r] for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] % p), None)
-        if piv is None:
+def echelon_mod(A, p: int) -> np.ndarray:
+    """The reduced echelon forms mod the prime p of a stack (N, r, n) of
+    integer matrices, entries in [0, p), the first nonzero entry of each row
+    1 and the zero rows last: one elimination step per column for the whole
+    stack, inverting only the distinct pivot values of the column.  Entries
+    are int64 while (p - 1)^2 fits, Python ints otherwise."""
+    A = np.asarray(A)
+    A = (A % p).astype(np.int64) if (p - 1) ** 2 < 1 << 63 else A.astype(object) % p
+    N, r, n = A.shape
+    rank = np.zeros(N, dtype=np.int64)
+    for c in range(n):
+        free = (A[:, :, c] != 0) & (np.arange(r) >= rank[:, None])
+        b = np.flatnonzero(free.any(axis=1))
+        if not len(b):
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return [row for row in m if any(row)]
+        piv, rk = free[b].argmax(axis=1), rank[b]
+        prow = A[b, piv]
+        A[b, piv] = A[b, rk]
+        vals, at = np.unique(prow[:, c], return_inverse=True)
+        inv = np.array([pow(int(x), -1, p) for x in vals], dtype=A.dtype)
+        prow = prow * inv[at][:, None] % p
+        A[b, rk] = prow
+        f = A[b, :, c]
+        f[np.arange(len(b)), rk] = 0
+        A[b] = (A[b] - f[:, :, None] * prow[:, None, :]) % p
+        rank[b] += 1
+    return A
 
 
 def _projective_vectors(dim, p):

@@ -34,12 +34,13 @@ from .errors import (
     DimensionMismatch,
     IncompatibleLocals,
     InvalidInvariant,
+    InvalidLevel,
     NotElementary,
     NotIsometric,
     ScaleLimit,
 )
 from .exactmat import (Mat, _projective_vectors, clear_denominators, factor, hnf_rows,
-                       smith_divisors, valuation)
+                       matmul_int, pairing_int, smith_divisors, valuation)
 
 # ---------------------------------------------------------------------------
 # Shapes, invariant tuples, lattices.
@@ -53,7 +54,9 @@ class LocalShape:
     b: int
 
     def __post_init__(self):
-        if self.p < 2 or self.a < 0 or self.b < 0 or self.a + self.b < 1:
+        if not isinstance(self.p, int) or self.p < 2 or factor(self.p) != [(self.p, 1)]:
+            raise InvalidLevel(f"p = {self.p!r} is not a prime")
+        if self.a < 0 or self.b < 0 or self.a + self.b < 1:
             raise InvalidInvariant("bad shape")
 
     @property
@@ -133,15 +136,6 @@ def _normalize(rows, k, p):
 
 def _key(rows, k):
     return (k, tuple(tuple(r) for r in rows))
-
-
-def _matmul_int(A, B):
-    Bt = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
-
-
-def _pairing_int(rows, gram):
-    return _matmul_int(_matmul_int(rows, gram), list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +226,7 @@ def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
     """The frame of the base lattice p**(-base_k) * rowspan(base_rows), gram
     the ambient Gram.  With strict=False only the p-parts matter, so
     globally defined lattices can be classified locally."""
-    H = _pairing_int(base_rows, gram)
+    H = pairing_int(base_rows, gram)
     sc = p ** (2 * base_k)
     if any(x % sc for row in H for x in row):
         raise NotElementary("base lattice is not integral")
@@ -248,7 +242,7 @@ def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
     if strict and c != p ** valuation(c, p):
         raise NotElementary("base lattice is not p-commensurable")
     # base^-1 H = (inv @ H) / c, in lowest terms
-    dual = _matmul_int(inv, H)
+    dual = matmul_int(inv, H)
     g = math.gcd(c, *(x for row in dual for x in row))
     dual, cd = [[x // g for x in row] for row in dual], c // g
     if inv == [[int(i == j) for j in range(len(inv))] for i in range(len(inv))]:
@@ -267,9 +261,9 @@ def _classify(fr: _Frame, mov_rows, mov_k, dual_coords=None) -> LocalDoubleCoset
     base, from its elementary divisors in the base and in the base's dual.
     dual_coords, if given, is mov_rows @ fr.dual."""
     p = fr.shape.p
-    coords = mov_rows if fr.inv is None else _matmul_int(mov_rows, fr.inv)
+    coords = mov_rows if fr.inv is None else matmul_int(mov_rows, fr.inv)
     if dual_coords is None:
-        dual_coords = _matmul_int(mov_rows, fr.dual)
+        dual_coords = matmul_int(mov_rows, fr.dual)
     key = _recover(fr.shape.a, fr.shape.b,
                    _exponents(coords, fr.shift - mov_k, p, fr.strict),
                    _exponents(dual_coords, fr.dual_shift - mov_k, p, fr.strict))
@@ -286,8 +280,8 @@ def classify_pair(shape: LocalShape, L) -> LocalDoubleCoset:
     fr = _standard_frame(shape)
     # the dual frame of the standard lattice is its Gram, so these products
     # give both the pairing of L and its dual coordinates
-    dual_coords = _matmul_int(rows, fr.dual)
-    H = _matmul_int(dual_coords, list(zip(*rows)))
+    dual_coords = matmul_int(rows, fr.dual)
+    H = matmul_int(dual_coords, list(zip(*rows)))
     sc = p ** (2 * k)
     if any(x % sc for row in H for x in row):
         raise NotElementary("lattice is not integral")
@@ -393,37 +387,12 @@ def representative_lattice(dc: LocalDoubleCoset) -> tuple[list[list[int]], int]:
     return _normalize(rows, k, p)
 
 
-def matrix_image_lattice(dc: LocalDoubleCoset, D: Mat) -> tuple[list[list[int]], int]:
-    """Image of the target standard lattice under a symplectic matrix D,
-    converted to base-lattice coordinates (internal form).
-
-    D acts on column vectors in standard symplectic coordinates; the target
-    standard lattice has the shape (a_target, b_target) of dc.
-    """
-    p = dc.shape.p
-    n = dc.shape.n
-    scal_t = [1] * dc.a_target + [p] * dc.b_target
-    scal_s = [1] * dc.shape.a + [p] * dc.shape.b
-    Et = Mat.diagonal([1] * n + scal_t)
-    Es_inv = Mat.diagonal([1] * n + [Fraction(1, s) for s in scal_s])
-    img = Et @ D.transpose() @ Es_inv
-    return _normalize(*_clear_p(img.rows, p), p)
-
-
 def transpose_integrality(B: Mat, T: Mat, Tp: Mat) -> bool:
     """Whether T^{-1} tB T' is integral (T the target scales, T' the source)."""
     if B.nrows != T.nrows or B.ncols != Tp.nrows:
         raise DimensionMismatch("size mismatch")
     M = T.inverse() @ B.transpose() @ Tp
     return M.is_integral()
-
-
-def shape_diag(shape: LocalShape) -> Mat:
-    return Mat.diagonal([1] * shape.a + [shape.p] * shape.b)
-
-
-def target_diag(dc: LocalDoubleCoset) -> Mat:
-    return Mat.diagonal([1] * dc.a_target + [dc.shape.p] * dc.b_target)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +505,7 @@ def neighbors_of(rows, k, p, gram, b_shape, budget=10**7):
         sub = [[x - phi[i] * y for x, y in zip(rows[i], rows[piv])]
                for i in range(n2) if i != piv]
         sub.append([p * x for x in rows[piv]])
-        S = _pairing_int(sub, gram)
+        S = pairing_int(sub, gram)
         sub_cols = list(zip(*sub))
         # the rows kept beside pivot t pair well iff every bad pair meets t
         bad = [(i, j) for i, row in enumerate(S) for j, x in enumerate(row) if x % q]

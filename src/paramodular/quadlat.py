@@ -40,6 +40,7 @@ from .exactmat import (
     Mat,
     _projective_vectors,
     clear_denominators,
+    echelon_mod,
     factor,
     hnf_rows,
     leading_minors,
@@ -56,6 +57,8 @@ class QuadLattice:
         if not gram.is_square() or not gram.is_integral():
             raise NotPositiveDefinite("Gram must be square and integral")
         n = gram.nrows
+        if n == 0:
+            raise InvalidRank("a lattice needs rank at least 1")
         for i in range(n):
             if gram[i, i] % 2:
                 raise NotEven("diagonal of the doubled Gram must be even")
@@ -733,7 +736,7 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
     grow((), (1 << len(sing)) - 1)
     if not found:
         return []
-    return sorted(tuple(map(tuple, E)) for E in _echelon_mod(sing[found], p).tolist())
+    return sorted(tuple(map(tuple, E)) for E in echelon_mod(sing[found], p).tolist())
 
 
 @dataclass(frozen=True)
@@ -806,7 +809,7 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     # key each candidate by the echelon bases of its images, a block of
     # columns per member and prime, and number the keys by first appearance
     slots = [(j, p) for j, ps in enumerate(primes, 1) for p in ps]
-    bases = [_echelon_mod(np.array([tup[j].rows for tup in partials], dtype=object) % p, p)
+    bases = [echelon_mod(np.array([tup[j].rows for tup in partials], dtype=object), p)
              for j, p in slots]
     bases = [E[:, :int((E != 0).any(axis=2).sum(axis=1).max())] for E in bases]
     keys = np.concatenate([B.reshape(len(partials), -1) for B in bases], axis=1)
@@ -819,7 +822,7 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     def orbit_partition(used):
         while len(perms) < used:
             gt = gens[len(perms)].to_numpy().T
-            ids = find(np.concatenate([_echelon_mod(B @ (gt % p), p).reshape(len(cands), -1)
+            ids = find(np.concatenate([echelon_mod(B @ (gt % p), p).reshape(len(cands), -1)
                                        for B, (_, p) in zip(bases, slots)], axis=1))
             if (ids < 0).any():
                 raise NotStabilizing("generator left the candidate set")
@@ -848,31 +851,6 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     classes.sort(key=lambda c: tuple(tuple(map(tuple, M.rows))
                                      for M in c.representative.coords))
     return classes
-
-
-def _echelon_mod(A, p: int) -> np.ndarray:
-    """The reduced echelon forms mod the prime p of a stack of integer
-    matrices, as rref_mod gives them with the zero rows kept last: one
-    elimination step per column for the whole stack."""
-    A = np.asarray(A, dtype=np.int64) % p
-    N, r, n = A.shape
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    rank = np.zeros(N, dtype=np.int64)
-    for c in range(n):
-        free = (A[:, :, c] != 0) & (np.arange(r) >= rank[:, None])
-        b = np.flatnonzero(free.any(axis=1))
-        if not len(b):
-            continue
-        piv, rk = free[b].argmax(axis=1), rank[b]
-        prow = A[b, piv]
-        A[b, piv] = A[b, rk]
-        prow = prow * inv[prow[:, c]][:, None] % p
-        A[b, rk] = prow
-        f = A[b, :, c]
-        f[np.arange(len(b)), rk] = 0
-        A[b] = (A[b] - f[:, :, None] * prow[:, None, :]) % p
-        rank[b] += 1
-    return A
 
 
 def _row_index(table):

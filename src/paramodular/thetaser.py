@@ -31,7 +31,7 @@ from .errors import (
     ScaleLimit,
     TailTooLarge,
 )
-from .exactmat import Mat, leading_minors
+from .exactmat import Mat, factor, leading_minors
 from .quadlat import (
     ParamodularChain,
     QuadLattice,
@@ -43,15 +43,11 @@ from .quadlat import (
 
 
 def divisor_sigma3(n: int) -> int:
-    tot = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            tot += d**3
-            if d != n // d:
-                tot += (n // d) ** 3
-        d += 1
-    return tot
+    """The sum of the cubes of the divisors of n >= 1."""
+    out = 1
+    for p, e in factor(n):
+        out *= (p ** (3 * e + 3) - 1) // (p ** 3 - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +89,6 @@ def theta_coefficients(chain: ParamodularChain, trace_bound: int,
         shells = [{q: len(sh[q]) for q in sorted(sh)} for sh in vecs]
     minima = [min((q for q in s if q > 0), default=1) for s in shells]
     return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, [chain.L1.rank] * n)
-
-
-def theta_coefficients_tuple(L1, coords, bound: int,
-                             budget: int = 200 * 10**6) -> dict[tuple, int]:
-    """Tuple counts for an arbitrary tuple of sublattices of L1.
-
-    Unlike chains, tuples need no containment or modularity; permuting a
-    chain produces such a tuple and its keys are the conjugated originals.
-    """
-    return _join(L1, coords, bound, budget)[0]
 
 
 def _join(L1, coords, bound, budget):

@@ -18,14 +18,18 @@ used before their whole-array forms.
 * `full_row_shell_counts` counts shells from the full rows of the chunked
   enumerator; the package counts one vector of each pair +-x from the
   enumeration leaves.
+* `theta_coefficients_tuple` runs the package's join on any tuple of
+  sublattices, chain or not, such as a permuted chain.
 
 They serve only as differential oracles on small inputs.
 """
 
 import numpy as np
 
+from exact_oracle import rref_mod
+from paramodular import thetaser
 from paramodular.errors import NotIsometric, NotSupported, ScaleLimit
-from paramodular.exactmat import Mat, hnf_rows, rref_mod
+from paramodular.exactmat import Mat, hnf_rows
 from paramodular.quadlat import _quotient_map, fincke_pohst_chunks, shell_vectors
 
 
@@ -278,3 +282,13 @@ def full_row_shell_counts(L, bound: int, budget: int = 500 * 10**6) -> dict[int,
         qv = qv[qv <= bound]
         counts += np.bincount(qv, minlength=bound + 1)
     return {q: int(counts[q]) for q in range(bound + 1) if counts[q]}
+
+
+def theta_coefficients_tuple(L1, coords, bound: int,
+                             budget: int = 200 * 10**6) -> dict[tuple, int]:
+    """Tuple counts for an arbitrary tuple of sublattices of L1.
+
+    Unlike chains, tuples need no containment or modularity; permuting a
+    chain produces such a tuple and its keys are the conjugated originals.
+    """
+    return thetaser._join(L1, coords, bound, budget)[0]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,6 @@ from paramodular.altlat import (
     adapt_to_isotropic,
     admissible_d_values,
     cusp_count,
-    cusp_isotropic_of,
     cusp_matrix_S,
     cusp_representative,
     d_invariant,
@@ -24,7 +24,9 @@ from paramodular.altlat import (
 )
 from paramodular.errors import (
     DegenerateForm,
+    DimensionMismatch,
     InadmissibleD,
+    IntegralityViolation,
     InvalidLevel,
     InvalidRank,
     NotIsotropic,
@@ -32,6 +34,17 @@ from paramodular.errors import (
 )
 from paramodular.exactmat import Mat, is_symplectic
 
+
+def cusp_isotropic_of(L: AltLattice, S: Mat, u: int) -> IsotropicSubmodule:
+    """Intersection of the moved flag with the lattice, in L coordinates."""
+    m = L.m
+    r = m - u
+    pb = L.para_basis()
+    rows = []
+    for j in range(r, m):
+        coeff = [S[i, j] for i in range(m)] + [0] * m
+        rows.append(list((Mat([coeff]) @ pb.transform).rows[0]))
+    return IsotropicSubmodule.from_rows(L, rows)
 
 def test_standard_lattice():
     L = standard_lattice((1,))
@@ -112,6 +125,26 @@ def test_adapt_and_d_invariant():
         IsotropicSubmodule.from_rows(L, [[2, 0, 0, 0]])
 
 
+@pytest.mark.parametrize("rows, error", [
+    ([[0, 0, 1, 0], [1, 0, 0, 0]], NotIsotropic),
+    ([[2, 0, 0, 0]], NotPrimitive),
+    ([[1, 0, 0, 0], [1, 0, 0, 0]], NotPrimitive),
+    ([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 1]], NotIsotropic),
+    ([[Fraction(1, 2), 0, 0, 0]], IntegralityViolation),
+    ([[1, 0, 0]], DimensionMismatch),
+])
+def test_submodule_checks_agree(rows, error):
+    # from_rows, adapt_to_isotropic and d_invariant validate Z the same way
+    L = standard_lattice((1, 5))
+    with pytest.raises(error):
+        IsotropicSubmodule.from_rows(L, rows)
+    Z = IsotropicSubmodule(Mat(rows), len(rows))
+    with pytest.raises(error):
+        adapt_to_isotropic(L, Z)
+    with pytest.raises(error):
+        d_invariant(L, Z)
+
+
 def test_orbit_equivalent():
     L = standard_lattice((1, 3))
     z1 = IsotropicSubmodule.from_rows(L, [[1, 0, 0, 0]])
@@ -135,6 +168,10 @@ def test_admissible_and_counts():
         admissible_d_values(2, 3, p, p)
     with pytest.raises(InvalidRank):
         cusp_count(2, 5, {p: 1})
+    with pytest.raises(InvalidLevel):
+        admissible_d_values(2, 1, 0, 1)
+    with pytest.raises(InvalidLevel):
+        admissible_d_values(2, 1, 3, 0)
 
 
 def test_cusp_representatives():

@@ -19,14 +19,15 @@ from chain_oracle import (
     in_lattice,
     numpy_aut_order_and_gens,
     pair_coefficients,
+    theta_coefficients_tuple,
     tuple_coefficients,
 )
+from exact_oracle import rref_mod
 from paramodular.errors import IntegralityViolation, InvalidInvariant, NotEven
-from paramodular.exactmat import Mat, hnf_rows, rref_mod
+from paramodular.exactmat import Mat, echelon_mod, hnf_rows
 from paramodular.quadlat import (
     QuadLattice,
     _Backtracker,
-    _echelon_mod,
     _echelon_preimages,
     _max_singular_subspaces,
     _quotient_map,
@@ -40,7 +41,6 @@ from paramodular.quadlat import (
 from paramodular.thetaser import (
     _pair_coefficients,
     theta_coefficients,
-    theta_coefficients_tuple,
 )
 from test_quadlat import E8_TWO_MODULAR, SUBSPACE_INPUTS, SUBSPACE_PINS
 
@@ -60,7 +60,7 @@ def test_candidate_images_match_act_mod(e8, e8_gens, p):
     N = len(Ks)
     subspaces = [tuple(map(tuple, rref_mod(K.rows, p))) for K in Ks]
     number = {S: i for i, S in enumerate(subspaces)}
-    E = _echelon_mod(np.array([K.rows for K in Ks]), p)
+    E = echelon_mod(np.array([K.rows for K in Ks]), p)
     assert not E[:, 4:].any()
     assert E[:, :4].tolist() == [[list(r) for r in S] for S in subspaces]
     E = E[:, :4]
@@ -69,10 +69,10 @@ def test_candidate_images_match_act_mod(e8, e8_gens, p):
     rng = random.Random(p)
     for gi, g in enumerate(e8_gens):
         if gi < 25:
-            ids = find(_echelon_mod(E @ g.to_numpy().T, p).reshape(N, -1))
+            ids = find(echelon_mod(E @ g.to_numpy().T, p).reshape(N, -1))
             assert sorted(ids.tolist()) == list(range(N))
         cs = sorted({(12 * gi + j) % N for j in range(6)} | set(rng.sample(range(N), 6)))
-        ids = find(_echelon_mod(E[cs] @ g.to_numpy().T, p).reshape(len(cs), -1))
+        ids = find(echelon_mod(E[cs] @ g.to_numpy().T, p).reshape(len(cs), -1))
         gp = [[x % p for x in col] for col in zip(*g.rows)]
         assert ids.tolist() == [number[act_mod(subspaces[c], gp, p)] for c in cs]
 

@@ -106,6 +106,16 @@ def test_reports_deterministic():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["neighbors", "--p", "4", "--shape", "1,1", "--count-only"],
+    ["cosets", "--p", "6", "--shape", "1,0", "--j", "1"],
+])
+def test_composite_p_is_an_invalid_level(argv):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidLevel"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["cusps"])

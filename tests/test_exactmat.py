@@ -1,22 +1,26 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import fraction_oracle as oracle
+from exact_oracle import rref_mod, saturation
 
 from paramodular.altlat import _solve_mod_squarefree
 from paramodular.errors import DimensionMismatch, SingularMatrix
 from paramodular.exactmat import (
     Mat,
     crt,
+    echelon_mod,
     factor,
     hermite_normal_form,
     hnf_rows,
@@ -25,8 +29,6 @@ from paramodular.exactmat import (
     lattice_intersection,
     left_kernel,
     rational_inverse,
-    rref_mod,
-    saturation,
     smith_divisors,
     smith_normal_form,
     solve_right,
@@ -335,10 +337,10 @@ def _span_mod(rows, p, n):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 10**6))
-def test_rref_mod(p, nr, nc, seed):
+def test_echelon_mod(p, nr, nc, seed):
     rng = random.Random(seed)
     rows = [[rng.randint(-2 * p, 2 * p) for _ in range(nc)] for _ in range(nr)]
-    out = rref_mod(rows, p)
+    out = [r for r in echelon_mod([rows], p)[0].tolist() if any(r)]
     leads = [next(c for c, x in enumerate(r) if x) for r in out]
     assert leads == sorted(set(leads))
     for r, c in zip(out, leads):
@@ -369,3 +371,66 @@ def test_solve_mod_squarefree(d, nr, nc, seed):
         return
     assert x is not None
     assert all((sum(a * v for a, v in zip(r, x)) - y) % d == 0 for r, y in zip(rows, b))
+
+
+# primes on either side of the int64 kernel: (p - 1)^2 < 2^63 holds at the
+# prime 3,037,000,493 and fails at the next one, 3,037,000,507
+KERNEL_PRIMES = [2, 3, 5, 7, 1_000_003, 3_037_000_493, 3_037_000_507, 4_294_967_311,
+                 2**61 - 1, 2**64 + 13]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.integers(1, 12), st.integers(1, 4),
+       st.integers(1, 5), st.integers(0, 10**6), st.booleans())
+def test_echelon_mod_matches_rref_mod(p, N, nr, nc, seed, big):
+    # a random stack, each matrix against the oracle; big entries (beyond
+    # int64) come in as an object array, and a few rows repeat or vanish
+    rng = random.Random(seed)
+    hi = 2**70 if big else 2 * p
+
+    def row():
+        kind = rng.random()
+        return [0] * nc if kind < 0.15 else [rng.randint(-hi, hi) for _ in range(nc)]
+
+    stack = []
+    for _ in range(N):
+        rows = [row() for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.3:
+            rows[-1] = [(a + 2 * b) for a, b in zip(rows[0], rows[1])]
+        stack.append(rows)
+    arr = np.array(stack, dtype=object if big or hi >= 2**63 else np.int64)
+    out = echelon_mod(arr, p)
+    assert out.shape == (N, nr, nc)
+    assert out.dtype == (np.int64 if (p - 1) ** 2 < 2**63 else object)
+    for rows, E in zip(stack, out.tolist()):
+        want = rref_mod(rows, p)
+        assert E == want + [[0] * nc] * (nr - len(want))
+
+
+def test_kernel_primes():
+    assert all(sympy.isprime(p) for p in KERNEL_PRIMES)
+
+
+def test_echelon_mod_keeps_its_input():
+    A = np.array([[[2, 4], [1, 3]]], dtype=np.int64)
+    assert echelon_mod(A, 5).tolist() == [[[1, 0], [0, 1]]]
+    assert A.tolist() == [[[2, 4], [1, 3]]]
+
+
+@pytest.mark.parametrize("d", [1_000_003, 4_294_967_311])
+def test_solve_mod_squarefree_large_prime(d):
+    # a single large prime: no table of size d, and no int64 overflow
+    assert sympy.isprime(d)
+    rng = random.Random(d)
+    cases = [([[2, 3], [5, 7]], [1, 4]), ([[2, 4], [1, 2]], [2, 1]), ([[2, 4], [1, 2]], [1, 1])]
+    cases += [([[rng.randint(-10**12, 10**12) for _ in range(3)] for _ in range(3)],
+               [rng.randint(-10**12, 10**12) for _ in range(3)]) for _ in range(3)]
+    for rows, b in cases:
+        t0 = time.perf_counter()
+        x = _solve_mod_squarefree(Mat(rows), b, d)
+        assert time.perf_counter() - t0 < 0.1
+        if _solvable_mod(rows, b, d):
+            assert x is not None
+            assert all((sum(a * v for a, v in zip(r, x)) - y) % d == 0 for r, y in zip(rows, b))
+        else:
+            assert x is None

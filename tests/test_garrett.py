@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,25 +8,96 @@ from paramodular.altlat import IsotropicSubmodule
 from paramodular.errors import (
     InadmissibleD,
     IntegralityViolation,
+    InvalidInvariant,
     NotContainedInRadical,
     NotInHalfSpace,
     NotStabilizing,
 )
-from paramodular.exactmat import Mat, hnf_rows, is_symplectic
+from paramodular.exactmat import (
+    Mat,
+    clear_denominators,
+    hnf_rows,
+    is_symplectic,
+    left_kernel,
+    solve_right,
+)
 from paramodular.garrett import (
     CombinedLattice,
     GarrettTriple,
+    IsotropicPair,
     admissible_triples,
     embed_factor_pair,
     garrett_representative,
     kernel_identity_check,
     orbit_invariants,
     project_isotropic,
-    rebuild_from_pair,
     sp_generators_symplectic,
     split_divisors,
     split_radical,
 )
+
+
+def _frame_phi(pair: IsotropicPair):
+    """The induced map as a function on the first factor, through the frames.
+
+    The first projection splits as (complement part) + (radical part); the
+    map kills the radical and sends complement vectors through the stored
+    frame matrix.  Returns a function producing rational factor-2 rows.
+    """
+    r = pair.r
+    tau1 = [pair.T[i, i] for i in range(r)]
+    tau2 = [pair.T_prime[i, i] for i in range(r)]
+    split = Mat([list(x) for x in pair.frame1.rows]
+                + [list(x) for x in pair.rad1.rows]).transpose()
+
+    def phi(u):
+        coeff = solve_right(split, u)
+        if coeff is None:
+            raise InvalidInvariant("vector is not in the first projection")
+        alpha = coeff[:2 * r]
+        # frame coordinates of the image: x-part then y-part
+        wx = [alpha[i] for i in range(r)]
+        wy = [alpha[r + i] * tau1[i] for i in range(r)]
+        img = pair.phi.apply_to(tuple(wx + wy))
+        # back through the second frame: x_i -> g'_i, y_i -> c'_i / tau'_i
+        out = [Fraction(0)] * pair.frame2.ncols
+        for i in range(r):
+            for j in range(pair.frame2.ncols):
+                out[j] += img[i] * pair.frame2[r + i, j]
+                out[j] += Fraction(img[r + i], tau2[i]) * pair.frame2[i, j]
+        return tuple(out)
+
+    return phi
+
+
+def rebuild_from_pair(comb: CombinedLattice, pair: IsotropicPair) -> Mat:
+    """Converse construction: the graph of the induced map over the radicals."""
+    X1, X2 = pair.X1, pair.X2
+    k1, k2 = X1.nrows, X2.nrows
+    if pair.r == 0:
+        rows = [list(x) for x in comb.embed(X1, 1).rows] \
+             + [list(x) for x in comb.embed(X2, 2).rows]
+        return Mat(hnf_rows(rows))
+    phi = _frame_phi(pair)
+    # graph condition: complement component of w equals phi(u); since the
+    # second projection splits off its radical, compare after subtracting
+    # radical parts, i.e. phi(u) - w must lie in the span of rad2
+    delta = [list(phi(X1.rows[i])) for i in range(k1)]
+    eps = [[-x for x in X2.rows[i]] for i in range(k2)]
+    radspan = [list(x) for x in pair.rad2.rows]
+    K = left_kernel(Mat(clear_denominators(delta + eps + radspan)[0]))
+    rows = []
+    for coeff in K.rows:
+        u = [sum(coeff[i] * X1[i, j] for i in range(k1)) for j in range(2 * comb.m)]
+        w = [sum(coeff[k1 + i] * X2[i, j] for i in range(k2)) for j in range(2 * comb.n)]
+        full = [0] * (2 * (comb.m + comb.n))
+        for c, x in zip(comb.cols1, u):
+            full[c] = x
+        for c, x in zip(comb.cols2, w):
+            full[c] += x
+        rows.append(full)
+    out = Mat(hnf_rows(rows))
+    return out
 
 
 def test_admissible_triples_level_one():

@@ -12,6 +12,7 @@ from classify_oracle import classify_internal_cofactor
 from paramodular.errors import (
     IncompatibleLocals,
     InvalidInvariant,
+    InvalidLevel,
     NotElementary,
     NotIsometric,
     ScaleLimit,
@@ -29,22 +30,21 @@ from paramodular.heckelocal import (
     global_representative,
     hecke_product,
     left_cosets,
-    matrix_image_lattice,
     monomial_block,
     neighbor_bounds_ok,
     neighbor_count_formula,
     neighbors_of,
     representative_lattice,
     representative_matrix,
-    shape_diag,
-    target_diag,
     transpose_integrality,
 )
 from paramodular.heckelocal import (
     _ball,
     _classify,
+    _clear_p,
     _frame,
     _key,
+    _normalize,
     _scale_to_int,
     standard_internal,
 )
@@ -55,6 +55,30 @@ SHAPES = [LocalShape(p, a, b) for p in (2, 3)
 J2_SHAPES = [LocalShape(2, 1, 0), LocalShape(2, 0, 1), LocalShape(3, 1, 0),
              LocalShape(3, 0, 1), LocalShape(2, 1, 1)]
 
+
+def matrix_image_lattice(dc: LocalDoubleCoset, D: Mat) -> tuple[list[list[int]], int]:
+    """Image of the target standard lattice under a symplectic matrix D,
+    converted to base-lattice coordinates (internal form).
+
+    D acts on column vectors in standard symplectic coordinates; the target
+    standard lattice has the shape (a_target, b_target) of dc.
+    """
+    p = dc.shape.p
+    n = dc.shape.n
+    scal_t = [1] * dc.a_target + [p] * dc.b_target
+    scal_s = [1] * dc.shape.a + [p] * dc.shape.b
+    Et = Mat.diagonal([1] * n + scal_t)
+    Es_inv = Mat.diagonal([1] * n + [F(1, s) for s in scal_s])
+    img = Et @ D.transpose() @ Es_inv
+    return _normalize(*_clear_p(img.rows, p), p)
+
+
+def shape_diag(shape: LocalShape) -> Mat:
+    return Mat.diagonal([1] * shape.a + [shape.p] * shape.b)
+
+
+def target_diag(dc: LocalDoubleCoset) -> Mat:
+    return Mat.diagonal([1] * dc.a_target + [dc.shape.p] * dc.b_target)
 
 def test_classify_examples():
     sh = LocalShape(2, 1, 1)
@@ -266,6 +290,17 @@ def test_left_cosets_match_neighbors():
 def test_scale_limit():
     with pytest.raises(ScaleLimit):
         enumerate_neighbors(LocalShape(3, 1, 1), budget=10)
+
+
+def test_shape_rejects_a_composite_p():
+    # Z/4 and Z/6 are not fields: the neighbour step has no lines to list
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(InvalidLevel):
+            LocalShape(p, 1, 1)
+    with pytest.raises(InvalidInvariant):
+        LocalShape(2, -1, 1)
+    with pytest.raises(InvalidInvariant):
+        LocalShape(3, 0, 0)
 
 
 def test_neighbor_formula_rejects_bad_input():

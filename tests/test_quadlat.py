@@ -377,3 +377,8 @@ def test_pmodular_coords_odd_prime(e8):
 def test_pmodular_coords_needs_a_prime(p):
     with pytest.raises(InvalidLevel):
         pmodular_coords(QuadLattice(Mat(D4)), p)
+
+
+def test_rank_zero_lattice_rejected():
+    with pytest.raises(InvalidRank):
+        QuadLattice(Mat([]))

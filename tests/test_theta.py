@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle as oracle
+from chain_oracle import theta_coefficients_tuple
 
 from paramodular import quadlat, thetaser
 from paramodular.errors import NotApplicable, NotInHalfSpace, ScaleLimit, TailTooLarge
@@ -33,7 +35,6 @@ from paramodular.thetaser import (
     residue_histogram,
     theta1_value,
     theta_coefficients,
-    theta_coefficients_tuple,
     theta_eval,
     translation_invariance_report,
 )
@@ -41,6 +42,7 @@ from paramodular.thetaser import (
 
 def test_divisor_sigma3():
     assert [divisor_sigma3(n) for n in (1, 2, 3, 4)] == [1, 9, 28, 73]
+    assert all(divisor_sigma3(n) == sympy.divisor_sigma(n, 3) for n in range(1, 5000))
 
 
 def test_deg1_coefficients(e8):
