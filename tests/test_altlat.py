@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from paramodular.acceptance import SEED
-
 from paramodular.altlat import (
     AltLattice,
     IsotropicSubmodule,
@@ -45,6 +44,7 @@ def cusp_isotropic_of(L: AltLattice, S: Mat, u: int) -> IsotropicSubmodule:
         coeff = [S[i, j] for i in range(m)] + [0] * m
         rows.append(list((Mat([coeff]) @ pb.transform).rows[0]))
     return IsotropicSubmodule.from_rows(L, rows)
+
 
 def test_standard_lattice():
     L = standard_lattice((1,))

@@ -16,7 +16,8 @@ ROOT = Path(__file__).parent.parent
 BROAD = ("Exception", "BaseException")
 SOURCES = sorted((ROOT / "src" / "paramodular").glob("*.py"))
 USERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
-# the exact enumerator waits on the exact LLL front end (ROADMAP item 1)
+# the exact enumerator stays until an exact LLL front end settles whether it
+# is the fallback of the float enumeration
 UNUSED_ALLOWED = {"short_vectors_exact"}
 
 
