@@ -104,8 +104,6 @@ class IsotropicSubmodule:
     @classmethod
     def from_rows(cls, L: AltLattice, rows) -> "IsotropicSubmodule":
         Z = Mat(rows)
-        if Z.nrows == 0:
-            return cls(Z, 0)
         _isotropic_pairing(L, Z.rows)
         return cls(Mat(hnf_rows([list(r) for r in Z.rows])), Z.nrows)
 
@@ -274,7 +272,7 @@ def adapt_to_isotropic(L: AltLattice, Z: IsotropicSubmodule):
     n = L.rank
     embed = Mat.identity(n)          # rows: current sublattice basis in L coords
     G = L.gram
-    Zc = Mat([list(r) for r in Z.generators.rows])
+    Zc = Z.generators
     pairs = []
     for _ in range(Z.rank):
         Gc = embed @ G @ embed.transpose()

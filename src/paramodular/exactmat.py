@@ -18,7 +18,8 @@ This module is the package's one exact kernel (Cohen, *A Course in
 Computational Algebraic Number Theory*, sections 2.1-2.4); no other module
 factors, eliminates or computes elementary divisors:
 
-* ``factor`` and ``valuation``: trial-division factoring and p-adic valuation;
+* ``factor``, ``is_prime`` and ``valuation``: trial-division factoring, the
+  prime test on it, and p-adic valuation;
 * one Smith elimination, ``_snf_inplace``, with optional transforms, behind
   ``smith_normal_form`` and ``smith_divisors``;
 * one Hermite elimination, ``_hnf_inplace``;
@@ -570,6 +571,11 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n) -> bool:
+    """Whether n is an int and a prime."""
+    return isinstance(n, int) and n > 1 and factor(n) == [(n, 1)]
 
 
 def valuation(n: int, p: int) -> int:

@@ -40,7 +40,7 @@ from .errors import (
     ScaleLimit,
 )
 from .exactmat import (Mat, _projective_vectors, clear_denominators, factor, hnf_rows,
-                       matmul_int, pairing_int, smith_divisors, valuation)
+                       is_prime, matmul_int, pairing_int, smith_divisors, valuation)
 
 # ---------------------------------------------------------------------------
 # Shapes, invariant tuples, lattices.
@@ -54,7 +54,7 @@ class LocalShape:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2 or factor(self.p) != [(self.p, 1)]:
+        if not is_prime(self.p):
             raise InvalidLevel(f"p = {self.p!r} is not a prime")
         if self.a < 0 or self.b < 0 or self.a + self.b < 1:
             raise InvalidInvariant("bad shape")

@@ -43,6 +43,7 @@ from .exactmat import (
     echelon_mod,
     factor,
     hnf_rows,
+    is_prime,
     leading_minors,
     rational_inverse,
     smith_normal_form,
@@ -647,7 +648,7 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
     det(K)^2 disc(L) = t^n, that is |det(Gram / t)| = 1.  Sorted by rows.
     """
     n = L.rank
-    if not isinstance(p, int) or p < 2 or factor(p) != [(p, 1)]:
+    if not is_prime(p):
         raise InvalidLevel(f"p = {p!r} is not a prime")
     if n % 2:
         raise InvalidRank("modular sublattices need even rank")

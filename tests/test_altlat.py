@@ -106,6 +106,8 @@ def test_adapt_and_d_invariant():
     assert d_invariant(L, mix) == 1
     both = IsotropicSubmodule.from_rows(L, [[1, 0, 0, 0], [0, 1, 0, 0]])
     assert d_invariant(L, both) == p
+    zero = IsotropicSubmodule.from_rows(L, [])
+    assert zero == IsotropicSubmodule(Mat([]), 0) and d_invariant(L, zero) == 1
 
     pairs, comp = adapt_to_isotropic(L, e1)
     assert [d for _, _, d in pairs] == [1]

@@ -24,6 +24,7 @@ from paramodular.exactmat import (
     factor,
     hermite_normal_form,
     hnf_rows,
+    is_prime,
     is_symplectic,
     leading_minors,
     lattice_intersection,
@@ -165,6 +166,8 @@ def test_factor():
     assert factor(1) == []
     assert factor(12) == [(2, 2), (3, 1)]
     assert factor(7) == [(7, 1)]
+    assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_prime(7.0) and not is_prime("7")
     assert valuation(-48, 2) == 4 and valuation(5, 3) == 0
     with pytest.raises(ValueError):
         factor(0)
