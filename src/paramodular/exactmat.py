@@ -620,8 +620,8 @@ def echelon_mod(A, p: int) -> np.ndarray:
     """The reduced echelon forms mod the prime p of a stack (N, r, n) of
     integer matrices, entries in [0, p), the first nonzero entry of each row
     1 and the zero rows last: one elimination step per column for the whole
-    stack, inverting only the distinct pivot values of the column.  Entries
-    are int64 while (p - 1)^2 fits, Python ints otherwise."""
+    stack, with the pivots inverted as x^(p - 2), so no table of size p is
+    built.  Entries are int64 while (p - 1)^2 fits, Python ints otherwise."""
     A = np.asarray(A)
     A = (A % p).astype(np.int64) if (p - 1) ** 2 < 1 << 63 else A.astype(object) % p
     N, r, n = A.shape
@@ -634,9 +634,10 @@ def echelon_mod(A, p: int) -> np.ndarray:
         piv, rk = free[b].argmax(axis=1), rank[b]
         prow = A[b, piv]
         A[b, piv] = A[b, rk]
-        vals, at = np.unique(prow[:, c], return_inverse=True)
-        inv = np.array([pow(int(x), -1, p) for x in vals], dtype=A.dtype)
-        prow = prow * inv[at][:, None] % p
+        inv, x, e = np.ones_like(prow[:, c]), prow[:, c], p - 2
+        while e:                    # inv = x^(p - 2) = 1/x mod p, by squaring
+            inv, x, e = (inv * x % p if e & 1 else inv), x * x % p, e >> 1
+        prow = prow * inv[:, None] % p
         A[b, rk] = prow
         f = A[b, :, c]
         f[np.arange(len(b)), rk] = 0
