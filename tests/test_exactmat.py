@@ -401,7 +401,8 @@ def test_echelon_mod_matches_rref_mod(p, N, nr, nc, seed, big):
         if nr > 1 and rng.random() < 0.3:
             rows[-1] = [(a + 2 * b) for a, b in zip(rows[0], rows[1])]
         stack.append(rows)
-    arr = np.array(stack, dtype=object if big or hi >= 2**63 else np.int64)
+    wide = any(abs(x) >= 2**63 for rows in stack for r in rows for x in r)
+    arr = np.array(stack, dtype=object if big or wide else np.int64)
     out = echelon_mod(arr, p)
     assert out.shape == (N, nr, nc)
     assert out.dtype == (np.int64 if (p - 1) ** 2 < 2**63 else object)
