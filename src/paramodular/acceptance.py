@@ -30,6 +30,7 @@ from .garrett import (
     kernel_identity_check,
     orbit_invariants,
     sp_generators_symplectic,
+    standard_form,
 )
 from .heckelocal import (
     LocalDoubleCoset,
@@ -335,8 +336,7 @@ def _block_classes(comb: CombinedLattice, rep):
     """Expected local classes of the Hecke block used in a representative."""
     from .heckelocal import classify_rel_rational
     r = rep.triple.r
-    Jr = Mat.from_blocks([[Mat.zeros(r, r), Mat.identity(r)],
-                          [Mat.identity(r).scale(-1), Mat.zeros(r, r)]])
+    Jr = standard_form(r)
     base = Mat.diagonal([1] * r + [rep.T_prime[i, i] for i in range(r)])
     Binv_t = rep.B.inverse().transpose()
     h = Mat.from_blocks([[rep.B, Mat.zeros(r, r)], [Mat.zeros(r, r), Binv_t]])
@@ -360,7 +360,6 @@ def criterion_kernel_identity(samples: int = 20, tol: float = 1e-10):
         comb = CombinedLattice(T1, T2)
         trips = admissible_triples(comb.m, comb.n, comb.N1, comb.N2,
                                    comb.D1, comb.D2)
-        worst = 0.0
         count = 0
         for trip in trips:
             for B in _hecke_blocks(comb, trip):

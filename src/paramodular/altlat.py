@@ -85,9 +85,6 @@ class AltLattice:
     def __repr__(self):
         return f"AltLattice(rank={self.rank})"
 
-    def pairing(self, x, y):
-        return matmul_int(matmul_int([x], self._gram_list), [[v] for v in y])[0][0]
-
     def para_basis(self) -> ParaBasis:
         if self._para is None:
             self._para = para_symplectic_basis(self)
@@ -454,31 +451,14 @@ def cusp_matrix_S(L: AltLattice, u: int, d: int) -> Mat:
                 sigma.append(ones[io])
                 io += 1
         rows = [[0] * m for _ in range(m)]
-        sign = _perm_sign(sigma)
         for pos, idx in enumerate(sigma):
             rows[idx][pos] = 1
-        if sign < 0:
+        # the permutation matrix has the sign of sigma as its determinant
+        if Mat(rows).det() < 0:
             rows[sigma[0]][0] = -1
         targets[p] = Mat(rows)
     S = sl_lift(targets, m)
     return S
-
-
-def _perm_sign(sigma) -> int:
-    seen = [False] * len(sigma)
-    sign = 1
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +466,13 @@ def _perm_sign(sigma) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sample_isotropic(L: AltLattice, u: int, rng: random.Random,
-                     spread: int = 9) -> IsotropicSubmodule:
+def sample_isotropic(L: AltLattice, u: int, rng: random.Random) -> IsotropicSubmodule:
     """One pseudo-random primitive totally isotropic submodule of rank u.
 
     Builds up greedily: a random primitive vector, then random vectors from
     the integer kernel of the pairing with the span so far, rejecting
-    extensions that are not primitive.  Each extension is isotropic: w pairs
+    extensions that are not primitive; every random coordinate or
+    coefficient is drawn from [-9, 9].  Each extension is isotropic: w pairs
     to 0 with the rows by its choice and with itself as the form alternates.
     """
     n = L.rank
@@ -503,12 +483,12 @@ def sample_isotropic(L: AltLattice, u: int, rng: random.Random,
         if guard > 2000:
             raise InvalidRank("sampling failed; rank too large for the form?")
         if not rows:
-            rows = [_random_primitive(n, rng, spread)]
+            rows = [_random_primitive(n, rng)]
             continue
         K = _int_kernel_rows(matmul_int(rows, L._gram_list))
         if len(K) <= len(rows):
             raise InvalidRank("no isotropic extension exists")
-        coeffs = [rng.randint(-spread, spread) for _ in range(len(K))]
+        coeffs = [rng.randint(-9, 9) for _ in range(len(K))]
         cand = hnf_rows(rows + matmul_int([coeffs], K))
         if len(cand) == len(rows) + 1 and _primitive_rows(cand):
             rows = cand
@@ -541,9 +521,9 @@ def _primitive_rows(rows: list[list[int]]) -> bool:
     return len(divs) == len(rows) and all(d == 1 for d in divs)
 
 
-def _random_primitive(n, rng, spread):
+def _random_primitive(n, rng):
     while True:
-        v = [rng.randint(-spread, spread) for _ in range(n)]
+        v = [rng.randint(-9, 9) for _ in range(n)]
         g = gcd(*v)
         if g:
             return [x // g for x in v]

@@ -18,8 +18,9 @@ This module is the package's one exact kernel (Cohen, *A Course in
 Computational Algebraic Number Theory*, sections 2.1-2.4); no other module
 factors, eliminates or computes elementary divisors:
 
-* ``factor``, ``is_prime`` and ``valuation``: trial-division factoring, the
-  prime test on it, and p-adic valuation;
+* ``factor``, ``is_prime`` and ``valuation``: trial-division factoring that
+  stops at a prime cofactor, a deterministic Miller-Rabin prime test, and
+  p-adic valuation;
 * one Smith elimination, ``_snf_inplace``, with optional transforms, behind
   ``smith_normal_form`` and ``smith_divisors``;
 * one Hermite elimination, ``_hnf_inplace``;
@@ -111,9 +112,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows
 
@@ -164,15 +162,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows))) if self.rows else Mat([])
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        return Mat([row[c0:c1] for row in self.rows[r0:r1]])
-
-    def apply_to(self, vec):
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatch("vector length mismatch")
-        return tuple(_norm(sum(a * b for a, b in zip(row, vec))) for row in self.rows)
 
     def det(self) -> Scalar:
         if not self.is_square():
@@ -555,11 +544,13 @@ def lattice_intersection(A: Mat, B: Mat) -> Mat:
 
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of n >= 1 by trial division, ascending p."""
+    """Prime factorization [(p, e), ...] of n >= 1 by trial division, ascending p.
+    Once the trial divisor passes 2^10, a cofactor is tested for primality
+    whenever it changes, and a prime cofactor ends the search."""
     if n < 1:
         raise ValueError(f"factor expects n >= 1, got {n}")
     out = []
-    d = 2
+    d, checked = 2, 0
     while d * d <= n:
         if n % d == 0:
             e = 0
@@ -568,14 +559,35 @@ def factor(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1
+        if d > 1 << 10 and n != checked and is_prime(checked := n):
+            break
     if n > 1:
         out.append((n, 1))
     return out
 
 
 def is_prime(n) -> bool:
-    """Whether n is an int and a prime."""
-    return isinstance(n, int) and n > 1 and factor(n) == [(n, 1)]
+    """Whether n is an int and a prime: trial division below 43^2 and from
+    3.3 * 10^24 on, and between them a strong probable-prime test to the
+    first 13 prime bases, which no composite below 3.3 * 10^24 passes
+    (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if not isinstance(n, int) or n < 2:
+        return False
+    if n < 43 * 43 or n >= 3317044064679887385961981:
+        d = 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 1
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1        # 2^s exactly divides n - 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        xs = [pow(a, (n - 1) >> s, n)]              # a^(d 2^i), n - 1 = d 2^s
+        for _ in range(s - 1):
+            xs.append(xs[-1] ** 2 % n)
+        if xs[0] != 1 and n - 1 not in xs:
+            return False
+    return True
 
 
 def valuation(n: int, p: int) -> int:

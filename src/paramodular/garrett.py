@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .exactmat import (
     solve_right,
     valuation,
 )
-from .heckelocal import classify_rel_rational
+from .heckelocal import classify_rel_rational, transpose_integrality
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,12 @@ def admissible_triples(m, n, N1, N2, D1, D2) -> list[GarrettTriple]:
 # ---------------------------------------------------------------------------
 
 
+def standard_form(s: int) -> Mat:
+    """The alternating matrix (0, I; -I, 0) of size 2s."""
+    return Mat.from_blocks([[Mat.zeros(s, s), Mat.identity(s)],
+                            [Mat.identity(s).scale(-1), Mat.zeros(s, s)]])
+
+
 class CombinedLattice:
     """Orthogonal sum of two standard alternating lattices."""
 
@@ -119,10 +126,7 @@ class CombinedLattice:
         self.N2, self.D2 = level_and_det(self.L2)
         # basis matrix in symplectic coordinates (e..e', v..v')
         self.E = Mat.diagonal([1] * s + list(self.T1) + list(self.T2))
-        self.J = Mat.from_blocks([
-            [Mat.zeros(s, s), Mat.identity(s)],
-            [Mat.identity(s).scale(-1), Mat.zeros(s, s)],
-        ])
+        self.J = standard_form(s)
 
     def x0_rows(self) -> Mat:
         """The span of all e-vectors, in lattice coordinates."""
@@ -202,17 +206,17 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
     if not (Xrows @ comb.L.gram @ Xrows.transpose()).is_zero():
         raise NotIsotropic("X is not totally isotropic")
 
-    X1 = comb.project(Xrows, 1)
-    X2 = comb.project(Xrows, 2)
-    rad1 = _radical(X1, comb.L1.gram)
-    rad2 = _radical(X2, comb.L2.gram)
-    # intersections with the factors agree with the radicals
-    Z1 = lattice_intersection(Xrows, comb.embed(Mat.identity(2 * comb.m), 1))
-    Z2 = lattice_intersection(Xrows, comb.embed(Mat.identity(2 * comb.n), 2))
-    Z1f = comb.project(Z1, 1) if Z1.nrows else Mat.zeros(0, 2 * comb.m)
-    Z2f = comb.project(Z2, 2) if Z2.nrows else Mat.zeros(0, 2 * comb.n)
-    if Z1f != rad1 or Z2f != rad2:
-        raise InvalidInvariant("factor intersections differ from radicals")
+    projs, rads = [], []
+    for f, L in ((1, comb.L1), (2, comb.L2)):
+        P = comb.project(Xrows, f)
+        rad = _radical(P, L.gram)
+        # the intersection of X with the factor agrees with the radical
+        if comb.project(lattice_intersection(Xrows, comb.embed(Mat.identity(L.rank), f)),
+                        f) != rad:
+            raise InvalidInvariant("factor intersections differ from radicals")
+        projs.append(P)
+        rads.append(rad)
+    (X1, X2), (rad1, rad2) = projs, rads
     r2 = X1.nrows - rad1.nrows
     if r2 % 2 or (X2.nrows - rad2.nrows) != r2:
         raise NotMaximal("quotient ranks are inconsistent")
@@ -224,37 +228,21 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
         return IsotropicPair(Xrows, X1, X2, rad1, rad2, 0,
                              Mat.zeros(0, 0), Mat.zeros(0, 0), Mat.zeros(0, 0))
 
-    Zsub1 = IsotropicSubmodule.from_rows(comb.L1, [list(x) for x in rad1.rows]) \
-        if rad1.nrows else IsotropicSubmodule(Mat.zeros(0, 2 * comb.m), 0)
-    Zsub2 = IsotropicSubmodule.from_rows(comb.L2, [list(x) for x in rad2.rows]) \
-        if rad2.nrows else IsotropicSubmodule(Mat.zeros(0, 2 * comb.n), 0)
-    if rad1.nrows:
-        _p1, comp1 = adapt_to_isotropic(comb.L1, Zsub1)
-    else:
-        comp1 = AltLattice(comb.L1.gram, basis=Mat.identity(2 * comb.m))
-    if rad2.nrows:
-        _p2, comp2 = adapt_to_isotropic(comb.L2, Zsub2)
-    else:
-        comp2 = AltLattice(comb.L2.gram, basis=Mat.identity(2 * comb.n))
+    comp1, comp2 = (adapt_to_isotropic(L, IsotropicSubmodule.from_rows(L, rad.rows))[1]
+                    for L, rad in ((comb.L1, rad1), (comb.L2, rad2)))
 
     # X' = X meet (comp1 perp comp2); its projections have full rank 2r
     comp_comb = Mat([list(r_) for r_ in comb.embed(comp1.basis, 1).rows]
                     + [list(r_) for r_ in comb.embed(comp2.basis, 2).rows])
     Xp = lattice_intersection(Xrows, comp_comb)
-    P1 = comb.project(Xp, 1)
-    P2 = comb.project(Xp, 2)
-    if P1.nrows != 2 * r or P2.nrows != 2 * r:
+    if any(comb.project(Xp, f).nrows != 2 * r for f in (1, 2)):
         raise NotMaximal("projections of the complement part are not of rank 2r")
 
     # induced map phi on the rescaled standard frames of the complements
-    pb1 = comp1.para_basis()
-    pb2 = comp2.para_basis()
+    pb1, pb2 = comp1.para_basis(), comp2.para_basis()
     base1 = pb1.transform @ comp1.basis       # rows c_1..c_r, g_1..g_r in L1 coords
     base2 = pb2.transform @ comp2.basis
-    tau1 = pb1.divisors
-    tau2 = pb2.divisors
-    T = Mat.diagonal(list(tau1))
-    Tp = Mat.diagonal(list(tau2))
+    tau1, tau2 = pb1.divisors, pb2.divisors
 
     # phi(v) = pi_2 of the unique element of QX' projecting to v in factor 1
     Xp1 = Mat([[row[c] for c in comb.cols1] for row in Xp.rows])
@@ -284,11 +272,10 @@ def project_isotropic(comb: CombinedLattice, X: IsotropicSubmodule) -> Isotropic
         w = phi_of(base1.rows[r + j])
         cols.append([Fraction(x, tau1[j]) for x in sigma2_coords(w)])
     F = Mat(cols).transpose()
-    Jr = Mat.from_blocks([[Mat.zeros(r, r), Mat.identity(r)],
-                          [Mat.identity(r).scale(-1), Mat.zeros(r, r)]])
-    if not is_symplectic(F, Jr):
+    if not is_symplectic(F, standard_form(r)):
         raise InvalidInvariant("induced map is not symplectic on the frame")
-    return IsotropicPair(Xrows, X1, X2, rad1, rad2, r, F, T, Tp, base1, base2)
+    return IsotropicPair(Xrows, X1, X2, rad1, rad2, r, F, Mat.diagonal(tau1),
+                         Mat.diagonal(tau2), base1, base2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +311,7 @@ def split_divisors(divisors, r: int, d: int) -> list[int]:
             tilde[i] *= p
         for i in range(m - sp, m):
             tilde[i] *= p
-    prod_all = 1
-    for t in divisors:
-        prod_all *= t
-    prod_tilde = 1
-    for t in tilde:
-        prod_tilde *= t
-    tail = 1
-    for t in tilde[r:]:
-        tail *= t
-    if prod_tilde != prod_all or tail != d:
+    if prod(tilde) != prod(divisors) or prod(tilde[r:]) != d:
         raise InadmissibleD(f"d={d} is not the product of {m - r} reordered divisors")
     return tilde
 
@@ -359,8 +337,7 @@ def garrett_representative(comb: CombinedLattice, triple: GarrettTriple,
     if r:
         if not B.is_integral():
             raise IntegralityViolation("B must be integral")
-        M = T.inverse() @ B.transpose() @ Tp
-        if not M.is_integral():
+        if not transpose_integrality(B, T, Tp):
             raise IntegralityViolation("transpose integrality fails for B")
     S1 = cusp_matrix_S(comb.L1, triple.u1, d)
     S2 = cusp_matrix_S(comb.L2, triple.u2, dp)
@@ -402,15 +379,12 @@ def orbit_invariants(comb: CombinedLattice, g: Mat):
     Ximg = comb.x0_rows() @ act
     X = IsotropicSubmodule.from_rows(comb.L, [list(r) for r in Ximg.rows])
     pair = project_isotropic(comb, X)
-    d = d_invariant(comb.L1, IsotropicSubmodule.from_rows(
-        comb.L1, [list(r) for r in pair.rad1.rows])) if pair.rad1.nrows else 1
-    dp = d_invariant(comb.L2, IsotropicSubmodule.from_rows(
-        comb.L2, [list(r) for r in pair.rad2.rows])) if pair.rad2.nrows else 1
+    d, dp = (d_invariant(L, IsotropicSubmodule.from_rows(L, rad.rows))
+             for L, rad in ((comb.L1, pair.rad1), (comb.L2, pair.rad2)))
     classes = {}
     if pair.r:
         r = pair.r
-        Jr = Mat.from_blocks([[Mat.zeros(r, r), Mat.identity(r)],
-                              [Mat.identity(r).scale(-1), Mat.zeros(r, r)]])
+        Jr = standard_form(r)
         baseTp = Mat.diagonal([1] * r + [pair.T_prime[i, i] for i in range(r)])
         movT = Mat.diagonal([1] * r + [pair.T[i, i] for i in range(r)])
         mov = movT @ pair.phi.transpose()
@@ -483,15 +457,10 @@ def sp_generators_symplectic(T) -> list[Mat]:
 
 def embed_factor_pair(comb: CombinedLattice, g1: Mat, g2: Mat) -> Mat:
     """The element (g1, g2) of the product group inside the combined group."""
-    m, n = comb.m, comb.n
-    s = m + n
-    rows = [[0] * (2 * s) for _ in range(2 * s)]
-    pos1 = list(range(m)) + list(range(s, s + m))
-    pos2 = list(range(m, s)) + list(range(s + m, 2 * s))
-    for I, i in enumerate(pos1):
-        for J, j in enumerate(pos1):
-            rows[i][j] = g1[I, J]
-    for I, i in enumerate(pos2):
-        for J, j in enumerate(pos2):
-            rows[i][j] = g2[I, J]
+    s2 = 2 * (comb.m + comb.n)
+    rows = [[0] * s2 for _ in range(s2)]
+    for g, pos in ((g1, comb.cols1), (g2, comb.cols2)):
+        for I, i in enumerate(pos):
+            for J, j in enumerate(pos):
+                rows[i][j] = g[I, J]
     return Mat(rows)

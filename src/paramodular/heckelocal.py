@@ -317,14 +317,10 @@ def _rational_frame(gram_amb: Mat, base: Mat, p: int) -> _Frame:
                   strict=False)
 
 
-def classify_rel_rational(gram_amb: Mat, base: Mat, mov: Mat, p: int,
-                          shape_ab=None) -> LocalDoubleCoset:
+def classify_rel_rational(gram_amb: Mat, base: Mat, mov: Mat, p: int) -> LocalDoubleCoset:
     """p-local class of the lattice spanned by the rows of mov against the
     lattice spanned by the rows of base; gram_amb is the ambient Gram."""
-    fr = _rational_frame(gram_amb, base, p)
-    if shape_ab is not None and (fr.shape.a, fr.shape.b) != shape_ab:
-        raise NotIsometric("base lattice does not match the shape")
-    return _classify(fr, *_scale_to_int(mov, p))
+    return _classify(_rational_frame(gram_amb, base, p), *_scale_to_int(mov, p))
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +328,29 @@ def classify_rel_rational(gram_amb: Mat, base: Mat, mov: Mat, p: int,
 # ---------------------------------------------------------------------------
 
 
+def _slots(dc: LocalDoubleCoset) -> list[int]:
+    """The slot of each plane in the invariant tuple: 0 for the first
+    r_minus planes, 1 for the other unimodular ones, 2 for the first r_plus
+    p-modular ones and 3 for the other p-modular ones."""
+    a, rm, rp = dc.shape.a, dc.r_minus, dc.r_plus
+    return [0] * rm + [1] * (a - rm) + [2] * rp + [3] * (dc.shape.b - rp)
+
+
+def _columns(dc: LocalDoubleCoset) -> list[int]:
+    """The column of each plane's entry in the monomial block: the r_plus
+    planes go first in the target's unimodular part and the r_minus planes
+    first in its p-modular part, each other plane after them in order."""
+    shift = (dc.a_target, dc.r_plus - dc.r_minus, -dc.shape.a, 0)
+    return [i + shift[t] for i, t in enumerate(_slots(dc))]
+
+
 def monomial_block(dc: LocalDoubleCoset) -> Mat:
     """The block B of the representative diag(B, tB^{-1}), on standard
-    symplectic coordinates; row i carries p**mu_i in the column matching the
-    slot bookkeeping of the invariant tuple."""
-    a, b, n, p = dc.shape.a, dc.shape.b, dc.shape.n, dc.shape.p
-    rm, rp, mu = dc.r_minus, dc.r_plus, dc.mu
-    at = dc.a_target
+    symplectic coordinates; row i carries p**mu_i in the column of its slot."""
+    n, p = dc.shape.n, dc.shape.p
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        if i < rm:
-            j = at + i
-        elif i < a:
-            j = rp + (i - rm)
-        elif i < a + rp:
-            j = i - a
-        else:
-            j = i
-        rows[i][j] = p ** mu[i]
+    for i, (j, e) in enumerate(zip(_columns(dc), dc.mu)):
+        rows[i][j] = p ** e
     return Mat(rows)
 
 
@@ -362,28 +363,19 @@ def representative_matrix(dc: LocalDoubleCoset) -> Mat:
 
 
 def representative_lattice(dc: LocalDoubleCoset) -> tuple[list[list[int]], int]:
-    """The orbit-representative lattice, internal form, base-lattice coords."""
-    a, n, p = dc.shape.a, dc.shape.n, dc.shape.p
-    rm, rp, mu = dc.r_minus, dc.r_plus, dc.mu
-    k = max([mu[i] for i in range(rm, a)] + [mu[i] - 1 for i in range(rm)]
-            + [mu[i] + 1 for i in range(a, a + rp)] + [mu[i] for i in range(a + rp, n)]
-            + [0])
+    """The orbit-representative lattice, internal form, base-lattice coords:
+    plane i is spanned by p**mu_i e_i and p**(-mu_i - s_i) f_i, where s_i is
+    -1, 0, 1, 0 by slot."""
+    n, p = dc.shape.n, dc.shape.p
+    shifts = [(-1, 0, 1, 0)[t] for t in _slots(dc)]
+    k = max([m + s for m, s in zip(dc.mu, shifts)] + [0])
     rows = []
-    for i in range(n):
+    for i, (m, s) in enumerate(zip(dc.mu, shifts)):
         e = [0] * (2 * n)
         f = [0] * (2 * n)
-        if i < rm:
-            ee, ff = mu[i], -mu[i] + 1
-        elif i < a:
-            ee, ff = mu[i], -mu[i]
-        elif i < a + rp:
-            ee, ff = mu[i], -mu[i] - 1
-        else:
-            ee, ff = mu[i], -mu[i]
-        e[i] = p ** (ee + k)
-        f[n + i] = p ** (ff + k)
-        rows.append(e)
-        rows.append(f)
+        e[i] = p ** (m + k)
+        f[n + i] = p ** (k - m - s)
+        rows += [e, f]
     return _normalize(rows, k, p)
 
 
@@ -685,33 +677,21 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
                 raise IncompatibleLocals(f"local target at {p} does not match T")
         elif src != tgt:
             raise IncompatibleLocals(f"missing local datum at {p} where T, T' differ")
-    work = {p: locals_[p] for p in locals_ if locals_[p].weight or
-            (locals_[p].r_minus or locals_[p].r_plus) or
-            _shape_of_diag(T, p) != _shape_of_diag(Tp, p)}
-    for p in sorted(primes - set(work)):
-        if _shape_of_diag(T, p) != _shape_of_diag(Tp, p):
-            raise IncompatibleLocals(f"missing local datum at {p}")
+    # the checks above leave equal shapes at every other prime: a class
+    # with r_minus = r_plus = 0 keeps the shape
+    work = {p: dc for p, dc in locals_.items() if dc.weight or dc.r_minus or dc.r_plus}
     if not work:
         return Mat.identity(n)
 
     m_total = 1
     for p, dc in work.items():
         m_total *= p ** dc.weight
-    # entry exponents per prime and per row
-    exps: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for p, dc in work.items():
-        Bp = monomial_block(dc)
-        exps[p] = []
-        cols[p] = []
-        for i in range(n):
-            jcol = next(j for j in range(n) if Bp[i, j])
-            exps[p].append(valuation(Bp[i, jcol], p))
-            cols[p].append(jcol)
+    # the entry of row i in the local pattern at p is p**mu_i, in its column
+    cols = {p: _columns(dc) for p, dc in work.items()}
     den = [1] * n
-    for q in work:
+    for q, dc in work.items():
         for i in range(n):
-            den[i] *= q ** exps[q][i]
+            den[i] *= q ** dc.mu[i]
     targets = {}
     for p, dc in work.items():
         jp = dc.weight
@@ -722,7 +702,7 @@ def global_representative(T: Mat, Tp: Mat, locals_: dict[int, LocalDoubleCoset])
             # local pattern scaled by m/p^j on row 0 to align determinants,
             # then by 1/den_i to land in SL_n(Z_p); both factors are p-units
             num_unit = (m_total // p**jp) if i == 0 else 1
-            den_unit = den[i] // p ** exps[p][i]
+            den_unit = den[i] // p ** dc.mu[i]
             rows[i][cols[p][i]] = num_unit * pow(den_unit, -1, mod) % mod
         detU = Mat(rows).det() % mod
         if detU == mod - 1:

@@ -5,17 +5,17 @@ Grams are stored as the even matrix of the doubled form, so Q(x) is half the
 matrix value and all entries stay integral.  Short-vector enumeration has an
 exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
-produces a superset.  Shell counts enumerate zero and one vector of each pair
-+-x and finish Q per prefix.  The isometry search keeps each depth's live
-candidates as a bitset, cut by masks of inner products.  The p-modular
-sublattices between L and pL, for any prime p, come from one bitset search
-for the maximal totally singular subspaces of L/pL.
+produces a superset.  Shells and shell counts finish Q per prefix, the counts
+from zero and one vector of each pair +-x.  The isometry search keeps each
+depth's live candidates as a bitset, cut by masks of inner products.  The
+p-modular sublattices between L and pL, for any prime p, come from one bitset
+search for the maximal totally singular subspaces of L/pL.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, sqrt
 from operator import add, and_
@@ -66,9 +66,10 @@ class QuadLattice:
             for j in range(i):
                 if gram[i, j] != gram[j, i]:
                     raise NotPositiveDefinite("Gram must be symmetric")
-        # positive definite: every leading principal minor is positive
-        minors = leading_minors(gram)
-        if minors is None or min(minors) <= 0:
+        # positive definite: every leading principal minor is positive; the
+        # minors [1, P_1, ..., P_n] are kept, P_n is the discriminant
+        self.minors = leading_minors(gram)
+        if self.minors is None or min(self.minors) <= 0:
             raise NotPositiveDefinite("form is not positive definite")
         self.gram = gram
         self.rank = n
@@ -88,7 +89,7 @@ class QuadLattice:
         return tot // 2
 
     def disc(self) -> int:
-        return self.gram.det()
+        return self.minors[-1]
 
     def dual_and_level(self) -> tuple[Mat, int]:
         """The inverse Gram, whose rows are a basis of the dual lattice in
@@ -101,10 +102,6 @@ class QuadLattice:
     def level(self) -> int:
         """Smallest N with N * Q(dual) integral."""
         return self.dual_and_level()[1]
-
-    def dual_basis(self) -> Mat:
-        """Rows are a basis of the dual lattice in the coordinates of this one."""
-        return self.dual_and_level()[0]
 
     def min_positive(self) -> int:
         """Minimum of Q on nonzero vectors."""
@@ -208,18 +205,6 @@ def _int_interval(center: Fraction, rad2: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def fincke_pohst_chunks(gram: Mat, bound, chunk: int = 1 << 19,
-                        budget: int = 500 * 10**6):
-    """Yield int64 coordinate arrays covering all Q(x) <= bound.
-
-    Floating point bounds include a slack margin, so the union is a superset;
-    callers must filter with exact arithmetic.  The budget caps the
-    candidates examined, summed over every level of the search.
-    """
-    for X, idx, x0 in fincke_pohst_leaves(gram, bound, chunk, budget):
-        yield _join(X, idx, x0)[:, ::-1]
-
-
 def _join(X, idx, xs):
     """Rows X[idx] with the column xs appended."""
     Xn = np.empty((len(xs), X.shape[1] + 1), dtype=np.int64)
@@ -232,11 +217,14 @@ def _join(X, idx, xs):
 
 def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
                         budget: int = 500 * 10**6, half: bool = False):
-    """The candidates of fincke_pohst_chunks, in the same order, before the
-    last coordinate is joined to its prefix: yields (X, idx, x0), where the
-    rows of X hold x_{n-1}, ..., x_1 and candidate k is the prefix X[idx[k]]
-    with x_0 = x0[k].  Callers that only need functions of the candidates
-    can compute the prefix part once per row of X.
+    """Candidates covering all Q(x) <= bound, a chunk of prefixes at a
+    time, before the last coordinate is joined to its prefix: yields
+    (X, idx, x0), where the rows of X hold x_{n-1}, ..., x_1 and candidate k
+    is the prefix X[idx[k]] with x_0 = x0[k].  Callers that only need
+    functions of the candidates can compute the prefix part once per row of
+    X.  Floating point bounds include a slack margin, so the candidates are
+    a superset: callers filter them with exact arithmetic.  The budget caps
+    the candidates examined, summed over every level of the search.
 
     With half=True the candidates are zero and exactly one vector of each
     pair +-x: on the one row whose coordinates above level i are all zero,
@@ -333,13 +321,14 @@ def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
 
 def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6) -> dict[int, np.ndarray]:
     """Coordinates with Q(x) <= bound as {q: int64 rows}, each shell in
-    enumeration order."""
+    enumeration order.  Q is computed once per prefix, and only the rows
+    kept are joined."""
     G = gram.to_numpy()
     groups: dict[int, list] = {}
-    for X in fincke_pohst_chunks(gram, bound, budget=budget):
-        qv = ((X @ G) * X).sum(axis=1) // 2
+    for X, idx, x0 in fincke_pohst_leaves(gram, bound, budget=budget):
+        qv = leaf_norms(G, X, idx, x0)[1]
         keep = qv <= bound
-        X, qv = X[keep], qv[keep]
+        X, qv = _join(X, idx[keep], x0[keep])[:, ::-1], qv[keep]
         for q in np.unique(qv):
             groups.setdefault(int(q), []).append(X[qv == q])
     return {q: np.concatenate(parts) for q, parts in groups.items()}
@@ -590,6 +579,8 @@ class ParamodularChain:
     L1: QuadLattice
     coords: tuple[Mat, ...]
     T: tuple[int, ...]
+    # the member lattices, built once while the chain is validated
+    members: tuple[QuadLattice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) != len(self.T):
@@ -601,24 +592,26 @@ class ParamodularChain:
         for a, b in zip(self.T, self.T[1:]):
             if b % a:
                 raise InvalidLevel("each scale must divide the next")
+        members = []
         for j, C in enumerate(self.coords):
-            g = self.member_gram(j)
+            g = C @ self.L1.gram @ C.transpose()
             t = self.T[j]
             # t-modular and t-even
             if any(g[i, i] % (2 * t) for i in range(g.nrows)):
                 raise NotEven(f"member {j} is not {t}-even")
             if not rational_inverse(g).scale(t).is_integral():
                 raise InvalidInvariant(f"member {j} is not {t}-modular")
+            members.append(QuadLattice(g))
+        object.__setattr__(self, "members", tuple(members))
         for j in range(len(self.coords) - 1):
             if not lattice_contains(self.coords[j], self.coords[j + 1]):
                 raise InvalidInvariant("chain containment fails")
 
     def member_gram(self, j: int) -> Mat:
-        C = self.coords[j]
-        return C @ self.L1.gram @ C.transpose()
+        return self.members[j].gram
 
     def member(self, j: int) -> QuadLattice:
-        return QuadLattice(self.member_gram(j))
+        return self.members[j]
 
 
 def lattice_contains(A: Mat, B: Mat) -> bool:

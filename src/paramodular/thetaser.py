@@ -31,7 +31,7 @@ from .errors import (
     ScaleLimit,
     TailTooLarge,
 )
-from .exactmat import Mat, factor, leading_minors
+from .exactmat import Mat, factor
 from .quadlat import (
     ParamodularChain,
     QuadLattice,
@@ -189,11 +189,9 @@ def _packing_tail(minimum: int, rank: int, bound: int, rate: float) -> float:
     return tail
 
 
-def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
-               with_tail: bool = False):
-    """Evaluate the truncated series and certify the truncation error.
-
-    Returns the complex value, or (value, certified_tail) when asked."""
+def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10):
+    """Evaluate the truncated series and certify the truncation error: the
+    complex value, once its certified tail is below tail_tol."""
     n = exp_.degree
     Z = np.asarray(Z, dtype=complex)
     if Z.shape != (n, n) or not np.allclose(Z, Z.T, atol=1e-12):
@@ -229,7 +227,7 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10,
     for H, c in exp_.coefficients.items():
         tr = sum(H[i][j] * Z[j, i] for i in range(n) for j in range(n))
         total += c * cmath.exp(1j * math.pi * tr)
-    return (total, tail) if with_tail else total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     if y <= 0:
         raise NotInHalfSpace("z must have positive imaginary part")
     rate = 2 * math.pi * y
-    P = leading_minors(L.gram)
+    P = L.minors
     m0 = min(-(-P[i + 1] // (2 * P[i])) for i in range(L.rank))
     try:
         B0 = _tail_bound(m0, L.rank, rate, tail_tol)

@@ -30,7 +30,7 @@ from exact_oracle import rref_mod
 from paramodular import thetaser
 from paramodular.errors import NotIsometric, NotSupported, ScaleLimit
 from paramodular.exactmat import Mat, hnf_rows
-from paramodular.quadlat import _quotient_map, fincke_pohst_chunks, shell_vectors
+from paramodular.quadlat import _join, _quotient_map, fincke_pohst_leaves, shell_vectors
 
 
 def act_mod(basis, gp, p) -> tuple:
@@ -277,7 +277,8 @@ def numpy_aut_order_and_gens(L, sublattices=(), budget: int = 10**7):
 def full_row_shell_counts(L, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
     G = L.gram.to_numpy()
     counts = np.zeros(bound + 1, dtype=np.int64)
-    for X in fincke_pohst_chunks(L.gram, bound, budget=budget):
+    for leaf in fincke_pohst_leaves(L.gram, bound, budget=budget):
+        X = _join(*leaf)[:, ::-1]
         qv = ((X @ G) * X).sum(axis=1) // 2
         qv = qv[qv <= bound]
         counts += np.bincount(qv, minlength=bound + 1)

@@ -5,11 +5,16 @@ It recomputes the base's pairing, determinant and adjugates for every moving
 lattice, with a cofactor expansion that is factorial in the dimension, so it
 serves only as a differential oracle on small shapes.  It shares the
 elementary-divisor exponents and the slot recovery with the package.
+
+`monomial_block_by_slot` and `representative_lattice_by_slot` are the
+representatives as `heckelocal` wrote them before its one slot helper, each
+restating the four slots of the invariant tuple itself.
 """
 
 from paramodular.errors import NotElementary, NotIsometric
-from paramodular.exactmat import valuation
-from paramodular.heckelocal import LocalDoubleCoset, LocalShape, _exponents, _recover
+from paramodular.exactmat import Mat, valuation
+from paramodular.heckelocal import (LocalDoubleCoset, LocalShape, _exponents, _normalize,
+                                    _recover)
 
 
 def _matmul_int(A, B):
@@ -83,3 +88,46 @@ def classify_internal_cofactor(p, gram_base_amb, base_rows, base_k, mov_rows, mo
     expB = _exponents(Xd, (base_k + 2 * b) - mov_k - vdetD, p, strict)
     rm, rp, mu = _recover(a, b, expA, expB)
     return LocalDoubleCoset(LocalShape(p, a, b), rm, rp, mu)
+
+
+def monomial_block_by_slot(dc: LocalDoubleCoset) -> Mat:
+    a, n, p = dc.shape.a, dc.shape.n, dc.shape.p
+    rm, rp, mu = dc.r_minus, dc.r_plus, dc.mu
+    at = dc.a_target
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i < rm:
+            j = at + i
+        elif i < a:
+            j = rp + (i - rm)
+        elif i < a + rp:
+            j = i - a
+        else:
+            j = i
+        rows[i][j] = p ** mu[i]
+    return Mat(rows)
+
+
+def representative_lattice_by_slot(dc: LocalDoubleCoset):
+    a, n, p = dc.shape.a, dc.shape.n, dc.shape.p
+    rm, rp, mu = dc.r_minus, dc.r_plus, dc.mu
+    k = max([mu[i] for i in range(rm, a)] + [mu[i] - 1 for i in range(rm)]
+            + [mu[i] + 1 for i in range(a, a + rp)] + [mu[i] for i in range(a + rp, n)]
+            + [0])
+    rows = []
+    for i in range(n):
+        e = [0] * (2 * n)
+        f = [0] * (2 * n)
+        if i < rm:
+            ee, ff = mu[i], -mu[i] + 1
+        elif i < a:
+            ee, ff = mu[i], -mu[i]
+        elif i < a + rp:
+            ee, ff = mu[i], -mu[i] - 1
+        else:
+            ee, ff = mu[i], -mu[i]
+        e[i] = p ** (ee + k)
+        f[n + i] = p ** (ff + k)
+        rows.append(e)
+        rows.append(f)
+    return _normalize(rows, k, p)

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from paramodular.exactmat import (
     valuation,
     xgcd,
 )
+from paramodular.heckelocal import LocalShape
 
 
 def test_snf_identity():
@@ -180,6 +181,35 @@ def test_factor():
 def test_factor_matches_sympy(n):
     assert factor(n) == sorted(sympy.factorint(n).items())
     assert all(valuation(n, p) == e for p, e in factor(n))
+
+
+def test_prime_test_and_factor_match_sympy_below_10_5():
+    primes = set(sympy.sieve.primerange(2, 10**5))
+    for n in range(-3, 10**5):
+        assert is_prime(n) == (n in primes)
+    for n in range(1, 10**5):
+        f = factor(n)
+        assert [p for p, _ in f] == sorted({p for p, _ in f}) and all(p in primes for p, _ in f)
+        assert prod(p**e for p, e in f) == n
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 2**61 - 1, 2**64 + 13, 1031 * 1033 * (2**61 - 1)])
+def test_prime_test_and_factor_match_sympy_on_large_n(n):
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7; the last
+    # n has factors past 2^10 and a prime cofactor that ends the search
+    assert is_prime(n) == sympy.isprime(n)
+    assert factor(n) == sorted(sympy.factorint(n).items())
+
+
+def test_large_prime_moduli_return_at_once():
+    d = 2**64 + 13
+    t0 = time.perf_counter()
+    x = _solve_mod_squarefree(Mat([[2, 3], [5, 7]]), [1, 4], d)
+    assert time.perf_counter() - t0 < 0.1
+    assert ((2 * x[0] + 3 * x[1] - 1) % d, (5 * x[0] + 7 * x[1] - 4) % d) == (0, 0)
+    t0 = time.perf_counter()
+    LocalShape(2**61 - 1, 1, 0)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def _int_matrix(rng, nr, nc, k):

@@ -58,7 +58,7 @@ def _frame_phi(pair: IsotropicPair):
         # frame coordinates of the image: x-part then y-part
         wx = [alpha[i] for i in range(r)]
         wy = [alpha[r + i] * tau1[i] for i in range(r)]
-        img = pair.phi.apply_to(tuple(wx + wy))
+        img = [x for x, in (pair.phi @ Mat([[x] for x in wx + wy])).rows]
         # back through the second frame: x_i -> g'_i, y_i -> c'_i / tau'_i
         out = [Fraction(0)] * pair.frame2.ncols
         for i in range(r):

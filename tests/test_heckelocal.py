@@ -3,12 +3,14 @@ import json
 import sys
 import threading
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classify_oracle import classify_internal_cofactor
+from classify_oracle import (classify_internal_cofactor, monomial_block_by_slot,
+                             representative_lattice_by_slot)
 from paramodular.errors import (
     IncompatibleLocals,
     InvalidInvariant,
@@ -123,6 +125,29 @@ def test_representative_soundness_p2():
                     (dc.r_minus, dc.r_plus, dc.mu)
                 D = representative_matrix(dc)
                 assert _key(*matrix_image_lattice(dc, D)) == _key(rows, k)
+
+
+def _classes_mu_at_most_3(p):
+    """Every class with each mu_i <= 3 of every shape with n <= 3."""
+    for n in (1, 2, 3):
+        for a in range(n + 1):
+            shape = LocalShape(p, a, n - a)
+            for rm, rp in product(range(a + 1), range(n - a + 1)):
+                for mu in product(range(4), repeat=n):
+                    try:
+                        yield LocalDoubleCoset(shape, rm, rp, mu)
+                    except InvalidInvariant:
+                        pass
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_slot_layout_matches_the_per_slot_representatives(p):
+    classes = list(_classes_mu_at_most_3(p))
+    assert len(classes) == 815
+    assert sum(dc.r_minus != dc.r_plus for dc in classes) > 0
+    for dc in classes:
+        assert monomial_block(dc) == monomial_block_by_slot(dc)
+        assert representative_lattice(dc) == representative_lattice_by_slot(dc)
 
 
 def test_transpose_integrality_and_reshuffle():

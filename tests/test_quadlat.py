@@ -28,7 +28,6 @@ from paramodular.quadlat import (
     constant_chain,
     e8_lattice,
     enumerate_chain_classes,
-    fincke_pohst_chunks,
     fincke_pohst_leaves,
     invariants,
     isometry_test,
@@ -299,7 +298,8 @@ def test_half_enumeration_is_one_of_each_pair(data, n, bound, chunk):
     gram = Mat([[2 * sum(B[i][k] * B[j][k] for k in range(n))
                  + (2 * n if i == j else S[min(i, j) * n + max(i, j)])
                  for j in range(n)] for i in range(n)])
-    full = [tuple(r) for X in fincke_pohst_chunks(gram, bound, chunk) for r in X.tolist()]
+    full = [tuple(r) for leaf in fincke_pohst_leaves(gram, bound, chunk)
+            for r in _join(*leaf)[:, ::-1].tolist()]
     half = [tuple(r) for X, idx, x0 in fincke_pohst_leaves(gram, bound, chunk, half=True)
             for r in _join(X, idx, x0)[:, ::-1].tolist()]
     zero = (0,) * n

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle as oracle
 from chain_oracle import theta_coefficients_tuple
 
-from paramodular import quadlat, thetaser
+from paramodular import exactmat, quadlat, thetaser
 from paramodular.errors import NotApplicable, NotInHalfSpace, ScaleLimit, TailTooLarge
 from paramodular.exactmat import Mat
 from paramodular.quadlat import (
@@ -222,6 +222,32 @@ def test_inversion_check_matches_oracle(gram):
     assert L.dual_and_level() == (oracle.rational_inverse(L.gram), oracle.level(L))
     for z in (1j, complex(0.3, 0.8), complex(-0.45, 1.3)):
         assert inversion_check(L, z) == oracle.inversion_check(L, z)
+
+
+def test_inversion_check_eliminates_twice(e8, monkeypatch):
+    # one exact inverse gives the dual and the level, the rescaled dual's
+    # constructor takes its leading minors; the lattice's own minors, which
+    # give its discriminant and pivot bound, were taken when it was built
+    calls = []
+    eliminate = exactmat._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+    lattices = [e8] + [QuadLattice(Mat(g)) for g, _ in THETA1_CASES[:4]]
+    monkeypatch.setattr(exactmat, "_eliminate", counted)
+    for L in lattices:
+        for z in (1j, complex(0.3, 0.8)):
+            calls.clear()
+            inversion_check(L, z)
+            assert len(calls) == 2, (L, z)
+
+
+def test_chain_members_are_built_once(e8_chain):
+    for j, C in enumerate(e8_chain.coords):
+        M = e8_chain.member(j)
+        assert e8_chain.member(j) is M and e8_chain.member_gram(j) is M.gram
+        assert M.gram == C @ e8_chain.L1.gram @ C.transpose()
 
 
 def test_genus_theta_single_class(e8):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seed S \
         --workload lattice-theta:10 --workload hecke-local:5 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --trajectory BENCH_*.json
 
 Each DIR is a source checkout with its own perfbench/.  For every workload
 the two sides run `perfbench/run.py --trace 0` in turn, the first side
@@ -19,6 +20,11 @@ better (ties count for neither), and a verdict:
 * `gain`: the first three together, the rule for claiming a gain.
 
 Runs are sequential: nothing else should use the machine meanwhile.
+
+With --trajectory, nothing runs: for each workload and metric in the given
+files, a table row holds each file's change-to-parent ratio of the medians,
+in the order the files are given, or `-` where a file lacks the metric.
+Ratios from different hosts compare; absolute medians do not.
 """
 
 import argparse
@@ -56,16 +62,42 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
     return out
 
 
+def trajectory(reports: dict) -> list[str]:
+    """The table of change-to-parent median ratios for the reports given as
+    {label: BENCH report}, one column per report in the order given."""
+    rows = {}
+    for report in reports.values():
+        for name, data in report["workloads"].items():
+            for metric in data["metrics"]:
+                rows.setdefault((name, metric), None)
+    table = [["workload", "metric", *reports]]
+    for name, metric in rows:
+        cells = [name, metric]
+        for report in reports.values():
+            m = report["workloads"].get(name, {}).get("metrics", {}).get(metric)
+            cells.append(f"{m['change']['median'] / m['parent']['median']:.3f}"
+                         if m and m["parent"]["median"] else "-")
+        table.append(cells)
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--trajectory", type=Path, nargs="+", metavar="BENCH_JSON")
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--change", type=Path)
+    ap.add_argument("--seed", type=int)
     ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--workload", action="append", required=True,
-                    help="NAME:PAIRS, repeatable")
-    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--workload", action="append", help="NAME:PAIRS, repeatable")
+    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory({p.stem: json.loads(p.read_text())
+                                    for p in args.trajectory})))
+        return 0
+    if None in (args.parent, args.change, args.seed, args.workload, args.out):
+        ap.error("--parent, --change, --seed, --workload and --out are required")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     report = {"seed": args.seed, "seconds": args.seconds,
