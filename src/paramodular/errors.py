@@ -103,3 +103,7 @@ class NotApplicable(ParamodularError):
 
 class NotSupported(ParamodularError):
     pass
+
+
+class PrimalityUnproven(ParamodularError):
+    """A number passed every primality test without a proof that it is prime."""

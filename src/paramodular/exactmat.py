@@ -18,8 +18,9 @@ This module is the package's one exact kernel (Cohen, *A Course in
 Computational Algebraic Number Theory*, sections 2.1-2.4); no other module
 factors, eliminates or computes elementary divisors:
 
-* ``factor``, ``is_prime`` and ``valuation``: trial-division factoring that
-  stops at a prime cofactor, a deterministic Miller-Rabin prime test, and
+* ``factor``, ``is_prime`` and ``valuation``: trial division up to 2^10 and
+  Pollard's rho beyond, a Miller-Rabin prime test that is deterministic
+  below 3.3 * 10^24 and raises above it unless it finds n composite, and
   p-adic valuation;
 * one Smith elimination, ``_snf_inplace``, with optional transforms, behind
   ``smith_normal_form`` and ``smith_divisors``;
@@ -38,12 +39,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
 
-from .errors import DimensionMismatch, IntegralityViolation, NotSupported, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    IntegralityViolation,
+    NotSupported,
+    PrimalityUnproven,
+    SingularMatrix,
+)
 
 Scalar = int | Fraction
 
@@ -544,14 +551,15 @@ def lattice_intersection(A: Mat, B: Mat) -> Mat:
 
 
 def factor(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of n >= 1 by trial division, ascending p.
-    Once the trial divisor passes 2^10, a cofactor is tested for primality
-    whenever it changes, and a prime cofactor ends the search."""
+    """Prime factorization [(p, e), ...] of n >= 1, ascending p: trial
+    division by the divisors up to 2^10, which is all of it below 2^20, and
+    then a cofactor that is not prime is split by Pollard's rho.  Raises
+    PrimalityUnproven where is_prime does, on a factor from 3.3 * 10^24 on."""
     if n < 1:
         raise ValueError(f"factor expects n >= 1, got {n}")
     out = []
-    d, checked = 2, 0
-    while d * d <= n:
+    d = 2
+    while d * d <= n and d <= 1 << 10:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -559,21 +567,63 @@ def factor(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((d, e))
         d += 1
-        if d > 1 << 10 and n != checked and is_prime(checked := n):
-            break
-    if n > 1:
-        out.append((n, 1))
-    return out
+    if d * d > n:
+        return out + ([(n, 1)] if n > 1 else [])
+    primes, parts = [], [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            primes.append(m)
+        else:
+            f = _rho(m)
+            parts += [f, m // f]
+    return out + sorted((p, primes.count(p)) for p in set(primes))
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor up to 2^10:
+    Pollard's rho in Brent's form (BIT 20, 1980), with one gcd per 128
+    steps, and the next constant c of x^2 + c after a walk that fails."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:      # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+# no composite below this passes the strong probable-prime test to the first
+# 13 prime bases (Sorenson and Webster, Math. Comp. 86, 2017)
+_SPRP_PROVEN = 3317044064679887385961981
 
 
 def is_prime(n) -> bool:
-    """Whether n is an int and a prime: trial division below 43^2 and from
-    3.3 * 10^24 on, and between them a strong probable-prime test to the
-    first 13 prime bases, which no composite below 3.3 * 10^24 passes
-    (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    """Whether n is an int and a prime: trial division below 43^2, and from
+    there a strong probable-prime test to the first 13 prime bases.  A base
+    that n fails proves it composite.  Below 3.3 * 10^24, passing every base
+    proves n prime; from there on it proves nothing, and n raises
+    PrimalityUnproven rather than be answered without a proof."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 43 * 43 or n >= 3317044064679887385961981:
+    if n < 43 * 43:
         d = 2
         while d * d <= n:
             if n % d == 0:
@@ -587,6 +637,10 @@ def is_prime(n) -> bool:
             xs.append(xs[-1] ** 2 % n)
         if xs[0] != 1 and n - 1 not in xs:
             return False
+    if n >= _SPRP_PROVEN:
+        raise PrimalityUnproven(f"{n} passes the strong probable-prime test to the "
+                                f"first 13 prime bases, which proves no number from "
+                                f"{_SPRP_PROVEN} on prime")
     return True
 
 

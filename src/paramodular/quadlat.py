@@ -73,6 +73,7 @@ class QuadLattice:
             raise NotPositiveDefinite("form is not positive definite")
         self.gram = gram
         self.rank = n
+        self._min = None        # min_positive, once it is asked for
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, disc={self.disc()})"
@@ -104,14 +105,14 @@ class QuadLattice:
         return self.dual_and_level()[1]
 
     def min_positive(self) -> int:
-        """Minimum of Q on nonzero vectors."""
+        """Minimum of Q on nonzero vectors, found by doubling the bound from 1
+        on the first call and kept for the later ones."""
         b = 1
-        while True:
+        while self._min is None:
             counts = shell_counts(self, b)
-            for q in range(1, b + 1):
-                if counts.get(q):
-                    return q
+            self._min = min((q for q in counts if q), default=None)
             b *= 2
+        return self._min
 
 
 def invariants(L: QuadLattice):
@@ -574,13 +575,24 @@ def aut_order(obj, budget: int = 10**7) -> int:
 
 @dataclass(frozen=True)
 class ParamodularChain:
-    """Nested lattices, the j-th one t_j-modular, in coordinates of the first."""
+    """Nested lattices, the j-th one t_j-modular, in coordinates of the first.
+
+    A chain also keeps the residue histograms that thetaser.chain2_eval
+    builds for it, one per (member, M) at the largest bound asked for so
+    far; an evaluation at smaller bounds reads a prefix and enumerates
+    nothing.  Construction builds none of them.
+    """
 
     L1: QuadLattice
     coords: tuple[Mat, ...]
     T: tuple[int, ...]
     # the member lattices, built once while the chain is validated
     members: tuple[QuadLattice, ...] = field(init=False, repr=False, compare=False)
+    # the residue histograms of thetaser.chain2_eval, {(member, M): (bound,
+    # keys, counts)}, each built at the largest bound asked for so far.
+    # Empty until the first evaluation; chain2_eval needs M^rank <= 2^26, so
+    # at rank 8 there are at most nine M, and 18 entries
+    _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) != len(self.T):

@@ -8,15 +8,16 @@ eigenvalue of Im Z, exact shell counts inside the truncation range, and a
 packing-ball bound outside it.  Two-member chains are evaluated at points
 with a rational off-diagonal entry a/M from exact residue histograms: counts
 of member vectors by (Q(x), residue mod M), built by one enumeration of
-each pair +-x and shared by the points of one paramodularity check, so that
-a point costs a sum over the histogram keys and one M-adic transform, not a
-pass over vectors.
+each pair +-x and kept on the chain for every later point, so that a point
+costs a sum over the histogram keys and one M-adic transform, not a pass
+over vectors.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -270,8 +271,9 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     D_i of Q are ratios of its leading principal minors.  One enumeration
     runs to the bound B0 that m0 certifies.  Its counts give the true
     minimum, which certifies the bound B <= B0 that the minimum alone gives,
-    and the sum runs over q <= B.  Only when the minimum lies beyond B0, or
-    m0 certifies no bound, does the value take more enumerations."""
+    and the sum runs over q <= B.  When they hold no nonzero vector, the sum
+    up to B0 is 1, and m0 certifies it.  Only when m0 certifies no bound does
+    the value take more enumerations."""
     y = z.imag
     if y <= 0:
         raise NotInHalfSpace("z must have positive imaginary part")
@@ -283,7 +285,10 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     except TailTooLarge:
         B0 = m0 = 0         # the true minimum may still certify a bound
     counts = shell_counts(L, B0, budget)
-    mn = min((q for q in counts if q), default=0) or L.min_positive()
+    # with no nonzero vector up to B0 >= 1, the counts hold Q = 0 only, so
+    # the sum is 1 at B0 and at every smaller bound that the minimum could
+    # certify: B0 stands
+    mn = min((q for q in counts if q), default=m0) or L.min_positive()
     B = B0 if mn == m0 else _tail_bound(mn, L.rank, rate, tail_tol)
     if B > B0:
         counts = shell_counts(L, B, budget)
@@ -461,7 +466,7 @@ _EVAL_BUDGET = 500 * 10**6
 
 
 def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
-                      budget: int = _EVAL_BUDGET, store: dict | None = None):
+                      budget: int = _EVAL_BUDGET):
     """Exact counts of the vectors x with Q(x) <= bound by (Q(x), residue).
 
     The residue of a row vector x is x mod M, or x @ rmap mod M when a
@@ -473,27 +478,9 @@ def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
     depends only on x mod M.
 
     The budget caps the candidates of the enumeration, one per pair +-x.
-    A store, a dict kept by the caller, shares builds between requests on
-    one (gram, M): a request at a bound no larger than the stored one takes
-    a prefix of the stored keys and enumerates nothing; a larger bound
-    rebuilds the entry.
+    Every call enumerates; the histograms of a chain's members are kept on
+    the chain instead (see _member_histogram).
     """
-    n = gram.nrows
-    key = (gram.rows, M)
-    store = {} if store is None else store
-    if store.get(key, (-1,))[0] < bound:
-        store[key] = (bound, *_build_histogram(gram, M, bound, budget))
-    _, keys, counts = store[key]
-    end = int(np.searchsorted(keys, (bound + 1) * M**n))
-    keys, counts = keys[:end], counts[:end]
-    if rmap is not None:
-        R = np.asarray(rmap, dtype=np.int64)
-        keys = _recode(keys, M, n, lambda d: d @ R % M)
-        keys, counts = _merge(keys, counts)
-    return keys, counts
-
-
-def _build_histogram(gram: Mat, M: int, bound: int, budget: int):
     n = gram.nrows
     G = gram.to_numpy()
     powers = M ** np.arange(n, dtype=np.int64)
@@ -512,7 +499,16 @@ def _build_histogram(gram: Mat, M: int, bound: int, budget: int):
     # add -x for every nonzero x, which only lacks Q = 0
     nz = keys >= nbuck
     neg = _recode(keys[nz], M, n, lambda d: -d % M)
-    return _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
+    keys, counts = _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
+    return _remap(keys, counts, M, n, rmap)
+
+
+def _remap(keys: np.ndarray, counts: np.ndarray, M: int, n: int, rmap):
+    """The histogram by the residues x @ rmap mod M, from the one by x mod M."""
+    if rmap is None:
+        return keys, counts
+    R = np.asarray(rmap, dtype=np.int64)
+    return _merge(_recode(keys, M, n, lambda d: d @ R % M), counts)
 
 
 def _recode(keys: np.ndarray, M: int, n: int, f) -> np.ndarray:
@@ -556,18 +552,40 @@ def _flip_setup(chain: ParamodularChain, Z, tail_tol: float):
     return M, a, minima, rates, bounds
 
 
-def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int,
-                      budget: int, store: dict | None):
+# guards the replacement of an entry of a chain's histogram store
+_STORE_LOCK = threading.Lock()
+
+
+def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int,
+                      rmap, budget: int):
+    """The residue histogram of member j at Q <= bound, from the chain's
+    store: a prefix of the entry for (j, M) when its bound is at least this
+    one, else a fresh build at this bound, which replaces the entry unless
+    another thread has meanwhile stored a larger one.  The entry is read once,
+    so a concurrent replacement cannot cut the prefix short."""
+    kept, n = chain._histograms, chain.L1.rank
+    entry = kept.get((j, M))
+    if entry is None or entry[0] < bound:
+        entry = (bound, *residue_histogram(chain.member_gram(j), M, bound, None, budget))
+        with _STORE_LOCK:
+            if kept.get((j, M), (-1,))[0] < bound:
+                kept[(j, M)] = entry
+    _, keys, counts = entry
+    end = int(np.searchsorted(keys, (bound + 1) * M**n))
+    return _remap(keys[:end], counts[:end], M, n, rmap)
+
+
+def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int, budget: int):
     """Residue histograms of the two members: member 1 by the pairing with
     the member-2 basis, member 2 by its own coordinates, both mod M."""
     C1, C2 = (C.to_numpy() for C in chain.coords)
     W = C2 @ chain.L1.gram.to_numpy() @ C1.T        # b(member2 basis, member1 basis)
-    return (residue_histogram(chain.member_gram(0), M, B1, W.T, budget, store),
-            residue_histogram(chain.member_gram(1), M, B2, None, budget, store))
+    return (_member_histogram(chain, 0, M, B1, W.T, budget),
+            _member_histogram(chain, 1, M, B2, None, budget))
 
 
 def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
-                budget: int = _EVAL_BUDGET, store: dict | None = None):
+                budget: int = _EVAL_BUDGET):
     """Certified theta value of a two-member chain at an exact point.
 
     Z is a 2x2 matrix of CZ entries with exactly diagonal imaginary part and
@@ -580,9 +598,14 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     e(q z22) and summed per residue, an M-adic transform along each axis
     gives the inner sum for every residue of member 1, and member 1's rows
     are summed against it and weighted by e(q z11).  Histogram row sums give
-    the full sums that certify the tail.  The budget and the store are
-    those of residue_histogram, per member; calls on one chain that share a
-    store share its builds.
+    the full sums that certify the tail.
+
+    The histograms are kept on the chain, one per (member, M) at the largest
+    bound built so far (see _member_histogram): a call whose bounds are no
+    larger than the kept ones enumerates nothing, and the value is the same
+    bits as from a fresh build, since a prefix of a larger histogram equals
+    it.  The budget, that of residue_histogram per member, caps a build only;
+    a call on a warm chain reads the kept histograms whatever its budget.
     """
     M, a, (mn1, mn2), (rate1, rate2), (B1, B2) = _flip_setup(chain, Z, tail_tol)
     mrank = chain.L1.rank
@@ -594,7 +617,7 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     for _attempt in range(4):
         tail1 = _packing_tail(mn1, mrank, B1, rate1)
         tail2 = _packing_tail(mn2, mrank, B2, rate2)
-        (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2, budget, store)
+        (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2, budget)
 
         q2, r2 = np.divmod(k2, nbuck)
         w = c2 * np.exp(2j * math.pi * np.arange(B2 + 1) * z22c)[q2]
@@ -658,6 +681,10 @@ def paramodularity_check(chain: ParamodularChain, tol: float = 1e-8,
     Translations are checked exactly on the coefficients; the flip is checked
     numerically at sample points engineered so both sides admit certified
     truncation.  The weight is half the rank, which must be divisible by 8.
+    Each residue histogram is first built at the largest first bound of any
+    point that uses it; these builds stay on the chain, so the points below,
+    and later checks and evaluations on the chain, take prefixes of them
+    unless a tail check grows the bounds.
     """
     if len(chain.T) != 2:
         raise NotSupported("the check is implemented for two-member chains")
@@ -669,22 +696,18 @@ def paramodularity_check(chain: ParamodularChain, tol: float = 1e-8,
     pts = points if points is not None else default_flip_points(chain.T)
     T = chain.T
     pairs = [(flip_image((T[0], T[1]), Z), Z) for Z in pts]
-    # build each residue histogram once, at the largest first bound of any
-    # point that uses it; every evaluation below then takes a prefix unless
-    # its tail check grows the bounds
     largest: dict[int, tuple[int, int]] = {}
     for pair in pairs:
         for P in pair:
             M, _, _, _, (B1, B2) = _flip_setup(chain, P, tail_tol)
             b1, b2 = largest.get(M, (0, 0))
             largest[M] = (max(b1, B1), max(b2, B2))
-    store: dict = {}
     for M, (B1, B2) in largest.items():
-        _chain_histograms(chain, M, B1, B2, _EVAL_BUDGET, store)
+        _chain_histograms(chain, M, B1, B2, _EVAL_BUDGET)
     flips = []
     for Wm, Z in pairs:
-        lhs, taill = chain2_eval(chain, Wm, tail_tol, store=store)
-        rhs, tailr = chain2_eval(chain, Z, tail_tol, store=store)
+        lhs, taill = chain2_eval(chain, Wm, tail_tol)
+        rhs, tailr = chain2_eval(chain, Z, tail_tol)
         # det(T Z) ** -k times the flipped value
         z = np.array([[Z[0][0].to_complex(), Z[0][1].to_complex()],
                       [Z[1][0].to_complex(), Z[1][1].to_complex()]])

@@ -63,3 +63,40 @@ def test_trajectory_prints_ratios_per_workload_and_metric_in_file_order(tmp_path
         "a         setup_s  -        1.000",
         "b         solve_s  -        0.750",
     ]
+
+
+_RESULT = {"metrics": {"solve_s": {"value": 1.0, "unit": "s"}},
+           "correct": True, "failed": 0, "attempted": 3}
+
+
+def _checkout(path, body):
+    """A canned checkout whose perfbench/run.py runs the given body."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(body)
+    (path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return path
+
+
+def test_a_failed_run_is_reported_and_the_finished_pairs_kept(tmp_path, capsys):
+    ok = f"import json\nprint(json.dumps({_RESULT!r}))\n"
+    parent = _checkout(tmp_path / "parent", ok)
+    # the change's second run exits 1: pair 1 finishes, pair 2 fails first
+    change = _checkout(tmp_path / "change", (
+        "import pathlib, sys\n"
+        "calls = pathlib.Path('calls')\n"
+        "calls.write_text(calls.read_text() + 'x' if calls.exists() else 'x')\n"
+        "if calls.read_text() == 'xx':\n"
+        "    print('worker died', file=sys.stderr)\n"
+        "    sys.exit(1)\n" + ok))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seed", "7",
+                             "--seconds", "1", "--workload", "w:3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "w pair 2 change seed 7: exit code 1" in err and "worker died" in err
+    data = json.loads(out.read_text())["workloads"]["w"]
+    assert data["failure"] == {"pair": 2, "side": "change", "seed": 7, "returncode": 1,
+                               "stderr_tail": ["worker died"]}
+    assert data["metrics"]["solve_s"]["pairs"] == 1
+    assert data["metrics"]["solve_s"]["parent"]["runs"] == [1.0]
+    assert data["failed_of_attempted"] == {"parent": [0, 3], "change": [0, 3]}

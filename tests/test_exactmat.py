@@ -16,7 +16,7 @@ import fraction_oracle as oracle
 from exact_oracle import rref_mod, saturation
 
 from paramodular.altlat import _solve_mod_squarefree
-from paramodular.errors import DimensionMismatch, SingularMatrix
+from paramodular.errors import DimensionMismatch, PrimalityUnproven, SingularMatrix
 from paramodular.exactmat import (
     Mat,
     crt,
@@ -199,6 +199,29 @@ def test_prime_test_and_factor_match_sympy_on_large_n(n):
     # n has factors past 2^10 and a prime cofactor that ends the search
     assert is_prime(n) == sympy.isprime(n)
     assert factor(n) == sorted(sympy.factorint(n).items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10**24 - 1))
+def test_prime_test_and_factor_match_sympy_below_10_24(n):
+    assert is_prime(n) == sympy.isprime(n)
+    assert factor(n) == sorted(sympy.factorint(n).items())
+
+
+def test_large_numbers_are_factored_or_refused_at_once():
+    # rho splits the product of two Mersenne primes; from 3.3 * 10^24 on a
+    # base that n fails proves it composite, but passing every base proves
+    # nothing, so a prime there raises
+    t0 = time.perf_counter()
+    assert factor((2**61 - 1) * (2**31 - 1)) == [(2**31 - 1, 1), (2**61 - 1, 1)]
+    assert time.perf_counter() - t0 < 1
+    t0 = time.perf_counter()
+    with pytest.raises(PrimalityUnproven):
+        is_prime(2**89 - 1)
+    assert time.perf_counter() - t0 < 1
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+    with pytest.raises(PrimalityUnproven):
+        factor(3 * (2**89 - 1))
 
 
 def test_large_prime_moduli_return_at_once():

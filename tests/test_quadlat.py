@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramodular import quadlat
 from paramodular.errors import (
     InvalidLevel,
     InvalidRank,
@@ -46,6 +47,20 @@ def test_validation():
         QuadLattice(Mat([[-2]]))
     with pytest.raises(NotPositiveDefinite):
         QuadLattice(Mat([[2, 3], [3, 2]]))
+
+
+def test_min_positive_is_kept(monkeypatch):
+    # minimum 4: the first call doubles its bound from 1, the second reads it
+    bounds = []
+    leaves = quadlat.fincke_pohst_leaves
+
+    def counted(gram, bound, *args, **kwargs):
+        bounds.append(bound)
+        return leaves(gram, bound, *args, **kwargs)
+    monkeypatch.setattr(quadlat, "fincke_pohst_leaves", counted)
+    L = QuadLattice(Mat([[98, -30, 0], [-30, 58, -24], [0, -24, 12]]))
+    assert L.min_positive() == 4 and bounds == [1, 2, 4]
+    assert L.min_positive() == 4 and bounds == [1, 2, 4]
 
 
 def test_invariants(e8):

@@ -2,6 +2,8 @@ import cmath
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +216,25 @@ def test_theta1_value_enumerates_once(e8, monkeypatch):
     assert bounds == [13]
 
 
+def test_theta1_value_beyond_the_first_bound_enumerates_once(monkeypatch):
+    # minimum 4, pivot bound 1, first bound 3: the counts at 3 hold no
+    # nonzero vector, so the value is 1, which the pivot bound certifies.
+    # The minimum was once found as well, by doubling from 1 (bounds 1, 2, 4)
+    bounds = []
+    leaves = quadlat.fincke_pohst_leaves
+
+    def counted(gram, bound, *args, **kwargs):
+        bounds.append(bound)
+        return leaves(gram, bound, *args, **kwargs)
+    monkeypatch.setattr(quadlat, "fincke_pohst_leaves", counted)
+    L = QuadLattice(Mat([[98, -30, 0], [-30, 58, -24], [0, -24, 12]]))
+    for x in (0.2, 0.0, -0.37):
+        bounds.clear()
+        value = theta1_value(L, complex(x, 1.3))
+        assert bounds == [3]
+        assert value == oracle.theta1_value(L, complex(x, 1.3)) == 1
+
+
 @pytest.mark.parametrize("gram", [[[2]], [[2, -1], [-1, 2]], [[4, 2], [2, 6]],
                                   [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                                    [0, -1, 0, 2]]] + [g for g, _ in THETA1_CASES[:4]])
@@ -378,40 +399,106 @@ def test_histogram_against_full_enumeration(e8_chain, M, paired):
 
 
 def _count_builds(monkeypatch):
+    """The (M, bound) of every histogram build from here on."""
     builds = []
-    build = thetaser._build_histogram
+    build = thetaser.residue_histogram
 
     def counted(*args):
         builds.append(args[1:3])
         return build(*args)
-    monkeypatch.setattr(thetaser, "_build_histogram", counted)
+    monkeypatch.setattr(thetaser, "residue_histogram", counted)
     return builds
 
 
+def _empty_chain(chain):
+    """The same chain as a new object, with nothing built or kept."""
+    return ParamodularChain(chain.L1, chain.coords, chain.T)
+
+
 def test_histogram_prefix_matches_fresh_build(e8_chain, monkeypatch):
-    K = e8_chain.member(1)
+    chain = _empty_chain(e8_chain)
     builds = _count_builds(monkeypatch)
-    store = {}
-    residue_histogram(K.gram, 2, 14, store=store)
-    cut = residue_histogram(K.gram, 2, 9, store=store)
-    assert builds == [(2, 14)]
-    fresh = residue_histogram(K.gram, 2, 9)
-    assert all(np.array_equal(a, b) for a, b in zip(cut, fresh))
-    residue_histogram(K.gram, 2, 15, store=store)    # a larger bound rebuilds
-    assert builds == [(2, 14), (2, 9), (2, 15)]
+    thetaser._chain_histograms(chain, 2, 6, 14, thetaser._EVAL_BUDGET)
+    assert builds == [(2, 6), (2, 14)]
+    # smaller bounds take prefixes, which equal fresh builds
+    cut = thetaser._chain_histograms(chain, 2, 4, 9, thetaser._EVAL_BUDGET)
+    assert builds == [(2, 6), (2, 14)]
+    fresh = (residue_histogram(chain.member_gram(0), 2, 4, _pairing(chain).T),
+             residue_histogram(chain.member_gram(1), 2, 9))
+    for (k, c), (kf, cf) in zip(cut, fresh):
+        assert np.array_equal(k, kf) and np.array_equal(c, cf)
+    # a larger bound rebuilds that member's entry only
+    thetaser._chain_histograms(chain, 2, 6, 15, thetaser._EVAL_BUDGET)
+    assert builds == [(2, 6), (2, 14), (2, 15)]
+    assert sorted((key, entry[0]) for key, entry in chain._histograms.items()) == \
+        [((0, 2), 6), ((1, 2), 15)]
 
 
 def test_stored_chain2_eval_runs_no_enumeration(e8_chain, monkeypatch):
     Z = [[CZ(0, 2), CZ(Fraction(1, 2), 0)], [CZ(Fraction(1, 2), 0), CZ(0, 3)]]
-    store = {}
-    first = chain2_eval(e8_chain, Z, store=store)
+    chain = _empty_chain(e8_chain)
+    first = chain2_eval(chain, Z)
 
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated with a filled store")
+        raise AssertionError("enumerated on a warm chain")
+    # the histograms and the member minima of _flip_setup
     monkeypatch.setattr(thetaser, "fincke_pohst_leaves", no_enumeration)
-    assert chain2_eval(e8_chain, Z, store=store) == first
+    monkeypatch.setattr(quadlat, "fincke_pohst_leaves", no_enumeration)
+    assert chain2_eval(chain, Z) == first
+    # a point with smaller bounds reads prefixes too
+    chain2_eval(chain, [[CZ(0, 3), CZ(Fraction(1, 2), 0)], [CZ(Fraction(1, 2), 0), CZ(0, 4)]])
     with pytest.raises(AssertionError):
-        chain2_eval(e8_chain, Z)
+        chain2_eval(_empty_chain(e8_chain), Z)
+
+
+def test_chain2_eval_from_four_threads(e8_chain, monkeypatch):
+    # two points on one empty chain, two threads each: the first takes the
+    # bounds (8, 7), the second (6, 12).  A build at a member's smaller bound
+    # waits until the larger one is done, so that a store which let the
+    # smaller build replace the larger one would show.  Every value is the
+    # single-threaded one, and afterwards the chain keeps the larger build of
+    # each member, so that a second round enumerates nothing
+    half = CZ(Fraction(1, 2), 0)
+    points = [[[CZ(0, Fraction(3, 4)), half], [half, CZ(0, Fraction(3, 4))]],
+              [[CZ(0, 1), half], [half, CZ(0, Fraction(1, 2))]]]
+    want = [chain2_eval(_empty_chain(e8_chain), P) for P in points]
+    chain = _empty_chain(e8_chain)
+    done = {8: threading.Event(), 12: threading.Event()}
+    builds = []
+    build = thetaser.residue_histogram
+
+    def ordered(gram, M, bound, *rest):
+        if bound in (6, 7):
+            done[{6: 8, 7: 12}[bound]].wait(10)
+        out = build(gram, M, bound, *rest)
+        builds.append(bound)
+        if bound in done:
+            done[bound].set()
+        return out
+    monkeypatch.setattr(thetaser, "residue_histogram", ordered)
+    start = threading.Barrier(4, timeout=60)
+    got = [None] * 4
+
+    def work(i):
+        start.wait()
+        got[i] = chain2_eval(chain, points[i % 2])
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want * 2
+    assert {key: entry[0] for key, entry in chain._histograms.items()} == \
+        {(0, 2): 8, (1, 2): 12}
+    builds.clear()
+    assert [chain2_eval(chain, P) for P in points] == want
+    assert builds == []
 
 
 def test_histogram_budget_counts_pairs(e8):

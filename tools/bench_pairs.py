@@ -19,7 +19,10 @@ better (ties count for neither), and a verdict:
   than the metric's `bound` in BENCHMARK.json, as a fraction of the parent's;
 * `gain`: the first three together, the rule for claiming a gain.
 
-Runs are sequential: nothing else should use the machine meanwhile.
+Runs are sequential: nothing else should use the machine meanwhile.  When
+a run exits non-zero, its workload, pair, side and seed and the last lines
+of its stderr go to stderr; --out keeps the pairs that both sides finished,
+with the failure, and the exit code is 1.
 
 With --trajectory, nothing runs: for each workload and metric in the given
 files, a table row holds each file's change-to-parent ratio of the medians,
@@ -46,7 +49,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summary(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # one run, as a failure may leave, is its own median and quartiles
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -60,6 +65,29 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
            "within_bound": -gain <= bound * abs(parent["median"])}
     out["gain"] = out["ten_pairs"] and out["wins_nine_tenths"] and out["gain_beyond_parent_iqr"]
     return out
+
+
+def workload_report(runs: dict, better: dict) -> dict:
+    """The summaries and verdicts of one workload's runs {side: [result, ...]},
+    which pair up in order, for the metrics {name: (better, bound)}."""
+    metrics = {}
+    for m, (direction, bound) in better.items():
+        if not runs["parent"]:      # no pair finished
+            break
+        p = [r["metrics"][m]["value"] for r in runs["parent"]]
+        c = [r["metrics"][m]["value"] for r in runs["change"]]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
+        metrics[m] = {"unit": runs["parent"][0]["metrics"][m]["unit"], "better": direction,
+                      "bound": bound, "parent": summary(p), "change": summary(c),
+                      "change_wins": wins, "pairs": len(p),
+                      "verdict": verdict(summary(p), summary(c), wins, len(p), sign, bound)}
+    return {
+        "metrics": metrics,
+        "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+        "failed_of_attempted": {side: [sum(r["failed"] for r in rs),
+                                       sum(r["attempted"] for r in rs)]
+                                for side, rs in runs.items()}}
 
 
 def trajectory(reports: dict) -> list[str]:
@@ -111,24 +139,23 @@ def main(argv=None) -> int:
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 checkout = args.parent if side == "parent" else args.change
                 t0 = time.time()
-                runs[side].append(run(checkout, name, args.seed, args.seconds))
+                try:
+                    runs[side].append(run(checkout, name, args.seed, args.seconds))
+                except subprocess.CalledProcessError as e:
+                    # keep the pairs that both sides finished, and say which run failed
+                    tail = e.stderr.rstrip().splitlines()[-20:]
+                    print(f"{name} pair {i + 1} {side} seed {args.seed}: exit code "
+                          f"{e.returncode}; the last lines of its stderr:", *tail,
+                          sep="\n", file=sys.stderr)
+                    report["workloads"][name] = workload_report(
+                        {k: rs[:i] for k, rs in runs.items()}, better)
+                    report["workloads"][name]["failure"] = {
+                        "pair": i + 1, "side": side, "seed": args.seed,
+                        "returncode": e.returncode, "stderr_tail": tail}
+                    args.out.write_text(json.dumps(report, indent=1) + "\n")
+                    return 1
                 print(f"{name} pair {i + 1} {side}: {time.time() - t0:.0f} s", file=sys.stderr)
-        metrics = {}
-        for m, (direction, bound) in better.items():
-            p = [r["metrics"][m]["value"] for r in runs["parent"]]
-            c = [r["metrics"][m]["value"] for r in runs["change"]]
-            sign = 1 if direction == "lower" else -1
-            wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
-            metrics[m] = {"unit": runs["parent"][0]["metrics"][m]["unit"], "better": direction,
-                          "bound": bound, "parent": summary(p), "change": summary(c),
-                          "change_wins": wins, "pairs": len(p),
-                          "verdict": verdict(summary(p), summary(c), wins, len(p), sign, bound)}
-        report["workloads"][name] = {
-            "metrics": metrics,
-            "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
-            "failed_of_attempted": {side: [sum(r["failed"] for r in rs),
-                                           sum(r["attempted"] for r in rs)]
-                                    for side, rs in runs.items()}}
+        report["workloads"][name] = workload_report(runs, better)
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
