@@ -590,8 +590,9 @@ class ParamodularChain:
     members: tuple[QuadLattice, ...] = field(init=False, repr=False, compare=False)
     # the residue histograms of thetaser.chain2_eval, {(member, M): (bound,
     # keys, counts)}, each built at the largest bound asked for so far.
-    # Empty until the first evaluation; chain2_eval needs M^rank <= 2^26, so
-    # at rank 8 there are at most nine M, and 18 entries
+    # Empty until the first evaluation, and never evicted.  chain2_eval needs
+    # M^rank <= 2^26, so a chain keeps at most 2 floor(2^(26/rank)) entries:
+    # 18 at rank 8, the rank of the paramodularity check, but 16,384 at rank 2
     _histograms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

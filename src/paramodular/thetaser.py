@@ -465,17 +465,14 @@ def _bound_for_tail(minimum: int, rank: int, rate: float, tol: float) -> int:
 _EVAL_BUDGET = 500 * 10**6
 
 
-def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
-                      budget: int = _EVAL_BUDGET):
-    """Exact counts of the vectors x with Q(x) <= bound by (Q(x), residue).
+def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET):
+    """Exact counts of the vectors x with Q(x) <= bound by (Q(x), x mod M).
 
-    The residue of a row vector x is x mod M, or x @ rmap mod M when a
-    residue map is given, read as the base-M number r = sum_i r_i M^i.
-    Returns the sorted int64 keys q M^n + r that occur, with their int64
-    counts.  One enumeration of zero and one vector of each pair +-x fills
-    the histogram by x mod M; -x has the residue -r digitwise, and a residue
-    map acts on the few distinct keys afterwards, since x @ rmap mod M
-    depends only on x mod M.
+    The residue x mod M of a row vector x is read as the base-M number
+    r = sum_i (x_i mod M) M^i.  Returns the sorted int64 keys q M^n + r that
+    occur, with their int64 counts.  One enumeration of zero and one vector
+    of each pair +-x fills the histogram; -x has the residue -r digitwise.
+    A residue map acts on the few distinct keys afterwards (see _remap).
 
     The budget caps the candidates of the enumeration, one per pair +-x.
     Every call enumerates; the histograms of a chain's members are kept on
@@ -499,12 +496,12 @@ def residue_histogram(gram: Mat, M: int, bound: int, rmap=None,
     # add -x for every nonzero x, which only lacks Q = 0
     nz = keys >= nbuck
     neg = _recode(keys[nz], M, n, lambda d: -d % M)
-    keys, counts = _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
-    return _remap(keys, counts, M, n, rmap)
+    return _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
 
 
 def _remap(keys: np.ndarray, counts: np.ndarray, M: int, n: int, rmap):
-    """The histogram by the residues x @ rmap mod M, from the one by x mod M."""
+    """The histogram by the residues x @ rmap mod M, from the one by x mod M,
+    since x @ rmap mod M depends only on x mod M."""
     if rmap is None:
         return keys, counts
     R = np.asarray(rmap, dtype=np.int64)
@@ -556,8 +553,7 @@ def _flip_setup(chain: ParamodularChain, Z, tail_tol: float):
 _STORE_LOCK = threading.Lock()
 
 
-def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int,
-                      rmap, budget: int):
+def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int, rmap):
     """The residue histogram of member j at Q <= bound, from the chain's
     store: a prefix of the entry for (j, M) when its bound is at least this
     one, else a fresh build at this bound, which replaces the entry unless
@@ -566,7 +562,7 @@ def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int,
     kept, n = chain._histograms, chain.L1.rank
     entry = kept.get((j, M))
     if entry is None or entry[0] < bound:
-        entry = (bound, *residue_histogram(chain.member_gram(j), M, bound, None, budget))
+        entry = (bound, *residue_histogram(chain.member_gram(j), M, bound))
         with _STORE_LOCK:
             if kept.get((j, M), (-1,))[0] < bound:
                 kept[(j, M)] = entry
@@ -575,17 +571,16 @@ def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int,
     return _remap(keys[:end], counts[:end], M, n, rmap)
 
 
-def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int, budget: int):
+def _chain_histograms(chain: ParamodularChain, M: int, B1: int, B2: int):
     """Residue histograms of the two members: member 1 by the pairing with
     the member-2 basis, member 2 by its own coordinates, both mod M."""
     C1, C2 = (C.to_numpy() for C in chain.coords)
     W = C2 @ chain.L1.gram.to_numpy() @ C1.T        # b(member2 basis, member1 basis)
-    return (_member_histogram(chain, 0, M, B1, W.T, budget),
-            _member_histogram(chain, 1, M, B2, None, budget))
+    return (_member_histogram(chain, 0, M, B1, W.T),
+            _member_histogram(chain, 1, M, B2, None))
 
 
-def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
-                budget: int = _EVAL_BUDGET):
+def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10):
     """Certified theta value of a two-member chain at an exact point.
 
     Z is a 2x2 matrix of CZ entries with exactly diagonal imaginary part and
@@ -604,8 +599,7 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     bound built so far (see _member_histogram): a call whose bounds are no
     larger than the kept ones enumerates nothing, and the value is the same
     bits as from a fresh build, since a prefix of a larger histogram equals
-    it.  The budget, that of residue_histogram per member, caps a build only;
-    a call on a warm chain reads the kept histograms whatever its budget.
+    it.  Each build enumerates under residue_histogram's default budget.
     """
     M, a, (mn1, mn2), (rate1, rate2), (B1, B2) = _flip_setup(chain, Z, tail_tol)
     mrank = chain.L1.rank
@@ -617,7 +611,7 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10,
     for _attempt in range(4):
         tail1 = _packing_tail(mn1, mrank, B1, rate1)
         tail2 = _packing_tail(mn2, mrank, B2, rate2)
-        (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2, budget)
+        (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2)
 
         q2, r2 = np.divmod(k2, nbuck)
         w = c2 * np.exp(2j * math.pi * np.arange(B2 + 1) * z22c)[q2]
@@ -703,7 +697,7 @@ def paramodularity_check(chain: ParamodularChain, tol: float = 1e-8,
             b1, b2 = largest.get(M, (0, 0))
             largest[M] = (max(b1, B1), max(b2, B2))
     for M, (B1, B2) in largest.items():
-        _chain_histograms(chain, M, B1, B2, _EVAL_BUDGET)
+        _chain_histograms(chain, M, B1, B2)
     flips = []
     for Wm, Z in pairs:
         lhs, taill = chain2_eval(chain, Wm, tail_tol)

@@ -393,7 +393,7 @@ def test_histogram_against_full_enumeration(e8_chain, M, paired):
     for q, X in shell_vectors(gram, 4).items():
         for r in ((X @ R) % M @ powers).tolist():
             want[q * M**8 + r] = want.get(q * M**8 + r, 0) + 1
-    keys, counts = residue_histogram(gram, M, 4, R if paired else None)
+    keys, counts = thetaser._remap(*residue_histogram(gram, M, 4), M, 8, R if paired else None)
     assert dict(zip(keys.tolist(), counts.tolist())) == want
     assert keys.tolist() == sorted(want)
 
@@ -418,17 +418,18 @@ def _empty_chain(chain):
 def test_histogram_prefix_matches_fresh_build(e8_chain, monkeypatch):
     chain = _empty_chain(e8_chain)
     builds = _count_builds(monkeypatch)
-    thetaser._chain_histograms(chain, 2, 6, 14, thetaser._EVAL_BUDGET)
+    thetaser._chain_histograms(chain, 2, 6, 14)
     assert builds == [(2, 6), (2, 14)]
     # smaller bounds take prefixes, which equal fresh builds
-    cut = thetaser._chain_histograms(chain, 2, 4, 9, thetaser._EVAL_BUDGET)
+    cut = thetaser._chain_histograms(chain, 2, 4, 9)
     assert builds == [(2, 6), (2, 14)]
-    fresh = (residue_histogram(chain.member_gram(0), 2, 4, _pairing(chain).T),
+    fresh = (thetaser._remap(*residue_histogram(chain.member_gram(0), 2, 4), 2, 8,
+                             _pairing(chain).T),
              residue_histogram(chain.member_gram(1), 2, 9))
     for (k, c), (kf, cf) in zip(cut, fresh):
         assert np.array_equal(k, kf) and np.array_equal(c, cf)
     # a larger bound rebuilds that member's entry only
-    thetaser._chain_histograms(chain, 2, 6, 15, thetaser._EVAL_BUDGET)
+    thetaser._chain_histograms(chain, 2, 6, 15)
     assert builds == [(2, 6), (2, 14), (2, 15)]
     assert sorted((key, entry[0]) for key, entry in chain._histograms.items()) == \
         [((0, 2), 6), ((1, 2), 15)]
@@ -523,7 +524,8 @@ def _reference(chain, Z, B1, B2):
     z12 = Z[0][1].re
     M, a = z12.denominator, z12.numerator % z12.denominator
     n = chain.L1.rank
-    k1, c1 = residue_histogram(chain.member_gram(0), M, B1, _pairing(chain).T)
+    k1, c1 = thetaser._remap(*residue_histogram(chain.member_gram(0), M, B1), M, n,
+                             _pairing(chain).T)
     k2, c2 = residue_histogram(chain.member_gram(1), M, B2)
     digits = [[(r // M**i) % M for i in range(n)] for r in range(M**n)]
     with mpmath.workdps(30):
