@@ -109,14 +109,14 @@ def sl_lift(targets: dict[int, Mat], n: int) -> Mat:
             raise IncompatibleLocals(f"target determinant is not 1 mod {m}")
 
     ops = _reduce_to_identity([row[:] for row in combined], M)
-    # ops give E_s ... E_1 U = I, hence U = inv(E_1) inv(E_2) ... inv(E_s);
-    # build the lift as an integer row-operation product in that order
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    result = Mat(rows)
+    # ops give E_s ... E_1 U = I, hence U = inv(E_1) inv(E_2) ... inv(E_s),
+    # and each right factor inv(E_ij(c)) = E_ij(-c) adds -c col_i to col_j
+    lift = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j, c in ops:
-        e = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
-        e[i][j] = _centered(-c, M)
-        result = result @ Mat(e)
+        x = _centered(-c, M)
+        for row in lift:
+            row[j] += x * row[i]
+    result = Mat(lift)
     if result.det() != 1:
         raise IncompatibleLocals("lift does not have determinant 1")
     for m in mods:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .altlat import (
@@ -226,8 +225,7 @@ def main(argv=None) -> int:
         description="Symplectic lattice reduction, paramodular Hecke double "
                     "cosets, and theta series of lattice chains.")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON report")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("PARAMODULAR_THREADS", "1")))
+    ap.add_argument("--threads", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cusps", help="boundary component counts and representatives")

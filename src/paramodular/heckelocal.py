@@ -469,11 +469,11 @@ def _check_budget(n2: int, p: int, budget: int):
         raise ScaleLimit(f"{cand_count} candidates exceed the budget")
 
 
-def neighbors_of(rows, k, p, gram, b_shape, budget=10**7):
+def neighbors_of(rows, k, p, gram, b_shape):
     """All lattices meeting the given one in index p on both sides.
 
     gram is the alternating ambient Gram and b_shape the number of p-modular
-    planes; budget=None skips the candidate count check.  Each candidate is
+    planes.  Each candidate is
     sub + w/p for an index-p sublattice sub and a row w = c @ sub.  On the
     basis p * sub_i (i != the pivot of c) and w, its pairings are
     S_ij / p**2k, (S c)_i / p**(2k+1) and (w, w) = 0, where S is the pairing
@@ -482,8 +482,6 @@ def neighbors_of(rows, k, p, gram, b_shape, budget=10**7):
     to Hermite form.
     """
     n2 = len(rows)
-    if budget is not None:
-        _check_budget(n2, p, budget)
     here = _key(rows, k)
     # every pairing is integral, and divisible by p when all planes are
     # p-modular; with 1 < b_shape < n integrality leaves level p^2 open
@@ -530,8 +528,9 @@ def standard_internal(shape: LocalShape):
 
 
 def enumerate_neighbors(shape: LocalShape, budget=10**7) -> list[LocalLattice]:
+    _check_budget(2 * shape.n, shape.p, budget)
     rows, k = standard_internal(shape)
-    found = neighbors_of(rows, k, shape.p, shape.gram_rows(), shape.b, budget)
+    found = neighbors_of(rows, k, shape.p, shape.gram_rows(), shape.b)
     return [LocalLattice.from_internal(r, kk, shape.p)
             for (r, kk) in (found[key] for key in sorted(found))]
 
@@ -573,7 +572,7 @@ def _ball(shape: LocalShape, j: int):
     gram = shape.gram_rows()
     for key in frontier:
         rows, k = seen[key][:2]
-        for nkey, (r, kk) in neighbors_of(rows, k, shape.p, gram, shape.b, None).items():
+        for nkey, (r, kk) in neighbors_of(rows, k, shape.p, gram, shape.b).items():
             if nkey not in seen:
                 seen[nkey] = _ball_entry(shape, r, kk)
                 reached.append(nkey)

@@ -2,8 +2,9 @@
 
 Fourier keys store the doubled Gram matrix of a tuple of vectors, so all
 entries are integers and the term attached to a key H is exp(pi i tr(H Z)).
-Exact coefficient maps come from joining per-member shell enumerations;
-numeric evaluation carries a certified tail bound derived from the smallest
+Exact coefficient maps of two or more members come from one join of the
+per-member shell enumerations, which adds one member at a time; numeric
+evaluation carries a certified tail bound derived from the smallest
 eigenvalue of Im Z, exact shell counts inside the truncation range, and a
 packing-ball bound outside it.  Two-member chains are evaluated at points
 with a rational off-diagonal entry a/M from exact residue histograms: counts
@@ -21,6 +22,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -93,71 +95,84 @@ def theta_coefficients(chain: ParamodularChain, trace_bound: int,
 
 
 def _join(L1, coords, bound, budget):
-    """The tuple counts, and the member shells ({q: rows}) joined for them."""
+    """The tuple counts of two or more members, and the member shells
+    ({q: rows}) joined for them.
+
+    The tuples are formed one q-tuple at a time.  Its partial tuples, one row
+    from each member but the last, are read in blocks from the product of the
+    members' shells, member 1 giving one vector of each pair +-x1 (first
+    nonzero entry positive).  A block meets the last member's shell in one
+    product per earlier member, and each tuple's doubled Gram becomes a
+    mixed-radix number: the digit of the pair (i, j) is b_ij + s_ij, as
+    |b_ij| <= s_ij = isqrt(4 q_i q_j) (Cauchy-Schwarz), and the pairs (1, 2),
+    (1, 3), ..., (2, 3), ... run from the most significant digit down.  The
+    numbers are counted by np.bincount while the radix has no more cells
+    than the q-tuple has tuples, else by sorting, so either holds O(tuples)
+    entries.  -x1 meets the rest of a tuple with every b_1j negated, so for
+    q1 > 0 each count is added again at its key with those digits reflected;
+    the zero vector, its own negative, counts once.  The keys of a q-tuple
+    come in ascending radix order.  The budget caps the partial tuples and
+    their products with the last member's rows, charged for each q-tuple of
+    the partial tuples before anything is allocated for it.
+    """
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
+    W = [[A @ G1 @ B.T for B in mats] for A in mats]
     shells = [shell_vectors(C @ L1.gram @ C.transpose(), bound, budget) for C in coords]
-    if len(coords) == 2:
-        return _pair_coefficients(shells, mats[0] @ G1 @ mats[1].T, bound), shells
-    return _tuple_coefficients(shells, G1, mats, bound, budget), shells
-
-
-def _pair_coefficients(shells, W, bound):
-    """Counts of the pair Grams from the two members' shells ({q: rows})
-    and the pairing W of their coordinates.  x1 and -x1 meet each x2 with
-    b12 and -b12, so one vector of each pair +-x1 (first nonzero entry
-    positive) is joined and its b12 histogram is mirrored; the zero vector,
-    its own negative, counts once.  The keys come in the full join's order.
-    """
-    sh1, sh2 = shells
-    off = 2 * bound + 1
-    counts: dict[tuple, int] = {}
-    for q1, X1 in sh1.items():
-        if q1:
-            X1 = X1[X1[np.arange(len(X1)), (X1 != 0).argmax(axis=1)] > 0]
-        for q2, X2 in sh2.items():
-            if q1 + q2 > bound:
-                continue
-            cross = np.zeros(2 * off + 1, dtype=np.int64)
-            block = max(1, (1 << 23) // max(1, len(X2)))
-            Y2 = W @ X2.T
-            for t in range(0, len(X1), block):
-                cross += np.bincount((X1[t:t + block] @ Y2 + off).ravel(),
-                                     minlength=2 * off + 1)
-            if q1:
-                cross += cross[::-1]
-            for b in np.flatnonzero(cross):
-                counts[((2 * q1, int(b) - off), (int(b) - off, 2 * q2))] = int(cross[b])
-    return counts
-
-
-def _tuple_coefficients(shells, G1, mats, bound, budget):
-    """Counts of the tuple Grams, by recursion over the members' vectors."""
     n = len(shells)
-    pair = [[mats[i] @ G1 @ mats[j].T for j in range(n)] for i in range(n)]
+    pairs = list(combinations(range(n), 2))
     counts: dict[tuple, int] = {}
     work = 0
-
-    def rec(chosen, used):
-        nonlocal work
-        if len(chosen) == n:
-            H = tuple(tuple(2 * qa if a == b else int(va @ pair[a][b] @ vb)
-                            for b, (vb, _) in enumerate(chosen))
-                      for a, (va, qa) in enumerate(chosen))
-            counts[H] = counts.get(H, 0) + 1
-            return
-        for q, X in shells[len(chosen)].items():
-            if used + q > bound:
-                continue
-            for v in X:
-                work += 1
-                if work > budget:
-                    raise ScaleLimit(f"tuple join reached {work} tuples, "
-                                     f"over the budget of {budget}")
-                rec(chosen + [(v, q)], used + q)
-
-    rec([], 0)
-    return counts
+    for part in product(*(sh.items() for sh in shells[:-1])):
+        qs, Xs = zip(*part)
+        lasts = [(q, X) for q, X in shells[-1].items() if sum(qs) + q <= bound]
+        if not lasts:
+            continue
+        if qs[0]:
+            X1 = Xs[0]
+            Xs = (X1[X1[np.arange(len(X1)), (X1 != 0).argmax(axis=1)] > 0],) + Xs[1:]
+        shape = tuple(map(len, Xs))
+        total = math.prod(shape)
+        work += total * (1 + sum(len(X) for _, X in lasts))
+        if work > budget:
+            raise ScaleLimit(f"tuple join reached {work} tuples, over the budget of {budget}")
+        for q, X in lasts:
+            Q = qs + (q,)
+            S = [math.isqrt(4 * Q[i] * Q[j]) for i, j in pairs]
+            radix = [2 * s + 1 for s in S]
+            place = [math.prod(radix[k + 1:]) for k in range(len(pairs))]
+            Y = [(p * W[i][j]) @ X.T for (i, j), p in zip(pairs, place) if j == n - 1]
+            inner = [(i, j, p) for (i, j), p in zip(pairs, place) if j < n - 1]
+            off = sum(s * p for s, p in zip(S, place))
+            space = math.prod(radix)
+            dense = space <= total * len(X)
+            hist = np.zeros(space, dtype=np.int64) if dense else []
+            block = max(1, (1 << 23) // (len(X) + X.shape[1]))
+            for t in range(0, total, block):
+                idx = np.unravel_index(np.arange(t, min(t + block, total)), shape)
+                R = [Xi[k] for Xi, k in zip(Xs, idx)]
+                key = R[0] @ Y[0]
+                for Ri, Yi in zip(R[1:], Y[1:]):
+                    key += Ri @ Yi
+                key += np.reshape(off + sum(p * ((R[i] @ W[i][j]) * R[j]).sum(axis=1)
+                                            for i, j, p in inner), (-1, 1))
+                if dense:
+                    hist += np.bincount(key.ravel(), minlength=space)
+                else:
+                    hist.append(key.ravel())
+            keys, vals = ((np.flatnonzero(hist), hist[hist != 0]) if dense
+                          else np.unique(np.concatenate(hist), return_counts=True))
+            digits = np.unravel_index(keys, radix)
+            if Q[0]:
+                mirror = [2 * s - d if k < n - 1 else d for k, (d, s) in enumerate(zip(digits, S))]
+                keys, vals = _merge(np.concatenate((keys, np.ravel_multi_index(mirror, radix))),
+                                    np.concatenate((vals, vals)))
+                digits = np.unravel_index(keys, radix)
+            for c, *bs in zip(vals.tolist(), *((d - s).tolist() for d, s in zip(digits, S))):
+                b = dict(zip(pairs, bs))
+                counts[tuple(tuple(2 * Q[i] if i == j else b[min(i, j), max(i, j)]
+                                   for j in range(n)) for i in range(n))] = c
+    return counts, shells
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +187,26 @@ def _packing_count(q: float, minimum: int, rank: int) -> float:
     return (2.0 * math.sqrt(q / minimum) + 1.0) ** rank
 
 
-def _packing_tail(minimum: int, rank: int, bound: int, rate: float) -> float:
-    """Certified bound on sum_{q > bound} r(q) exp(-rate q) via ball packing."""
+def _packing_tail(members, bound: int, rate: float) -> float:
+    """Certified bound on sum_{q > bound} r(q) exp(-rate q) via ball packing,
+    where r(q) counts the tuples of total Q = q with one vector from each
+    member, given by its (minimum, rank)."""
+    def term(q):
+        return math.prod(_packing_count(q, mn, rank) for mn, rank in members) * math.exp(-rate * q)
+
     tail = 0.0
     q = bound + 1
-    term = _packing_count(q, minimum, rank) * math.exp(-rate * q)
+    cur = term(q)
     while True:
-        tail += term
-        nxt = _packing_count(q + 1, minimum, rank) * math.exp(-rate * (q + 1))
-        if term == 0.0 or (nxt < 0.5 * term and term < 1e-32 * max(tail, 1.0)):
+        tail += cur
+        nxt = term(q + 1)
+        if cur == 0.0 or (nxt < 0.5 * cur and cur < 1e-32 * max(tail, 1.0)):
             tail += 2.0 * nxt
             break
         q += 1
         if q > bound + 10000:
             return math.inf
-        term = nxt
+        cur = nxt
     return tail
 
 
@@ -203,25 +223,7 @@ def theta_eval(exp_: ThetaExpansion, Z, tail_tol: float = 1e-10):
         raise NotInHalfSpace("Im Z must be positive definite")
     y0 = float(evs.min())
     rate = 2 * math.pi * y0
-    # tail over tuples with total Q above the bound, by the packing bound
-    def tuple_term(t):
-        return math.prod(_packing_count(t, mn, dim)
-                         for mn, dim in zip(exp_.minima, exp_.ranks)) * math.exp(-rate * t)
-
-    tail = 0.0
-    t = exp_.trace_bound + 1
-    term = tuple_term(t)
-    while True:
-        nxt = tuple_term(t + 1)
-        tail += term
-        if term == 0.0 or (nxt < 0.5 * term and term < 1e-32):
-            tail += 2.0 * nxt
-            break
-        t += 1
-        if t > exp_.trace_bound + 20000:
-            tail = math.inf
-            break
-        term = nxt
+    tail = _packing_tail(list(zip(exp_.minima, exp_.ranks)), exp_.trace_bound, rate)
     if tail > tail_tol:
         raise TailTooLarge(f"certified tail {tail:.3e} exceeds {tail_tol}")
     total = 0j
@@ -254,11 +256,11 @@ def _tail_bound(minimum: int, rank: int, rate: float, tail_tol: float) -> int:
 
     k = min(bisect_left(_BOUNDS, True, key=lambda B: (a := term(B + 1)) * a
                         <= tail_tol * (a - term(B + 2))), len(_BOUNDS) - 1)
-    while _packing_tail(minimum, rank, _BOUNDS[k], rate) >= tail_tol:
+    while _packing_tail([(minimum, rank)], _BOUNDS[k], rate) >= tail_tol:
         k += 1
         if k == len(_BOUNDS):
             raise TailTooLarge("cannot certify the tail at this point")
-    while k and _packing_tail(minimum, rank, _BOUNDS[k - 1], rate) < tail_tol:
+    while k and _packing_tail([(minimum, rank)], _BOUNDS[k - 1], rate) < tail_tol:
         k -= 1
     return _BOUNDS[k]
 
@@ -455,7 +457,7 @@ def default_flip_points(T: tuple[int, int]):
 
 def _bound_for_tail(minimum: int, rank: int, rate: float, tol: float) -> int:
     B = max(2, minimum)
-    while _packing_tail(minimum, rank, B, rate) > tol:
+    while _packing_tail([(minimum, rank)], B, rate) > tol:
         B += max(1, B // 4)
         if B > 10**6:
             raise TailTooLarge("no certifiable truncation bound")
@@ -609,8 +611,8 @@ def chain2_eval(chain: ParamodularChain, Z, tail_tol: float = 1e-10):
     # discrete transform kernel exp(2 pi i a w c / M), applied on every axis
     kern = np.exp(2j * math.pi * a * np.outer(np.arange(M), np.arange(M)) / M)
     for _attempt in range(4):
-        tail1 = _packing_tail(mn1, mrank, B1, rate1)
-        tail2 = _packing_tail(mn2, mrank, B2, rate2)
+        tail1 = _packing_tail([(mn1, mrank)], B1, rate1)
+        tail2 = _packing_tail([(mn2, mrank)], B2, rate2)
         (k1, c1), (k2, c2) = _chain_histograms(chain, M, B1, B2)
 
         q2, r2 = np.divmod(k2, nbuck)

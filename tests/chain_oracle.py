@@ -9,7 +9,10 @@ used before their whole-array forms.
   stabilizer search now tests all hits of a depth through a quotient map.
 * `pair_coefficients` joins every vector of member 1 with every vector of
   member 2; the package joins one vector of each pair +-x1 and mirrors.
-* `tuple_coefficients` is the tuple recursion with its separate Gram function.
+* `tuple_coefficients` forms one tuple at a time, by recursion over the
+  members' vectors, and computes each Gram entry by itself; the package
+  has one join for every number of members, which adds a member at a time
+  and counts the Grams of a block of tuples at once.
 * `NumpyBacktracker` is the isometry search that multiplies all candidates
   of a depth with the chosen images at every node and tests sublattice rows
   through the quotient map, and `numpy_aut_order_and_gens` runs it; the

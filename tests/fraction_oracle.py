@@ -116,7 +116,7 @@ def level(L: QuadLattice) -> int:
 def tail_bound(mn: int, rank: int, rate: float, tail_tol: float) -> int:
     B = 1
     while True:
-        t = _packing_tail(mn, rank, B, rate)
+        t = _packing_tail([(mn, rank)], B, rate)
         if t < tail_tol:
             return B
         B += max(1, B // 2)

@@ -38,10 +38,7 @@ from paramodular.quadlat import (
     shell_vectors,
     short_vectors_exact,
 )
-from paramodular.thetaser import (
-    _pair_coefficients,
-    theta_coefficients,
-)
+from paramodular.thetaser import _join, theta_coefficients
 from test_quadlat import E8_TWO_MODULAR, SUBSPACE_INPUTS, SUBSPACE_PINS
 
 
@@ -170,20 +167,39 @@ def test_halved_pair_join_matches_full_join(data, n, bound):
     grams = [C @ L1.gram @ C.transpose() for C in coords]
     G1, mats = L1.gram.to_numpy(), [C.to_numpy() for C in coords]
     want = pair_coefficients(grams, G1, mats, bound)
-    shells = [shell_vectors(g, bound) for g in grams]
-    got = _pair_coefficients(shells, mats[0] @ G1 @ mats[1].T, bound)
+    got, shells = _join(L1, coords, bound, 200 * 10**6)
     assert list(got.items()) == list(want.items())
-    assert list(theta_coefficients_tuple(L1, coords, bound).items()) == list(want.items())
+    assert [{q: X.tolist() for q, X in sh.items()} for sh in shells] == \
+        [{q: X.tolist() for q, X in shell_vectors(g, bound).items()} for g in grams]
 
 
-@settings(max_examples=15, deadline=None)
-@given(data=st.data(), n=st.integers(1, 3), bound=st.integers(0, 3))
-def test_tuple_join_matches_reference(data, n, bound):
-    L1 = QuadLattice(_even_gram(data, n))
-    coords = [_sublattice(data, n) for _ in range(3)]
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), members=st.integers(2, 4), bound=st.integers(0, 4))
+def test_tuple_join_matches_reference(data, n, members, bound):
+    # the join orders the keys of a q-tuple by their off-diagonal entries,
+    # the recursion by first appearance, so the counts are compared as maps
+    # A_n and its bases have many short vectors, so that tuples with every
+    # b_ij nonzero occur
+    A = Mat([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)])
+    U = _basis_change(data, n)
+    L1 = QuadLattice(U.transpose() @ A @ U if data.draw(st.booleans()) else _even_gram(data, n))
+    coords = [_basis_change(data, n) if data.draw(st.booleans()) else _sublattice(data, n)
+              for _ in range(members)]
     grams = [C @ L1.gram @ C.transpose() for C in coords]
     want = tuple_coefficients(grams, L1.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
-    assert list(theta_coefficients_tuple(L1, coords, bound).items()) == list(want.items())
+    assert theta_coefficients_tuple(L1, coords, bound) == want
+
+
+@pytest.mark.parametrize("members, bound", [(3, 4), (4, 4)])
+def test_tuple_join_matches_reference_on_a2(members, bound):
+    # three bases of A2 and a sublattice of index 2, all with vectors at
+    # Q = 1, so that the keys use every digit of the radix
+    A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
+    coords = [Mat([[1, 0], [0, 1]]), Mat([[1, 1], [0, 1]]), Mat([[2, 0], [0, 1]]),
+              Mat([[1, 0], [-1, 1]])][:members]
+    grams = [C @ A2.gram @ C.transpose() for C in coords]
+    want = tuple_coefficients(grams, A2.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
+    assert theta_coefficients_tuple(A2, coords, bound) == want
 
 
 def test_chain_shells_from_join_rows(e8_chain):

@@ -106,6 +106,12 @@ def test_reports_deterministic():
     assert out1 == out2
 
 
+def test_reports_ignore_the_environment(monkeypatch):
+    # every report's config carries --threads, so no variable may set it
+    monkeypatch.setenv("PARAMODULAR_THREADS", "2")
+    assert_golden("cusps.json", run_cli(["cusps", "--T", "1,2", "--u", "1"])[1])
+
+
 @pytest.mark.parametrize("argv", [
     ["neighbors", "--p", "4", "--shape", "1,1", "--count-only"],
     ["cosets", "--p", "6", "--shape", "1,0", "--j", "1"],

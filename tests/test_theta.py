@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -80,6 +81,16 @@ def test_translation_divisibility(e8_chain):
     json.dumps(rep)     # the CLI prints this report inside its JSON
     for H in exp_.coefficients:
         assert (H[1][1] // 2) % 2 == 0
+
+
+def test_three_member_chain_coefficients_pinned(e8, e8_chain):
+    # the sha256 of the sorted E8 (1, 2, 2) counts at trace bound 4, as the
+    # per-tuple recursion gave them
+    K = e8_chain.coords[1]
+    exp_ = theta_coefficients(ParamodularChain(e8, (Mat.identity(8), K, K), (1, 2, 2)), 4)
+    assert len(exp_.coefficients) == 42
+    assert hashlib.sha256(repr(sorted(exp_.coefficients.items())).encode()).hexdigest() == \
+        "4eac4ee5f145b92124fc25354b9b812477665dccfe87963b5be637bac54bffc1"
 
 
 def test_permuted_tuple_consistency(e8, e8_chain):
@@ -180,7 +191,7 @@ def test_tail_bound_walks_from_a_wrong_guess(minimum, rank, y, B):
     # before it (second case)
     rate = 2 * math.pi * y
     a, b = (thetaser._packing_count(q, minimum, rank) * math.exp(-rate * q) for q in (B + 1, B + 2))
-    tol = (thetaser._packing_tail(minimum, rank, B, rate) + a * a / (a - b)) / 2
+    tol = (thetaser._packing_tail([(minimum, rank)], B, rate) + a * a / (a - b)) / 2
     assert thetaser._tail_bound(minimum, rank, rate, tol) == oracle.tail_bound(minimum, rank,
                                                                                rate, tol)
 
@@ -565,6 +576,10 @@ def test_chain2_eval_matches_30_digit_reference(e8_chain, monkeypatch):
 
 
 def test_tuple_join_names_its_count():
+    # A2 has 1 vector at Q = 0 and 6 at Q = 1, 3 of them halved.  With total
+    # Q <= 1, each (q1, q2) is charged its partial tuples and their products
+    # with the third member's shells: (0, 0) 1 + 1 * (1 + 6), (0, 1) 6 + 6 * 1,
+    # and (1, 0) reaches 26 with 3 + 3 * 1
     A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
-    with pytest.raises(ScaleLimit, match="tuple join reached 21 tuples, over the budget of 20"):
+    with pytest.raises(ScaleLimit, match="tuple join reached 26 tuples, over the budget of 20"):
         theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 1, budget=20)
