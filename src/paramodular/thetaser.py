@@ -180,33 +180,32 @@ def _join(L1, coords, bound, budget):
 # ---------------------------------------------------------------------------
 
 
-def _packing_count(q: float, minimum: int, rank: int) -> float:
-    """Upper bound on the number of lattice vectors with Q <= q."""
+def _packing_count(q: float, members) -> float:
+    """Upper bound on the tuples, one vector of each (minimum, rank) member, with all Q <= q."""
     if q < 0:
         return 0.0
-    return (2.0 * math.sqrt(q / minimum) + 1.0) ** rank
+    count = 1.0
+    for minimum, rank in members:
+        count *= (2.0 * math.sqrt(q / minimum) + 1.0) ** rank
+    return count
 
 
 def _packing_tail(members, bound: int, rate: float) -> float:
     """Certified bound on sum_{q > bound} r(q) exp(-rate q) via ball packing,
-    where r(q) counts the tuples of total Q = q with one vector from each
-    member, given by its (minimum, rank)."""
-    def term(q):
-        return math.prod(_packing_count(q, mn, rank) for mn, rank in members) * math.exp(-rate * q)
-
+    where r(q) counts the tuples of the members with total Q = q."""
     tail = 0.0
     q = bound + 1
-    cur = term(q)
+    term = _packing_count(q, members) * math.exp(-rate * q)
     while True:
-        tail += cur
-        nxt = term(q + 1)
-        if cur == 0.0 or (nxt < 0.5 * cur and cur < 1e-32 * max(tail, 1.0)):
+        tail += term
+        nxt = _packing_count(q + 1, members) * math.exp(-rate * (q + 1))
+        if term == 0.0 or (nxt < 0.5 * term and term < 1e-32 * max(tail, 1.0)):
             tail += 2.0 * nxt
             break
         q += 1
         if q > bound + 10000:
             return math.inf
-        cur = nxt
+        term = nxt
     return tail
 
 
@@ -252,7 +251,7 @@ def _tail_bound(minimum: int, rank: int, rate: float, tail_tol: float) -> int:
     predecessor are the only _packing_tail calls, and as the tail falls with
     B, the walk on from a wrong guess ends at the same B as a call per step."""
     def term(q):
-        return _packing_count(q, minimum, rank) * math.exp(-rate * q)
+        return _packing_count(q, [(minimum, rank)]) * math.exp(-rate * q)
 
     k = min(bisect_left(_BOUNDS, True, key=lambda B: (a := term(B + 1)) * a
                         <= tail_tol * (a - term(B + 2))), len(_BOUNDS) - 1)

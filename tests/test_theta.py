@@ -190,7 +190,7 @@ def test_tail_bound_walks_from_a_wrong_guess(minimum, rank, y, B):
     # guess one step after the answer (first case) or onto B, one step
     # before it (second case)
     rate = 2 * math.pi * y
-    a, b = (thetaser._packing_count(q, minimum, rank) * math.exp(-rate * q) for q in (B + 1, B + 2))
+    a, b = (thetaser._packing_count(q, [(minimum, rank)]) * math.exp(-rate * q) for q in (B + 1, B + 2))
     tol = (thetaser._packing_tail([(minimum, rank)], B, rate) + a * a / (a - b)) / 2
     assert thetaser._tail_bound(minimum, rank, rate, tol) == oracle.tail_bound(minimum, rank,
                                                                                rate, tol)
