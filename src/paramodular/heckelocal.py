@@ -473,13 +473,12 @@ def neighbors_of(rows, k, p, gram, b_shape):
     """All lattices meeting the given one in index p on both sides.
 
     gram is the alternating ambient Gram and b_shape the number of p-modular
-    planes.  Each candidate is
-    sub + w/p for an index-p sublattice sub and a row w = c @ sub.  On the
-    basis p * sub_i (i != the pivot of c) and w, its pairings are
-    S_ij / p**2k, (S c)_i / p**(2k+1) and (w, w) = 0, where S is the pairing
-    of sub, computed once per sub.  Elementarity, which does not depend on
-    the basis, is tested on these, and only candidates that pass are brought
-    to Hermite form.
+    planes.  Each candidate is sub + w/p for an index-p sublattice sub and a
+    row w = c @ sub.  On the basis p * sub_i (i != the pivot of c) and w, its
+    pairings are S_ij / p**2k, (S c)_i / p**(2k+1) and (w, w) = 0, where S is
+    the pairing of sub, computed once per sub.  Elementarity, which does not
+    depend on the basis, is tested on these, and only candidates that pass
+    are brought to Hermite form.  The caller checks the candidate budget.
     """
     n2 = len(rows)
     here = _key(rows, k)
