@@ -176,8 +176,6 @@ def test_halved_pair_join_matches_full_join(data, n, bound):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 3), members=st.integers(2, 4), bound=st.integers(0, 4))
 def test_tuple_join_matches_reference(data, n, members, bound):
-    # the join orders the keys of a q-tuple by their off-diagonal entries,
-    # the recursion by first appearance, so the counts are compared as maps
     # A_n and its bases have many short vectors, so that tuples with every
     # b_ij nonzero occur
     A = Mat([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)])
@@ -187,6 +185,8 @@ def test_tuple_join_matches_reference(data, n, members, bound):
               for _ in range(members)]
     grams = [C @ L1.gram @ C.transpose() for C in coords]
     want = tuple_coefficients(grams, L1.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
+    # the join orders the keys of a q-tuple by their off-diagonal entries,
+    # the recursion by first appearance, so the counts are compared as maps
     assert theta_coefficients_tuple(L1, coords, bound) == want
 
 
