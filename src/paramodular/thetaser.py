@@ -96,24 +96,25 @@ def theta_coefficients(chain: ParamodularChain, trace_bound: int,
 
 def _join(L1, coords, bound, budget):
     """The tuple counts of two or more members, and the member shells
-    ({q: rows}) joined for them.
+    ({q: rows}) joined for them, one q-tuple at a time.
 
-    The tuples are formed one q-tuple at a time.  Its partial tuples, one row
-    from each member but the last, are read in blocks from the product of the
-    members' shells, member 1 giving one vector of each pair +-x1 (first
-    nonzero entry positive).  A block meets the last member's shell in one
-    product per earlier member, and each tuple's doubled Gram becomes a
-    mixed-radix number: the digit of the pair (i, j) is b_ij + s_ij, as
-    |b_ij| <= s_ij = isqrt(4 q_i q_j) (Cauchy-Schwarz), and the pairs (1, 2),
-    (1, 3), ..., (2, 3), ... run from the most significant digit down.  The
-    numbers are counted by np.bincount while the radix has no more cells
-    than the q-tuple has tuples, else by sorting, so either holds O(tuples)
-    entries.  -x1 meets the rest of a tuple with every b_1j negated, so for
-    q1 > 0 each count is added again at its key with those digits reflected;
-    the zero vector, its own negative, counts once.  The keys of a q-tuple
-    come in ascending radix order.  The budget caps the partial tuples and
-    their products with the last member's rows, charged for each q-tuple of
-    the partial tuples before anything is allocated for it.
+    Its partial tuples take one row from each member but the last, member 1
+    giving one vector of each pair +-x1 (first nonzero entry positive).  A
+    block is the outer product of one slice of each member's rows, whole from
+    the last member outward while the block meets the last member's shell in
+    at most 2^23 tuples; the members' products with that shell and with each
+    other are broadcast over it, and no row is copied.  A tuple's doubled
+    Gram is a mixed-radix number, counted by np.bincount: the digit of the
+    pair (i, j) is b_ij + s_ij, as |b_ij| <= s_ij = isqrt(4 q_i q_j)
+    (Cauchy-Schwarz), with (1, 2), (1, 3), ..., (2, 3), ... from the most
+    significant down, so the keys come in ascending radix order and two
+    members count X1 @ Y2 + off per block.  -x1 meets the rest of a tuple
+    with every b_1j negated, so for q1 > 0 the histogram is mirrored on the
+    digits of the pairs (1, j); the zero vector counts once.  The budget caps
+    the partial tuples and the histogram cells, each charged before it is
+    allocated, but not the products with the last member's rows, which run
+    in bounded blocks: two members are charged member 1's halved rows and
+    at most 4 * bound + 1 cells per q-tuple.
     """
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
@@ -121,6 +122,11 @@ def _join(L1, coords, bound, budget):
     shells = [shell_vectors(C @ L1.gram @ C.transpose(), bound, budget) for C in coords]
     n = len(shells)
     pairs = list(combinations(range(n), 2))
+
+    def on(A, *axes):
+        # A with its axes on the given axes of a block: one per member
+        return np.expand_dims(A, tuple(k for k in range(n) if k not in axes))
+
     counts: dict[tuple, int] = {}
     work = 0
     for part in product(*(sh.items() for sh in shells[:-1])):
@@ -131,45 +137,40 @@ def _join(L1, coords, bound, budget):
         if qs[0]:
             X1 = Xs[0]
             Xs = (X1[X1[np.arange(len(X1)), (X1 != 0).argmax(axis=1)] > 0],) + Xs[1:]
-        shape = tuple(map(len, Xs))
-        total = math.prod(shape)
-        work += total * (1 + sum(len(X) for _, X in lasts))
-        if work > budget:
-            raise ScaleLimit(f"tuple join reached {work} tuples, over the budget of {budget}")
+        work += math.prod(map(len, Xs))
         for q, X in lasts:
             Q = qs + (q,)
             S = [math.isqrt(4 * Q[i] * Q[j]) for i, j in pairs]
             radix = [2 * s + 1 for s in S]
-            place = [math.prod(radix[k + 1:]) for k in range(len(pairs))]
-            Y = [(p * W[i][j]) @ X.T for (i, j), p in zip(pairs, place) if j == n - 1]
-            inner = [(i, j, p) for (i, j), p in zip(pairs, place) if j < n - 1]
-            off = sum(s * p for s, p in zip(S, place))
             space = math.prod(radix)
-            dense = space <= total * len(X)
-            hist = np.zeros(space, dtype=np.int64) if dense else []
-            block = max(1, (1 << 23) // (len(X) + X.shape[1]))
-            for t in range(0, total, block):
-                idx = np.unravel_index(np.arange(t, min(t + block, total)), shape)
-                R = [Xi[k] for Xi, k in zip(Xs, idx)]
-                key = R[0] @ Y[0]
-                for Ri, Yi in zip(R[1:], Y[1:]):
-                    key += Ri @ Yi
-                key += np.reshape(off + sum(p * ((R[i] @ W[i][j]) * R[j]).sum(axis=1)
-                                            for i, j, p in inner), (-1, 1))
-                if dense:
-                    hist += np.bincount(key.ravel(), minlength=space)
-                else:
-                    hist.append(key.ravel())
-            keys, vals = ((np.flatnonzero(hist), hist[hist != 0]) if dense
-                          else np.unique(np.concatenate(hist), return_counts=True))
-            digits = np.unravel_index(keys, radix)
+            work += space
+            if work > budget:
+                raise ScaleLimit(f"tuple join reached {work} partial tuples and histogram "
+                                 f"cells at the radix {radix}, over the budget of {budget}")
+            place = [math.prod(radix[k + 1:]) for k in range(len(pairs))]
+            off = sum(s * p for s, p in zip(S, place))
+            Y = [(p * W[i][j]) @ X.T for (i, j), p in zip(pairs, place) if j == n - 1]
+            inner = [(i, j, p * W[i][j]) for (i, j), p in zip(pairs, place) if j < n - 1]
+            steps, cap = [], max(1, (1 << 23) // len(X))
+            for Xi in reversed(Xs):
+                steps.insert(0, min(len(Xi), cap))
+                cap = max(1, cap // len(Xi))
+            hist = np.zeros(space, dtype=np.int64)
+            for starts in product(*(range(0, len(Xi), st) for Xi, st in zip(Xs, steps))):
+                R = [Xi[a:a + st] for Xi, a, st in zip(Xs, starts, steps)]
+                key = on(R[0] @ Y[0], 0, n - 1)
+                for i in range(1, n - 1):
+                    key = key + on(R[i] @ Y[i], i, n - 1)
+                key += off + sum(on(R[i] @ Wij @ R[j].T, i, j) for i, j, Wij in inner)
+                hist += np.bincount(key.ravel(), minlength=space)
+                del key  # so that the next block's product is not held beside it
             if Q[0]:
-                mirror = [2 * s - d if k < n - 1 else d for k, (d, s) in enumerate(zip(digits, S))]
-                keys, vals = _merge(np.concatenate((keys, np.ravel_multi_index(mirror, radix))),
-                                    np.concatenate((vals, vals)))
-                digits = np.unravel_index(keys, radix)
-            for c, *bs in zip(vals.tolist(), *((d - s).tolist() for d, s in zip(digits, S))):
-                b = dict(zip(pairs, bs))
+                H = hist.reshape(radix)
+                H += np.flip(H, [k for k, (i, _) in enumerate(pairs) if i == 0])
+            keys = np.flatnonzero(hist)
+            digits = np.unravel_index(keys, radix)
+            for c, *ds in zip(hist[keys].tolist(), *(d.tolist() for d in digits)):
+                b = {pair: d - s for pair, d, s in zip(pairs, ds, S)}
                 counts[tuple(tuple(2 * Q[i] if i == j else b[min(i, j), max(i, j)]
                                    for j in range(n)) for i in range(n))] = c
     return counts, shells

@@ -577,9 +577,30 @@ def test_chain2_eval_matches_30_digit_reference(e8_chain, monkeypatch):
 
 def test_tuple_join_names_its_count():
     # A2 has 1 vector at Q = 0 and 6 at Q = 1, 3 of them halved.  With total
-    # Q <= 1, each (q1, q2) is charged its partial tuples and their products
-    # with the third member's shells: (0, 0) 1 + 1 * (1 + 6), (0, 1) 6 + 6 * 1,
-    # and (1, 0) reaches 26 with 3 + 3 * 1
+    # Q <= 1, each (q1, q2) is charged its partial tuples and, for each third
+    # member's shell it admits, a histogram of one cell: (0, 0) 1 + 2,
+    # (0, 1) 6 + 1, and (1, 0) reaches 14 with 3 + 1
     A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
-    with pytest.raises(ScaleLimit, match="tuple join reached 26 tuples, over the budget of 20"):
-        theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 1, budget=20)
+    with pytest.raises(ScaleLimit, match=r"tuple join reached 14 partial tuples and histogram "
+                                         r"cells at the radix \[1, 1, 1\], over the budget of 13"):
+        theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 1, budget=13)
+
+
+def test_tuple_join_charges_its_histograms():
+    # five members of the rank-1 lattice [[2]] form few tuples, but a
+    # q-tuple's radix has up to (4 * 200 + 1)^10 cells, past int64: the
+    # cells are charged, and refused, before any key is formed
+    with pytest.raises(ScaleLimit, match=r"histogram cells at the radix \[1, .*\], "
+                                         r"over the budget of 1000000"):
+        theta_coefficients_tuple(QuadLattice(Mat([[2]])), [Mat.identity(1)] * 5, 200,
+                                 budget=10**6)
+
+
+def test_pair_join_fits_the_default_budget_at_bound_10(e8_chain):
+    # a two-member join is charged member 1's rows and one histogram of at
+    # most 4 * bound + 1 cells per q-tuple, not its 251,540,642 pairs; the
+    # sha256 of the sorted counts was computed with the former pair join
+    exp_ = theta_coefficients(e8_chain, 10)
+    assert len(exp_.coefficients) == 280
+    assert hashlib.sha256(repr(sorted(exp_.coefficients.items())).encode()).hexdigest() == \
+        "31550d23f25df2df95777145428909492d1275ead3d99417321d7d456890b4f2"
