@@ -3,7 +3,7 @@
 Fourier keys store the doubled Gram matrix of a tuple of vectors, so all
 entries are integers and the term attached to a key H is exp(pi i tr(H Z)).
 Exact coefficient maps of two or more members come from one join of the
-per-member shell enumerations, which adds one member at a time; numeric
+per-member shell enumerations, in blocks over slices of their rows; numeric
 evaluation carries a certified tail bound derived from the smallest
 eigenvalue of Im Z, exact shell counts inside the truncation range, and a
 packing-ball bound outside it.  Two-member chains are evaluated at points
@@ -125,7 +125,7 @@ def _join(L1, coords, bound, budget):
 
     def on(A, *axes):
         # A with its axes on the given axes of a block: one per member
-        return np.expand_dims(A, tuple(k for k in range(n) if k not in axes))
+        return A.reshape([A.shape[axes.index(k)] if k in axes else 1 for k in range(n)])
 
     counts: dict[tuple, int] = {}
     work = 0
