@@ -11,8 +11,8 @@ used before their whole-array forms.
   member 2; the package joins one vector of each pair +-x1 and mirrors.
 * `tuple_coefficients` forms one tuple at a time, by recursion over the
   members' vectors, and computes each Gram entry by itself; the package
-  has one join for every number of members, which adds a member at a time
-  and counts the Grams of a block of tuples at once.
+  has one join for every number of members, which counts the Grams of a
+  block of tuples, over slices of the members' rows, at once.
 * `NumpyBacktracker` is the isometry search that multiplies all candidates
   of a depth with the chosen images at every node and tests sublattice rows
   through the quotient map, and `numpy_aut_order_and_gens` runs it; the

@@ -587,9 +587,10 @@ def test_tuple_join_names_its_count():
 
 
 def test_tuple_join_charges_its_histograms():
-    # five members of the rank-1 lattice [[2]] form few tuples, but a
-    # q-tuple's radix has up to (4 * 200 + 1)^10 cells, past int64: the
-    # cells are charged, and refused, before any key is formed
+    # five members of the rank-1 lattice [[2]] form few tuples, but the
+    # radix of the q-tuple (49, 49, 49, 36, 16) alone has about 5 * 10^21
+    # cells, past int64: the cells are charged, and refused, before any key
+    # is formed
     with pytest.raises(ScaleLimit, match=r"histogram cells at the radix \[1, .*\], "
                                          r"over the budget of 1000000"):
         theta_coefficients_tuple(QuadLattice(Mat([[2]])), [Mat.identity(1)] * 5, 200,
