@@ -49,6 +49,7 @@ from .errors import (
     IntegralityViolation,
     NotSupported,
     PrimalityUnproven,
+    ScaleLimit,
     SingularMatrix,
 )
 
@@ -554,7 +555,9 @@ def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1, ascending p: trial
     division by the divisors up to 2^10, which is all of it below 2^20, and
     then a cofactor that is not prime is split by Pollard's rho.  Raises
-    PrimalityUnproven where is_prime does, on a factor from 3.3 * 10^24 on."""
+    PrimalityUnproven where is_prime does, on a factor from 3.3 * 10^24 on,
+    and ScaleLimit where rho does, past _RHO_STEPS steps, which two prime
+    factors from about 10^14 on may take."""
     if n < 1:
         raise ValueError(f"factor expects n >= 1, got {n}")
     out = []
@@ -580,11 +583,19 @@ def factor(n: int) -> list[tuple[int, int]]:
     return out + sorted((p, primes.count(p)) for p in set(primes))
 
 
+# the steps of Pollard's rho, summed over its walks, before it gives up.  It
+# takes about sqrt(p) steps to split off a prime p: a product of two primes
+# near 10^12 about 2^20, one of two primes near 2^48 about 2^24
+_RHO_STEPS = 1 << 24
+
+
 def _rho(n: int) -> int:
     """A proper divisor of a composite n with no prime factor up to 2^10:
     Pollard's rho in Brent's form (BIT 20, 1980), with one gcd per 128
-    steps, and the next constant c of x^2 + c after a walk that fails."""
-    c = 0
+    steps, and the next constant c of x^2 + c after a walk that fails.
+    Raises ScaleLimit before a batch of steps once the walks, summed, have
+    taken more than _RHO_STEPS steps."""
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
@@ -592,13 +603,18 @@ def _rho(n: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            steps += r
             k = 0
             while k < r and g == 1:
+                if steps > _RHO_STEPS:
+                    raise ScaleLimit(f"Pollard's rho reached {steps} steps on {n}, over "
+                                     f"the budget of {_RHO_STEPS}")
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
+                steps += min(128, r - k)
                 k += 128
             r *= 2
         if g == n:      # the batch overshot: redo it one step at a time

@@ -320,13 +320,15 @@ def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
             for q, X in shell_vectors(L.gram, bound, budget).items()}
 
 
-def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6) -> dict[int, np.ndarray]:
+def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6,
+                  half: bool = False) -> dict[int, np.ndarray]:
     """Coordinates with Q(x) <= bound as {q: int64 rows}, each shell in
-    enumeration order.  Q is computed once per prefix, and only the rows
-    kept are joined."""
+    enumeration order; with half=True, zero and one vector of each pair +-x,
+    as fincke_pohst_leaves gives them.  Q is computed once per prefix, and
+    only the rows kept are joined."""
     G = gram.to_numpy()
     groups: dict[int, list] = {}
-    for X, idx, x0 in fincke_pohst_leaves(gram, bound, budget=budget):
+    for X, idx, x0 in fincke_pohst_leaves(gram, bound, budget=budget, half=half):
         qv = leaf_norms(G, X, idx, x0)[1]
         keep = qv <= bound
         X, qv = _join(X, idx[keep], x0[keep])[:, ::-1], qv[keep]

@@ -2,16 +2,19 @@
 
 Fourier keys store the doubled Gram matrix of a tuple of vectors, so all
 entries are integers and the term attached to a key H is exp(pi i tr(H Z)).
-Exact coefficient maps of two or more members come from one join of the
-per-member shell enumerations, in blocks over slices of their rows; numeric
-evaluation carries a certified tail bound derived from the smallest
-eigenvalue of Im Z, exact shell counts inside the truncation range, and a
-packing-ball bound outside it.  Two-member chains are evaluated at points
-with a rational off-diagonal entry a/M from exact residue histograms: counts
-of member vectors by (Q(x), residue mod M), built by one enumeration of
-each pair +-x and kept on the chain for every later point, so that a point
-costs a sum over the histogram keys and one M-adic transform, not a pass
-over vectors.
+Exact coefficient maps of chains of every length come from one join: a
+tuple of Q-values with at most one nonzero member is that member's shell
+count, and every other one is counted from the rows of its nonzero members,
+one vector of each pair +-x, enumerated only up to the Q that a nonzero
+vector of another member leaves, in blocks over slices of the rows and
+summed over the signs of the members.  Numeric evaluation carries a
+certified tail bound derived from the smallest eigenvalue of Im Z, exact
+shell counts inside the truncation range, and a packing-ball bound outside
+it.  Two-member chains are evaluated at points with a rational off-diagonal
+entry a/M from exact residue histograms: counts of member vectors by (Q(x),
+residue mod M), built by one enumeration of each pair +-x and kept on the
+chain for every later point, so that a point costs a sum over the histogram
+keys and one M-adic transform, not a pass over vectors.
 """
 
 from __future__ import annotations
@@ -80,100 +83,128 @@ class ThetaExpansion:
 
 def theta_coefficients(chain: ParamodularChain, trace_bound: int,
                        budget: int = 200 * 10**6) -> ThetaExpansion:
-    """Exact tuple counts for every doubled Gram with total Q below the bound.
-    Each member is enumerated once; the shell counts of two or more members
-    are read off the rows of the join."""
-    n = len(chain.T)
-    if n == 1:
-        shells = [shell_counts(chain.member(0), trace_bound, budget)]
-        coeffs = {((2 * q,),): c for q, c in shells[0].items()}
-    else:
-        coeffs, vecs = _join(chain.L1, chain.coords, trace_bound, budget)
-        shells = [{q: len(sh[q]) for q in sorted(sh)} for sh in vecs]
+    """Exact tuple counts for every doubled Gram with total Q below the bound,
+    and the members' shell counts, from one join for every number of
+    members (see _join)."""
+    coeffs, shells = _join(chain.L1, chain.coords, trace_bound, budget)
     minima = [min((q for q in s if q > 0), default=1) for s in shells]
-    return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima, [chain.L1.rank] * n)
+    return ThetaExpansion(chain.T, trace_bound, coeffs, shells, minima,
+                          [chain.L1.rank] * len(chain.T))
 
 
 def _join(L1, coords, bound, budget):
-    """The tuple counts of two or more members, and the member shells
-    ({q: rows}) joined for them, one q-tuple at a time.
+    """The tuple counts of one or more members, and the members' shell
+    counts {q: count} from shell_counts, one q-tuple at a time in ascending
+    order.
 
-    Its partial tuples take one row from each member but the last, member 1
-    giving one vector of each pair +-x1 (first nonzero entry positive).  A
-    block is the outer product of one slice of each member's rows, whole from
-    the last member outward while the block meets the last member's shell in
-    at most 2^23 tuples; the members' products with that shell and with each
-    other are broadcast over it, and no row is copied.  A tuple's doubled
-    Gram is a mixed-radix number, counted by np.bincount: the digit of the
-    pair (i, j) is b_ij + s_ij, as |b_ij| <= s_ij = isqrt(4 q_i q_j)
-    (Cauchy-Schwarz), with (1, 2), (1, 3), ..., (2, 3), ... from the most
-    significant down, so the keys come in ascending radix order and two
-    members count X1 @ Y2 + off per block.  -x1 meets the rest of a tuple
-    with every b_1j negated, so for q1 > 0 the histogram is mirrored on the
-    digits of the pairs (1, j); the zero vector counts once.  The budget caps
-    the partial tuples and the histogram cells, each charged before it is
-    allocated, but not the products with the last member's rows, which run
-    in bounded blocks: two members are charged member 1's halved rows and
-    at most 4 * bound + 1 cells per q-tuple.
+    A q-tuple with at most one nonzero member is that member's shell count
+    at the diagonal key, and needs no rows.  Every other q-tuple is counted
+    by _signed_counts from the rows of its nonzero members, zero and one
+    vector of each pair +-x (shell_vectors with half=True).  A member's rows
+    only ever meet a nonzero vector of another member, so they are
+    enumerated up to the bound less the least minimum of the others.  The
+    budget caps each such q-tuple's partial tuples (the rows of its nonzero
+    members but the last) and its histogram cells, each charged before it
+    is allocated, but not the products with the last member's rows, which
+    run in bounded blocks: two members are charged member 1's halved rows
+    and at most 4 * bound + 1 cells per q-tuple.
     """
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
     W = [[A @ G1 @ B.T for B in mats] for A in mats]
-    shells = [shell_vectors(C @ L1.gram @ C.transpose(), bound, budget) for C in coords]
+    grams = [C @ L1.gram @ C.transpose() for C in coords]
+    shells = [shell_counts(QuadLattice(g), bound, budget) for g in grams]
+    minima = [min((q for q in s if q), default=bound + 1) for s in shells]
+    rows = [shell_vectors(g, bound - min(minima[:i] + minima[i + 1:], default=bound + 1),
+                          budget, half=True) for i, g in enumerate(grams)]
     n = len(shells)
     pairs = list(combinations(range(n), 2))
 
-    def on(A, *axes):
-        # A with its axes on the given axes of a block: one per member
-        return A.reshape([A.shape[axes.index(k)] if k in axes else 1 for k in range(n)])
+    def key(Q, b):
+        # the doubled Gram of a q-tuple with the entries b of its pairs
+        return tuple(tuple(2 * Q[i] if i == j else b.get((min(i, j), max(i, j)), 0)
+                           for j in range(n)) for i in range(n))
 
     counts: dict[tuple, int] = {}
     work = 0
-    for part in product(*(sh.items() for sh in shells[:-1])):
-        qs, Xs = zip(*part)
-        lasts = [(q, X) for q, X in shells[-1].items() if sum(qs) + q <= bound]
-        if not lasts:
-            continue
-        if qs[0]:
-            X1 = Xs[0]
-            Xs = (X1[X1[np.arange(len(X1)), (X1 != 0).argmax(axis=1)] > 0],) + Xs[1:]
-        work += math.prod(map(len, Xs))
-        for q, X in lasts:
-            Q = qs + (q,)
-            S = [math.isqrt(4 * Q[i] * Q[j]) for i, j in pairs]
+    for part in product(*shells[:-1]):
+        for q in shells[-1]:
+            Q = part + (q,)
+            if sum(Q) > bound:
+                break
+            nz = [i for i in range(n) if Q[i]]
+            if len(nz) < 2:
+                counts[key(Q, {})] = shells[nz[0]][Q[nz[0]]] if nz else 1
+                continue
+            sub = list(combinations(nz, 2))
+            S = [math.isqrt(4 * Q[i] * Q[j]) for i, j in sub]
             radix = [2 * s + 1 for s in S]
-            space = math.prod(radix)
-            work += space
+            Xs = [rows[i][Q[i]] for i in nz]
+            work += math.prod(map(len, Xs[:-1])) + math.prod(radix)
             if work > budget:
+                full = [2 * math.isqrt(4 * Q[i] * Q[j]) + 1 for i, j in pairs]
                 raise ScaleLimit(f"tuple join reached {work} partial tuples and histogram "
-                                 f"cells at the radix {radix}, over the budget of {budget}")
-            place = [math.prod(radix[k + 1:]) for k in range(len(pairs))]
-            off = sum(s * p for s, p in zip(S, place))
-            Y = [(p * W[i][j]) @ X.T for (i, j), p in zip(pairs, place) if j == n - 1]
-            inner = [(i, j, p * W[i][j]) for (i, j), p in zip(pairs, place) if j < n - 1]
-            steps, cap = [], max(1, (1 << 23) // len(X))
-            for Xi in reversed(Xs):
-                steps.insert(0, min(len(Xi), cap))
-                cap = max(1, cap // len(Xi))
-            hist = np.zeros(space, dtype=np.int64)
-            for starts in product(*(range(0, len(Xi), st) for Xi, st in zip(Xs, steps))):
-                R = [Xi[a:a + st] for Xi, a, st in zip(Xs, starts, steps)]
-                key = on(R[0] @ Y[0], 0, n - 1)
-                for i in range(1, n - 1):
-                    key = key + on(R[i] @ Y[i], i, n - 1)
-                key += off + sum(on(R[i] @ Wij @ R[j].T, i, j) for i, j, Wij in inner)
-                hist += np.bincount(key.ravel(), minlength=space)
-                del key  # so that the next block's product is not held beside it
-            if Q[0]:
-                H = hist.reshape(radix)
-                H += np.flip(H, [k for k, (i, _) in enumerate(pairs) if i == 0])
-            keys = np.flatnonzero(hist)
-            digits = np.unravel_index(keys, radix)
-            for c, *ds in zip(hist[keys].tolist(), *(d.tolist() for d in digits)):
-                b = {pair: d - s for pair, d, s in zip(pairs, ds, S)}
-                counts[tuple(tuple(2 * Q[i] if i == j else b[min(i, j), max(i, j)]
-                                   for j in range(n)) for i in range(n))] = c
+                                 f"cells at the radix {full}, over the budget of {budget}")
+            B, C = _signed_counts(Xs, [[W[i][j] for j in nz] for i in nz], S)
+            for bs, c in zip(B.tolist(), C.tolist()):
+                counts[key(Q, dict(zip(sub, bs)))] = c
     return counts, shells
+
+
+def _signed_counts(Xs, W, S):
+    """The entries b_ab of the doubled Grams of the tuples (+-x_1, ..., +-x_k),
+    k >= 2, with x_a a row of Xs[a] and W[a][b] the pairing of the
+    coordinates of members a and b: (b, counts), one row of b per Gram, in
+    the ascending order of their mixed-radix numbers.
+
+    The Grams of the rows' own tuples are counted by np.bincount in one
+    dense histogram of mixed-radix numbers: the digit of the pair (a, b) is
+    b_ab + S_ab, as |b_ab| <= S_ab = isqrt(4 q_a q_b) (Cauchy-Schwarz), with
+    (1, 2), (1, 3), ..., (2, 3), ... from the most significant down.  A
+    block is the outer product of one slice of each member's rows, whole
+    from the last member outward while the block meets the last member's
+    rows in at most 2^23 tuples; the members' products with those rows and
+    with each other are broadcast over it, and no row is copied, so two
+    members count X1 @ Y2 + off per block.  Signs s negate b_ab where
+    s_a != s_b, and s and -s give the same Gram, so each nonzero cell goes
+    to its images under the 2^(k-1) sign patterns with s_1 = 1, which are
+    merged and doubled: for two members, 2 (h + flip(h)) on those cells.
+    """
+    k = len(Xs)
+    sub = list(combinations(range(k), 2))
+    radix = [2 * s + 1 for s in S]
+    place = [math.prod(radix[t + 1:]) for t in range(len(sub))]
+    off = sum(s * p for s, p in zip(S, place))
+    *P, X = Xs
+    Y = [(p * W[a][b]) @ X.T for (a, b), p in zip(sub, place) if b == k - 1]
+    inner = [(a, b, p * W[a][b]) for (a, b), p in zip(sub, place) if b < k - 1]
+
+    def on(A, *axes):
+        # A with its axes on the given axes of a block: one per member
+        return A.reshape([A.shape[axes.index(m)] if m in axes else 1 for m in range(k)])
+
+    steps, cap = [], max(1, (1 << 23) // len(X))
+    for Xa in reversed(P):
+        steps.insert(0, min(len(Xa), cap))
+        cap = max(1, cap // len(Xa))
+    hist = np.zeros(math.prod(radix), dtype=np.int64)
+    for starts in product(*(range(0, len(Xa), st) for Xa, st in zip(P, steps))):
+        R = [Xa[a:a + st] for Xa, a, st in zip(P, starts, steps)]
+        key = on(R[0] @ Y[0], 0, k - 1)
+        for a in range(1, k - 1):
+            key = key + on(R[a] @ Y[a], a, k - 1)
+        key += off + sum(on(R[a] @ Wab @ R[b].T, a, b) for a, b, Wab in inner)
+        hist += np.bincount(key.ravel(), minlength=len(hist))
+        del key  # so that the next block's product is not held beside it
+    # the sign patterns up to -1, as the factor of b_ab for each pair (a, b)
+    signs = [[s[a] * s[b] for a, b in sub] for s in product((1, -1), repeat=k) if s[0] == 1]
+    cells = np.flatnonzero(hist)
+    B = np.stack(np.unravel_index(cells, radix), axis=1) - S
+    keys, where = np.unique(np.concatenate([np.ravel_multi_index((B * f + S).T, radix)
+                                            for f in signs]), return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, where, np.tile(hist[cells], len(signs)))
+    return np.stack(np.unravel_index(keys, radix), axis=1) - S, 2 * counts
 
 
 # ---------------------------------------------------------------------------

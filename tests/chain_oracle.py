@@ -8,7 +8,8 @@ used before their whole-array forms.
 * `in_lattice` reduces one vector against HNF rows pivot by pivot; the
   stabilizer search now tests all hits of a depth through a quotient map.
 * `pair_coefficients` joins every vector of member 1 with every vector of
-  member 2; the package joins one vector of each pair +-x1 and mirrors.
+  member 2; the package joins one vector of each pair +-x of each member
+  and sums over the signs.
 * `tuple_coefficients` forms one tuple at a time, by recursion over the
   members' vectors, and computes each Gram entry by itself; the package
   has one join for every number of members, which counts the Grams of a

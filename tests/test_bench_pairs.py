@@ -3,6 +3,7 @@ trajectory table of change-to-parent ratios."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -100,3 +101,26 @@ def test_a_failed_run_is_reported_and_the_finished_pairs_kept(tmp_path, capsys):
     assert data["metrics"]["solve_s"]["pairs"] == 1
     assert data["metrics"]["solve_s"]["parent"]["runs"] == [1.0]
     assert data["failed_of_attempted"] == {"parent": [0, 3], "change": [0, 3]}
+
+
+def test_each_run_compiles_into_a_fresh_bytecode_cache(tmp_path, monkeypatch):
+    # both runs of a pair point PYTHONPYCACHEPREFIX at an empty directory of
+    # their own, which is gone once the run has finished, and may write to it
+    caches = []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+
+    def fake_run(cmd, cwd, env, **kw):
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        caches.append(cache)
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(_RESULT) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent = _checkout(tmp_path / "parent", "")
+    change = _checkout(tmp_path / "change", "")
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seed", "7",
+                             "--seconds", "1", "--workload", "w:1",
+                             "--out", str(tmp_path / "BENCH.json")]) == 0
+    assert len(caches) == 2 and caches[0] != caches[1]
+    assert not any(c.exists() for c in caches)

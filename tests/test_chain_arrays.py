@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paramodular.quadlat as quadlat
+import paramodular.thetaser as thetaser
 from chain_oracle import (
     NumpyBacktracker,
     act_mod,
@@ -169,8 +170,7 @@ def test_halved_pair_join_matches_full_join(data, n, bound):
     want = pair_coefficients(grams, G1, mats, bound)
     got, shells = _join(L1, coords, bound, 200 * 10**6)
     assert list(got.items()) == list(want.items())
-    assert [{q: X.tolist() for q, X in sh.items()} for sh in shells] == \
-        [{q: X.tolist() for q, X in shell_vectors(g, bound).items()} for g in grams]
+    assert shells == [shell_counts(QuadLattice(g), bound) for g in grams]
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,6 +200,39 @@ def test_tuple_join_matches_reference_on_a2(members, bound):
     grams = [C @ A2.gram @ C.transpose() for C in coords]
     want = tuple_coefficients(grams, A2.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
     assert theta_coefficients_tuple(A2, coords, bound) == want
+
+
+@pytest.mark.parametrize("scales, bound", [((1, 2, 3), 10), ((1, 2, 2, 4), 9)])
+def test_tuple_join_with_zero_members_matches_reference(scales, bound):
+    # nested multiples of A2, with minima 1, 4, 9 or 1, 4, 4, 16: most
+    # q-tuples have zero members, each member's rows stop at the bound less
+    # the least minimum of the others, and the fourth member of (1, 2, 2, 4)
+    # has no nonzero vector in range
+    A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
+    coords = [Mat.identity(2).scale(t) for t in scales]
+    grams = [C @ A2.gram @ C.transpose() for C in coords]
+    want = tuple_coefficients(grams, A2.gram.to_numpy(), [C.to_numpy() for C in coords], bound)
+    assert theta_coefficients_tuple(A2, coords, bound) == want
+
+
+def test_a_member_without_rows(e8_chain, monkeypatch):
+    # at trace bound 1, member 2 (minimum 2) leaves member 1 no room: member
+    # 1's rows are enumerated up to 1 - 2 = -1, none at all, and member 2's
+    # up to 1 - 1 = 0, its zero vector; the counts are still the full
+    # join's, in order
+    seen = []
+
+    def rows(gram, bound, *rest, **kw):
+        out = shell_vectors(gram, bound, *rest, **kw)
+        seen.append((bound, {q: len(X) for q, X in out.items()}))
+        return out
+
+    monkeypatch.setattr(thetaser, "shell_vectors", rows)
+    got = theta_coefficients(e8_chain, 1).coefficients
+    assert seen == [(-1, {}), (0, {0: 1})]
+    G1, mats = e8_chain.L1.gram.to_numpy(), [C.to_numpy() for C in e8_chain.coords]
+    grams = [e8_chain.member_gram(j) for j in range(2)]
+    assert list(got.items()) == list(pair_coefficients(grams, G1, mats, 1).items())
 
 
 def test_chain_shells_from_join_rows(e8_chain):

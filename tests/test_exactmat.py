@@ -15,8 +15,9 @@ from sympy.polys.matrices import DomainMatrix
 import fraction_oracle as oracle
 from exact_oracle import rref_mod, saturation
 
+from paramodular import exactmat
 from paramodular.altlat import _solve_mod_squarefree
-from paramodular.errors import DimensionMismatch, PrimalityUnproven, SingularMatrix
+from paramodular.errors import DimensionMismatch, PrimalityUnproven, ScaleLimit, SingularMatrix
 from paramodular.exactmat import (
     Mat,
     crt,
@@ -222,6 +223,18 @@ def test_large_numbers_are_factored_or_refused_at_once():
     assert not is_prime((2**89 - 1) * (2**61 - 1))
     with pytest.raises(PrimalityUnproven):
         factor(3 * (2**89 - 1))
+
+
+def test_rho_refuses_past_its_step_budget(monkeypatch):
+    # rho splits two primes near 2^40 in about 2^20 steps; with a budget of
+    # 2^10 it raises at once, and says how far it got
+    n = sympy.prevprime(2**40) * sympy.nextprime(2**40)
+    monkeypatch.setattr(exactmat, "_RHO_STEPS", 1 << 10)
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleLimit, match=rf"Pollard's rho reached \d+ steps on {n}, "
+                                         rf"over the budget of 1024"):
+        factor(n)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_large_prime_moduli_return_at_once():

@@ -576,14 +576,18 @@ def test_chain2_eval_matches_30_digit_reference(e8_chain, monkeypatch):
 
 
 def test_tuple_join_names_its_count():
-    # A2 has 1 vector at Q = 0 and 6 at Q = 1, 3 of them halved.  With total
-    # Q <= 1, each (q1, q2) is charged its partial tuples and, for each third
-    # member's shell it admits, a histogram of one cell: (0, 0) 1 + 2,
-    # (0, 1) 6 + 1, and (1, 0) reaches 14 with 3 + 1
+    # A2 has 1 vector at Q = 0, 6 at Q = 1 and none at Q = 2; 3 of the 6 are
+    # halved.  With total Q <= 2 the q-tuples with at most one nonzero member
+    # are shell counts and charged nothing.  Each other q-tuple is charged
+    # the halved rows of its nonzero members but the last, and a histogram
+    # of 2 isqrt(4 * 1 * 1) + 1 = 5 cells: (0, 1, 1) 3 + 5, and (1, 0, 1)
+    # reaches 16 with 3 + 5.  (1, 1, 0) brings the charge to 24, the least
+    # budget that passes: the zero key, 3 diagonal keys and 4 per pair
     A2 = QuadLattice(Mat([[2, -1], [-1, 2]]))
-    with pytest.raises(ScaleLimit, match=r"tuple join reached 14 partial tuples and histogram "
-                                         r"cells at the radix \[1, 1, 1\], over the budget of 13"):
-        theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 1, budget=13)
+    with pytest.raises(ScaleLimit, match=r"tuple join reached 16 partial tuples and histogram "
+                                         r"cells at the radix \[1, 5, 1\], over the budget of 15"):
+        theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 2, budget=15)
+    assert len(theta_coefficients_tuple(A2, [Mat.identity(2)] * 3, 2, budget=24)) == 16
 
 
 def test_tuple_join_charges_its_histograms():
@@ -595,6 +599,37 @@ def test_tuple_join_charges_its_histograms():
                                          r"over the budget of 1000000"):
         theta_coefficients_tuple(QuadLattice(Mat([[2]])), [Mat.identity(1)] * 5, 200,
                                  budget=10**6)
+
+
+# the sha256 of repr(list(items)) of the E8 (1, 2) counts at trace bounds
+# 0-8, in the order of the dict, as the join with member 2's full rows gave
+# them: theta_eval sums the terms in that order
+E8_PAIR_ITEMS = [
+    "b7a5ea630d6e0abf04175643eee045536206c48aed76d192ca3d8198034af0f9",
+    "42d0296a4f5303dfcd5c434362deadb3214da68c21f8f50819653b9dcf61cb13",
+    "2d198dd2f395c1b1bbf91bacad4e4847aab8a936b949e05a25291d639c2b7390",
+    "08e6c434e982881cf6a977b62f9045a221ad48e2fe3d09a1a4738a987b11b5ff",
+    "bc76735757724e1818e469faf0717d3e4a0e349bb6306c3d950210bfef7dbb01",
+    "212c18d17f73641fd772672aa9382b67e0346ef02d33d6ca9a2ace8805498fc8",
+    "6375a78b22dce7f9e6cd863adecc2879e8936fe6e78505dfc4392693686ad9dd",
+    "d752f0fdb621e48658e42b6c1e7a0f9910e1348b73d4beae3f890c63185b1c81",
+    "8e781098f846b9099b523a28bc071e9a2eb64eae80cfe34065efc9ec278a0751",
+]
+
+
+def test_pair_join_items_pinned_in_order(e8_chain):
+    for bound, want in enumerate(E8_PAIR_ITEMS):
+        items = list(theta_coefficients(e8_chain, bound).coefficients.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == want, bound
+
+
+def test_one_member_join_is_the_shell_counts(e8):
+    # one member has no pair, so every key is a shell count: the dict of the
+    # former one-member path, in order, whose sha256 is pinned
+    items = list(theta_coefficients(constant_chain(e8, 1), 8).coefficients.items())
+    assert items == [(((2 * q,),), c) for q, c in shell_counts(e8, 8).items()]
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == \
+        "d3f0ab76dd19df518a5cf74a770d6f9b36c4c69e891cba2e7c36b089f5595c2e"
 
 
 def test_pair_join_fits_the_default_budget_at_bound_10(e8_chain):

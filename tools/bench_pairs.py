@@ -19,10 +19,12 @@ better (ties count for neither), and a verdict:
   than the metric's `bound` in BENCHMARK.json, as a fraction of the parent's;
 * `gain`: the first three together, the rule for claiming a gain.
 
-Runs are sequential: nothing else should use the machine meanwhile.  When
-a run exits non-zero, its workload, pair, side and seed and the last lines
-of its stderr go to stderr; --out keeps the pairs that both sides finished,
-with the failure, and the exit code is 1.
+Each run gets a fresh PYTHONPYCACHEPREFIX, with bytecode writing on, so
+both sides compile their bytecode alike.  Runs are sequential: nothing else
+should use the machine meanwhile.  When a run exits non-zero, its workload,
+pair, side and seed and the last lines of its stderr go to stderr; --out
+keeps the pairs that both sides finished, with the failure, and the exit
+code is 1.
 
 With --trajectory, nothing runs: for each workload and metric in the given
 files, a table row holds each file's change-to-parent ratio of the medians,
@@ -37,14 +39,21 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                         cwd=checkout, capture_output=True, text=True, check=True)
+    # every run compiles its bytecode into a fresh cache, written by its
+    # first process and read by the rest, so that neither side imports
+    # bytecode that an earlier run or script left behind
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                             cwd=checkout, capture_output=True, text=True, check=True,
+                             env={**env, "PYTHONPYCACHEPREFIX": cache})
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
