@@ -593,22 +593,27 @@ def _rho(n: int) -> int:
     """A proper divisor of a composite n with no prime factor up to 2^10:
     Pollard's rho in Brent's form (BIT 20, 1980), with one gcd per 128
     steps, and the next constant c of x^2 + c after a walk that fails.
-    Raises ScaleLimit before a batch of steps once the walks, summed, have
-    taken more than _RHO_STEPS steps."""
+    Raises ScaleLimit before any run of steps that would take the walks,
+    summed, past _RHO_STEPS steps, so it never takes more."""
     c = steps = 0
+
+    def charge(more):
+        if steps + more > _RHO_STEPS:
+            raise ScaleLimit(f"Pollard's rho reached {steps} steps on {n}, over the budget "
+                             f"of {_RHO_STEPS} with the next {more}")
+
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            charge(r)
             for _ in range(r):
                 y = (y * y + c) % n
             steps += r
             k = 0
             while k < r and g == 1:
-                if steps > _RHO_STEPS:
-                    raise ScaleLimit(f"Pollard's rho reached {steps} steps on {n}, over "
-                                     f"the budget of {_RHO_STEPS}")
+                charge(min(128, r - k))
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n

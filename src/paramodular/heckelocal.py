@@ -6,11 +6,15 @@ by their elementary divisors in the lattice and in its dual; the invariant
 tuple (r_minus, r_plus, mu) indexes the double cosets, with block-monomial
 representative matrices.
 
-A base lattice is prepared once (a frame, by exact elimination); each lattice
-then costs two products and two Smith divisor lists.  Neighbor candidates are
-tested for elementarity on one bordered row of pairings before Hermite form.
-The ball of lattices within j neighbor steps is built once per (shape, j)
-with each lattice's class; partitions and left cosets read it.
+A base lattice is prepared once (a frame, by exact elimination); frames hold
+no mutable state, so threads share them.  Each lattice then costs two
+products and two Smith divisor lists, and its class is recovered from the
+two exponent tuples once per (shape, exponents, dual exponents) in one
+bounded cache.  Neighbor candidates are tested for elementarity on one
+bordered row of pairings before Hermite form.  The ball of lattices within j
+neighbor steps is built once per (shape, j) with each lattice's class;
+partitions and left cosets read it, and products keep the frames of its
+outer shell once per (shape, j).
 
 Internal representation: a lattice is (rows, k) meaning the row span of
 p**(-k) * rows in the coordinates of the standard lattice basis
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -143,7 +147,7 @@ def _key(rows, k):
 # ---------------------------------------------------------------------------
 
 
-def _exponents(coord_rows, extra_scale: int, p: int, strict=True) -> list[int]:
+def _exponents(coord_rows, extra_scale: int, p: int, strict=True) -> tuple[int, ...]:
     """v_p of the elementary divisors of an integer coordinate matrix,
     shifted by extra_scale; in strict mode divisors must be pure p-powers."""
     divs = smith_divisors([list(r) for r in coord_rows])
@@ -155,7 +159,7 @@ def _exponents(coord_rows, extra_scale: int, p: int, strict=True) -> list[int]:
         if strict and d != p**e:
             raise NotElementary("lattice is not p-commensurable")
         out.append(e + extra_scale)
-    return out
+    return tuple(out)
 
 
 def _recover(a: int, b: int, expA: list[int], expB: list[int]):
@@ -211,15 +215,16 @@ class _Frame:
     (H the base's Gram): the coordinates of p**(-k) * rowspan(M) in the base
     and its dual are M @ inv and M @ dual times p**(shift - k), resp.
     p**(dual_shift - k), and a p-adic unit.  inv is None for the identity.
+    A frame holds no mutable state: the classes it finds are kept by
+    _class_of, for every frame of the same shape at once.
     """
 
     shape: LocalShape
-    inv: list | None
+    inv: tuple | None
     shift: int
-    dual: list
+    dual: tuple
     dual_shift: int
     strict: bool
-    classes: dict = field(default_factory=dict, compare=False)
 
 
 def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
@@ -245,10 +250,10 @@ def _frame(p, gram, base_rows, base_k, strict=True) -> _Frame:
     dual = matmul_int(inv, H)
     g = math.gcd(c, *(x for row in dual for x in row))
     dual, cd = [[x // g for x in row] for row in dual], c // g
-    if inv == [[int(i == j) for j in range(len(inv))] for i in range(len(inv))]:
-        inv = None
+    inv = (None if inv == [[int(i == j) for j in range(len(inv))] for i in range(len(inv))]
+           else tuple(map(tuple, inv)))
     return _Frame(LocalShape(p, n - e2b // 2, e2b // 2), inv, base_k - valuation(c, p),
-                  dual, base_k - valuation(cd, p), strict)
+                  tuple(map(tuple, dual)), base_k - valuation(cd, p), strict)
 
 
 @lru_cache(maxsize=64)
@@ -264,13 +269,15 @@ def _classify(fr: _Frame, mov_rows, mov_k, dual_coords=None) -> LocalDoubleCoset
     coords = mov_rows if fr.inv is None else matmul_int(mov_rows, fr.inv)
     if dual_coords is None:
         dual_coords = matmul_int(mov_rows, fr.dual)
-    key = _recover(fr.shape.a, fr.shape.b,
-                   _exponents(coords, fr.shift - mov_k, p, fr.strict),
-                   _exponents(dual_coords, fr.dual_shift - mov_k, p, fr.strict))
-    dc = fr.classes.get(key)
-    if dc is None:
-        dc = fr.classes[key] = LocalDoubleCoset(fr.shape, *key)
-    return dc
+    return _class_of(fr.shape, _exponents(coords, fr.shift - mov_k, p, fr.strict),
+                     _exponents(dual_coords, fr.dual_shift - mov_k, p, fr.strict))
+
+
+@lru_cache(maxsize=4096)
+def _class_of(shape: LocalShape, expA: tuple, expB: tuple) -> LocalDoubleCoset:
+    """The class with the exponents expA in the base and expB in its dual;
+    a pair that _recover rejects raises on every call, as nothing is kept."""
+    return LocalDoubleCoset(shape, *_recover(shape.a, shape.b, expA, expB))
 
 
 def classify_pair(shape: LocalShape, L) -> LocalDoubleCoset:
@@ -554,6 +561,10 @@ def ball(shape: LocalShape, j: int, budget=10**7) -> dict[tuple, BallEntry]:
     """
     if j > 0:
         _check_budget(2 * shape.n, shape.p, budget)
+    return _ball_entries(shape, j)
+
+
+def _ball_entries(shape: LocalShape, j: int) -> dict[tuple, BallEntry]:
     with _BALL_LOCK:
         return _ball(shape, j)[0]
 
@@ -606,18 +617,8 @@ def hecke_product(shape: LocalShape, i: int, j: int, budget=10**7):
     lattices M at index exponent i from the standard lattice such that a
     fixed representative of the class sits at exponent j from M.
     """
-    p = shape.p
-    gram = shape.gram_rows()
-    frames = []
-    for entry in ball(shape, i, budget).values():
-        if entry.cls.weight != i:
-            continue
-        try:
-            fr = _frame(p, gram, entry.rows, entry.k)
-        except (NotElementary, NotIsometric):
-            continue
-        if fr.shape == shape:
-            frames.append(fr)
+    ball(shape, i, budget)      # checks the budget, before any cache
+    frames = _product_frames(shape, i)
     out: dict[LocalDoubleCoset, int] = {}
     # a product lattice can sit at any index exponent up to i + j
     targets = [dc for e in range(i + j + 1) for dc in enumerate_Tpj(shape, e)]
@@ -635,6 +636,25 @@ def hecke_product(shape: LocalShape, i: int, j: int, budget=10**7):
         if mult:
             out[dc] = mult
     return out
+
+
+@lru_cache(maxsize=32)
+def _product_frames(shape: LocalShape, i: int) -> tuple[_Frame, ...]:
+    """The frames of the lattices of the ball at index exponent i that have
+    the shape's own shape, in the ball's order; the caller checks the
+    budget."""
+    p, gram = shape.p, shape.gram_rows()
+    frames = []
+    for entry in _ball_entries(shape, i).values():
+        if entry.cls.weight != i:
+            continue
+        try:
+            fr = _frame(p, gram, entry.rows, entry.k)
+        except (NotElementary, NotIsometric):
+            continue
+        if fr.shape == shape:
+            frames.append(fr)
+    return tuple(frames)
 
 
 # ---------------------------------------------------------------------------

@@ -650,7 +650,9 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
 
     These are the preimages of the maximal totally singular subspaces of the
     reduction mod p of Q / scale, found by one bitset search for every p;
-    budget bounds the subspaces of each dimension that it builds.  For all
+    budget bounds the (p^n - 1)/(p - 1) points of the projective space, which
+    are counted before any is listed, and the subspaces of each dimension
+    that the search builds.  For all
     K at once, in int64 (Python ints if that could overflow), the check is
     exact: the Gram is divisible by t = p*scale, its diagonal by 2t, and
     det(K)^2 disc(L) = t^n, that is |det(Gram / t)| = 1.  Sorted by rows.
@@ -705,13 +707,18 @@ def _max_singular_subspaces(L: QuadLattice, p: int, scale: int, budget: int):
     may follow it as a later row: w orthogonal to x, lead(w) > lead(x) and
     x zero at lead(w).  A state grows by the points in the AND of the bitsets
     of its rows, so each subspace is built once, from the span of its rows
-    but the last; budget bounds the subspaces of each dimension.
+    but the last; budget bounds the points of F_p^n, before they are listed,
+    and the subspaces of each dimension.
     """
     n = L.rank
     g = L.gram.rows
     if any(x % scale for row in g for x in row) or any(g[i][i] % (2 * scale)
                                                      for i in range(n)):
         raise IntegralityViolation(f"Q / {scale} is not integral")
+    points = (p**n - 1) // (p - 1)
+    if points > budget:
+        raise ScaleLimit(f"the subspace search would list {points} points of the projective "
+                         f"space mod {p}, over the budget of {budget}")
     # the form / scale mod 2p keeps Q mod p, and the products stay in int64
     gs = np.array([[x // scale % (2 * p) for x in row] for row in g], dtype=np.int64)
     pts = np.array([v for _, v in _projective_vectors(n, p)], dtype=np.int64)

@@ -124,3 +124,68 @@ def test_each_run_compiles_into_a_fresh_bytecode_cache(tmp_path, monkeypatch):
                              "--out", str(tmp_path / "BENCH.json")]) == 0
     assert len(caches) == 2 and caches[0] != caches[1]
     assert not any(c.exists() for c in caches)
+
+
+def _suite_checkout(path, seconds, exit_code=1, failing=(3,)):
+    """A canned checkout whose `paramodular check` reports the given seconds
+    per criterion, with the criteria numbered in failing not passed."""
+    results = [{"name": f"c{i}", "passed": i not in failing, "details": {}, "seconds": s}
+               for i, s in enumerate(seconds, 1)]
+    pkg = path / "src" / "paramodular"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "cli.py").write_text(
+        "import json, sys\n"
+        f"print(json.dumps({{'config': {{}}, 'result': {{'results': {results!r}}}}}))\n"
+        f"sys.exit({exit_code})\n")
+    (path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return path
+
+
+def test_suite_pairs_summarize_each_criterion(tmp_path, capsys):
+    # the full suite exits 1 by design: a report that parses is a finished run
+    parent = _suite_checkout(tmp_path / "parent", [1.0, 0.0, 7.0])
+    change = _suite_checkout(tmp_path / "change", [1.25, 0.0, 5.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--suite", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {}
+    suite = report["suite"]
+    assert suite["failed_criteria"] == {"parent": ["criterion_03"], "change": ["criterion_03"]}
+    assert list(suite["metrics"]) == ["criterion_01_s", "criterion_02_s", "criterion_03_s"]
+    c3 = suite["metrics"]["criterion_03_s"]
+    assert (c3["parent"]["runs"], c3["change"]["runs"]) == ([7.0] * 3, [5.0] * 3)
+    assert (c3["unit"], c3["better"], c3["bound"]) == ("s", "lower", 0.25)
+    assert (c3["change_wins"], c3["pairs"]) == (3, 3)
+    assert c3["verdict"] == {"ten_pairs": False, "wins_nine_tenths": True,
+                             "gain_beyond_parent_iqr": True, "within_bound": True,
+                             "gain": False}
+    c1 = suite["metrics"]["criterion_01_s"]
+    assert c1["change_wins"] == 0 and c1["verdict"]["within_bound"]
+    assert suite["metrics"]["criterion_02_s"]["change_wins"] == 0
+    assert "suite pair 3 parent" in capsys.readouterr().err
+    # the suite's rows join the trajectory table
+    assert bench_pairs.main(["--trajectory", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].split() == ["workload", "metric", "BENCH"]
+    assert table[1:] == ["suite     criterion_01_s  1.250", "suite     criterion_02_s  -",
+                         "suite     criterion_03_s  0.714"]
+
+
+def test_suite_run_fails_on_other_exit_codes_and_bad_reports(tmp_path, capsys):
+    parent = _suite_checkout(tmp_path / "parent", [1.0])
+    for name, body in (("crash", None), ("garbled", "print('not json')\n")):
+        change = _suite_checkout(tmp_path / name, [1.0], exit_code=2)
+        if body:
+            (change / "src" / "paramodular" / "cli.py").write_text(
+                "import sys\n" + body + "sys.exit(1)\n")
+        out = tmp_path / f"{name}.json"
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                                 "--suite", "2", "--out", str(out)]) == 1
+        suite = json.loads(out.read_text())["suite"]
+        assert suite["failure"]["pair"] == 1 and suite["failure"]["side"] == "change"
+        assert suite["failure"]["returncode"] == (2 if name == "crash" else 1)
+        assert suite["metrics"] == {}
+        assert "suite pair 1 change: exit code" in capsys.readouterr().err

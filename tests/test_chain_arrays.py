@@ -235,9 +235,16 @@ def test_a_member_without_rows(e8_chain, monkeypatch):
     assert list(got.items()) == list(pair_coefficients(grams, G1, mats, 1).items())
 
 
-def test_chain_shells_from_join_rows(e8_chain):
+def test_chain_coefficients_sum_to_shell_products(e8_chain):
+    # summed over the off-diagonal entry b, the pair counts at (q1, q2) are
+    # the products of the members' shell counts, for every q1 + q2 <= bound
     exp_ = theta_coefficients(e8_chain, 4)
-    assert exp_.shells == [shell_counts(e8_chain.member(j), 4) for j in range(2)]
+    marginals = {}
+    for H, c in exp_.coefficients.items():
+        q = (H[0][0] // 2, H[1][1] // 2)
+        marginals[q] = marginals.get(q, 0) + c
+    s1, s2 = exp_.shells
+    assert marginals == {(q1, q2): s1[q1] * s2[q2] for q1 in s1 for q2 in s2 if q1 + q2 <= 4}
     G1, mats = e8_chain.L1.gram.to_numpy(), [C.to_numpy() for C in e8_chain.coords]
     grams = [e8_chain.member_gram(j) for j in range(2)]
     assert exp_.coefficients == pair_coefficients(grams, G1, mats, 4)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -227,14 +228,18 @@ def test_large_numbers_are_factored_or_refused_at_once():
 
 def test_rho_refuses_past_its_step_budget(monkeypatch):
     # rho splits two primes near 2^40 in about 2^20 steps; with a budget of
-    # 2^10 it raises at once, and says how far it got
+    # 2^10 it raises at once, and says how far it got, which is never past
+    # the budget: a run of steps that would pass it is refused before it starts
     n = sympy.prevprime(2**40) * sympy.nextprime(2**40)
-    monkeypatch.setattr(exactmat, "_RHO_STEPS", 1 << 10)
-    t0 = time.perf_counter()
-    with pytest.raises(ScaleLimit, match=rf"Pollard's rho reached \d+ steps on {n}, "
-                                         rf"over the budget of 1024"):
-        factor(n)
-    assert time.perf_counter() - t0 < 1
+    for budget in (1 << 10, 1000, 5000):
+        monkeypatch.setattr(exactmat, "_RHO_STEPS", budget)
+        t0 = time.perf_counter()
+        with pytest.raises(ScaleLimit, match=rf"Pollard's rho reached (\d+) steps on {n}, "
+                                             rf"over the budget of {budget}") as info:
+            factor(n)
+        assert time.perf_counter() - t0 < 1
+        steps = int(re.search(r"reached (\d+) steps", str(info.value)).group(1))
+        assert 0 < steps <= budget
 
 
 def test_large_prime_moduli_return_at_once():

@@ -40,14 +40,18 @@ from paramodular.heckelocal import (
     representative_matrix,
     transpose_integrality,
 )
+from paramodular import heckelocal
 from paramodular.heckelocal import (
     _ball,
+    _class_of,
     _classify,
     _clear_p,
     _frame,
     _key,
     _normalize,
+    _product_frames,
     _scale_to_int,
+    _standard_frame,
     standard_internal,
 )
 
@@ -488,3 +492,79 @@ def test_ball_fills_once_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 4 and all(r == results[0] for r in results)
     assert _ball.cache_info().misses == 2       # radius 1 and radius 0, once each
+
+
+# sha256 of the compact JSON of the sorted items of T(p)T(p) on the five
+# J2_SHAPES and of T(p)T(p^2) and T(p^2)T(p) on the four rank-one shapes
+PRODUCTS_SHA256 = "d282ff68996387306b9b29874019cebb116257fe840965373bfb18cf64436af7"
+
+
+def test_products_pinned():
+    calls = [(s, 1, 1) for s in J2_SHAPES] + [(s, i, j) for s in SHAPES if s.n == 1
+                                              for i, j in ((1, 2), (2, 1))]
+    items = [[[s.p, s.a, s.b, i, j],
+              sorted([dc.r_minus, dc.r_plus, list(dc.mu), m]
+                     for dc, m in hecke_product(s, i, j).items())] for s, i, j in calls]
+    digest = hashlib.sha256(json.dumps(items, separators=(",", ":")).encode())
+    assert digest.hexdigest() == PRODUCTS_SHA256
+
+
+def test_product_frames_built_once_per_ball(monkeypatch):
+    shape = LocalShape(2, 1, 1)
+    _product_frames.cache_clear()
+    calls = []
+
+    def counting_frame(*args, **kw):
+        calls.append(args)
+        return _frame(*args, **kw)
+
+    monkeypatch.setattr(heckelocal, "_frame", counting_frame)
+    first = hecke_product(shape, 1, 1)
+    assert calls
+    calls.clear()
+    assert hecke_product(shape, 1, 1) == first
+    assert calls == []
+    # the budget is still checked on every call, before the kept frames
+    with pytest.raises(ScaleLimit):
+        hecke_product(shape, 1, 1, budget=1)
+
+
+def test_rejected_exponents_raise_on_every_call():
+    shape = LocalShape(2, 1, 0)
+    size = _class_of.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotIsometric):
+            _class_of(shape, (0, 1), (0, 0))
+    assert _class_of.cache_info().currsize == size
+    assert _class_of.cache_info().maxsize is not None
+    assert _product_frames.cache_info().maxsize <= _ball.cache_info().maxsize
+
+
+def _products_and_classes(shape, reps):
+    return (hecke_product(shape, 1, 1),
+            [classify_pair(shape, LocalLattice.from_internal(*rep, shape.p)) for rep in reps])
+
+
+def test_products_and_classes_agree_across_threads():
+    shape = LocalShape(2, 1, 1)
+    reps = [representative_lattice(dc) for j in range(3) for dc in enumerate_Tpj(shape, j)]
+    caches = (_ball, _product_frames, _class_of, _standard_frame)
+    for cache in caches:
+        cache.cache_clear()
+    want = _products_and_classes(shape, reps)
+    for cache in caches:
+        cache.cache_clear()
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(_products_and_classes(shape, reps)))
+               for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r == want for r in results)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -376,6 +377,15 @@ def test_pmodular_coords_e8_pinned(e8):
     assert digest.hexdigest() == E8_TWO_MODULAR_SHA256
     with pytest.raises(ScaleLimit, match="2025 subspaces of dimension 3 of 4.*budget of 2024"):
         pmodular_coords(e8, 2, budget=2024)
+
+
+def test_pmodular_coords_refuses_before_listing_points(e8):
+    # F_101^8 has about 1.1 * 10^14 projective points, far over the default
+    # budget: the count refuses at once, before any point is listed
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleLimit, match="108285670562808 points .* budget of 1000000"):
+        pmodular_coords(e8, 101)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_pmodular_coords_odd_prime(e8):

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --seed S \
         --workload lattice-theta:10 --workload hecke-local:5 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent DIR --change DIR --suite 5 --out BENCH_<n>.json
     python3 tools/bench_pairs.py --trajectory BENCH_*.json
 
 Each DIR is a source checkout with its own perfbench/.  For every workload
@@ -26,6 +27,15 @@ pair, side and seed and the last lines of its stderr go to stderr; --out
 keeps the pairs that both sides finished, with the failure, and the exit
 code is 1.
 
+With --suite PAIRS, the two sides run the acceptance suite, `paramodular
+check` with the checkout's src/ on PYTHONPATH, in turn in the same way, and
+the output's `suite` holds the same summaries and verdicts for the `seconds`
+of each criterion in its report (`criterion_04_s` for the fourth), held to
+the bound of `solve_s`, and the criteria that failed in any run of each side.
+The full suite exits 1 by design, as one criterion reports a known failure,
+so exit code 1 counts as a finished run when its report parses; any other
+exit code, or a report that does not parse, is a failed run.
+
 With --trajectory, nothing runs: for each workload and metric in the given
 files, a table row holds each file's change-to-parent ratio of the medians,
 in the order the files are given, or `-` where a file lacks the metric.
@@ -44,17 +54,42 @@ import time
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def _fresh_run(cmd: list, checkout: Path, **env) -> subprocess.CompletedProcess:
     # every run compiles its bytecode into a fresh cache, written by its
     # first process and read by the rest, so that neither side imports
     # bytecode that an earlier run or script left behind
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                             cwd=checkout, capture_output=True, text=True, check=True,
-                             env={**env, "PYTHONPYCACHEPREFIX": cache})
+        return subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              env={**base, **env, "PYTHONPYCACHEPREFIX": cache})
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = _fresh_run(cmd, checkout)
+    out.check_returncode()
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def run_check(checkout: Path) -> dict:
+    """The seconds of each criterion, and whether it passed, from one run of
+    the acceptance suite in the checkout."""
+    cmd = [sys.executable, "-m", "paramodular.cli", "check"]
+    out = _fresh_run(cmd, checkout, PYTHONPATH=str(checkout.resolve() / "src"))
+    results = None
+    if out.returncode in (0, 1):
+        try:
+            results = json.loads(out.stdout)["result"]["results"]
+        except (ValueError, KeyError, TypeError):
+            pass
+    if results is None:
+        raise subprocess.CalledProcessError(out.returncode, cmd, out.stdout,
+                                            out.stderr or out.stdout[-2000:])
+    return {"metrics": {f"criterion_{i:02d}_s": {"value": r["seconds"], "unit": "s"}
+                        for i, r in enumerate(results, 1)},
+            "failed_criteria": [f"criterion_{i:02d}" for i, r in enumerate(results, 1)
+                                if not r["passed"]]}
 
 
 def summary(values: list) -> dict:
@@ -76,9 +111,9 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, sign: int,
     return out
 
 
-def workload_report(runs: dict, better: dict) -> dict:
-    """The summaries and verdicts of one workload's runs {side: [result, ...]},
-    which pair up in order, for the metrics {name: (better, bound)}."""
+def metric_reports(runs: dict, better: dict) -> dict:
+    """The summaries and verdicts of runs {side: [result, ...]}, which pair
+    up in order, for the metrics {name: (better, bound)}."""
     metrics = {}
     for m, (direction, bound) in better.items():
         if not runs["parent"]:      # no pair finished
@@ -91,27 +126,72 @@ def workload_report(runs: dict, better: dict) -> dict:
                       "bound": bound, "parent": summary(p), "change": summary(c),
                       "change_wins": wins, "pairs": len(p),
                       "verdict": verdict(summary(p), summary(c), wins, len(p), sign, bound)}
+    return metrics
+
+
+def workload_report(runs: dict, better: dict) -> dict:
+    """The metric reports of one workload's runs, whether every run was
+    correct, and its failed and attempted operations."""
     return {
-        "metrics": metrics,
+        "metrics": metric_reports(runs, better),
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "failed_of_attempted": {side: [sum(r["failed"] for r in rs),
                                        sum(r["attempted"] for r in rs)]
                                 for side, rs in runs.items()}}
 
 
+def suite_report(runs: dict, bound: float) -> dict:
+    """The metric reports of the acceptance suite's runs, each criterion's
+    seconds lower-is-better within the bound, and the criteria that failed
+    in any run of each side."""
+    names = runs["parent"][0]["metrics"] if runs["parent"] else {}
+    return {"metrics": metric_reports(runs, {m: ("lower", bound) for m in names}),
+            "failed_criteria": {side: sorted({c for r in rs for c in r["failed_criteria"]})
+                                for side, rs in runs.items()}}
+
+
+def alternate(label: str, pairs: int, run_side, seed=None) -> tuple[dict, dict | None]:
+    """Runs {side: [result, ...]} of run_side(side), the first side
+    alternating from pair to pair, and the failure that stopped them, if
+    any: then only the pairs that both sides finished are kept."""
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            t0 = time.time()
+            try:
+                runs[side].append(run_side(side))
+            except subprocess.CalledProcessError as e:
+                tail = (e.stderr or "").rstrip().splitlines()[-20:]
+                where = f"{label} pair {i + 1} {side}" + ("" if seed is None else f" seed {seed}")
+                print(f"{where}: exit code {e.returncode}; the last lines of its stderr:",
+                      *tail, sep="\n", file=sys.stderr)
+                failure = {"pair": i + 1, "side": side, "returncode": e.returncode,
+                           "stderr_tail": tail}
+                if seed is not None:
+                    failure["seed"] = seed
+                return {k: rs[:i] for k, rs in runs.items()}, failure
+            print(f"{label} pair {i + 1} {side}: {time.time() - t0:.0f} s", file=sys.stderr)
+    return runs, None
+
+
 def trajectory(reports: dict) -> list[str]:
     """The table of change-to-parent median ratios for the reports given as
     {label: BENCH report}, one column per report in the order given."""
+    def sections(report):
+        # the acceptance suite's runs are one more row group, named suite
+        return {**report.get("workloads", {}),
+                **({"suite": report["suite"]} if "suite" in report else {})}
+
     rows = {}
     for report in reports.values():
-        for name, data in report["workloads"].items():
+        for name, data in sections(report).items():
             for metric in data["metrics"]:
                 rows.setdefault((name, metric), None)
     table = [["workload", "metric", *reports]]
     for name, metric in rows:
         cells = [name, metric]
         for report in reports.values():
-            m = report["workloads"].get(name, {}).get("metrics", {}).get(metric)
+            m = sections(report).get(name, {}).get("metrics", {}).get(metric)
             cells.append(f"{m['change']['median'] / m['parent']['median']:.3f}"
                          if m and m["parent"]["median"] else "-")
         table.append(cells)
@@ -127,45 +207,43 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int)
     ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--workload", action="append", help="NAME:PAIRS, repeatable")
+    ap.add_argument("--suite", type=int, metavar="PAIRS",
+                    help="pairs of acceptance-suite runs")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.trajectory:
         print("\n".join(trajectory({p.stem: json.loads(p.read_text())
                                     for p in args.trajectory})))
         return 0
-    if None in (args.parent, args.change, args.seed, args.workload, args.out):
-        ap.error("--parent, --change, --seed, --workload and --out are required")
+    if None in (args.parent, args.change, args.out) or not (args.workload or args.suite):
+        ap.error("--parent, --change, --out and --workload or --suite are required")
+    if args.workload and args.seed is None:
+        ap.error("--workload needs --seed")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     report = {"seed": args.seed, "seconds": args.seconds,
               "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "machine": platform.machine()},
               "workloads": {}}
-    for item in args.workload:
+    checkouts = {"parent": args.parent, "change": args.change}
+    for item in args.workload or []:
         name, pairs = item.split(":")
-        runs = {"parent": [], "change": []}
-        for i in range(int(pairs)):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                checkout = args.parent if side == "parent" else args.change
-                t0 = time.time()
-                try:
-                    runs[side].append(run(checkout, name, args.seed, args.seconds))
-                except subprocess.CalledProcessError as e:
-                    # keep the pairs that both sides finished, and say which run failed
-                    tail = e.stderr.rstrip().splitlines()[-20:]
-                    print(f"{name} pair {i + 1} {side} seed {args.seed}: exit code "
-                          f"{e.returncode}; the last lines of its stderr:", *tail,
-                          sep="\n", file=sys.stderr)
-                    report["workloads"][name] = workload_report(
-                        {k: rs[:i] for k, rs in runs.items()}, better)
-                    report["workloads"][name]["failure"] = {
-                        "pair": i + 1, "side": side, "seed": args.seed,
-                        "returncode": e.returncode, "stderr_tail": tail}
-                    args.out.write_text(json.dumps(report, indent=1) + "\n")
-                    return 1
-                print(f"{name} pair {i + 1} {side}: {time.time() - t0:.0f} s", file=sys.stderr)
+        runs, failure = alternate(name, int(pairs), lambda side: run(
+            checkouts[side], name, args.seed, args.seconds), args.seed)
         report["workloads"][name] = workload_report(runs, better)
+        if failure:
+            report["workloads"][name]["failure"] = failure
         args.out.write_text(json.dumps(report, indent=1) + "\n")
+        if failure:
+            return 1
+    if args.suite:
+        runs, failure = alternate("suite", args.suite, lambda side: run_check(checkouts[side]))
+        report["suite"] = suite_report(runs, better["solve_s"][1])
+        if failure:
+            report["suite"]["failure"] = failure
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+        if failure:
+            return 1
     return 0
 
 
