@@ -14,7 +14,7 @@ bounded cache.  Neighbor candidates are tested for elementarity on one
 bordered row of pairings before Hermite form.  The ball of lattices within j
 neighbor steps is built once per (shape, j) with each lattice's class;
 partitions and left cosets read it, and products keep the frames of its
-outer shell once per (shape, j).
+lattices at index exponent j, once per (shape, j).
 
 Internal representation: a lattice is (rows, k) meaning the row span of
 p**(-k) * rows in the coordinates of the standard lattice basis
@@ -162,7 +162,7 @@ def _exponents(coord_rows, extra_scale: int, p: int, strict=True) -> tuple[int, 
     return tuple(out)
 
 
-def _recover(a: int, b: int, expA: list[int], expB: list[int]):
+def _recover(a: int, b: int, expA: tuple[int, ...], expB: tuple[int, ...]):
     """Solve for the slot data (alphaU, betaU, alphaP, betaP) per scale.
 
     expA are the exponents of the moving lattice in the base lattice, expB in

@@ -85,7 +85,7 @@ def run_check(checkout: Path) -> dict:
             pass
     if results is None:
         raise subprocess.CalledProcessError(out.returncode, cmd, out.stdout,
-                                            out.stderr or out.stdout[-2000:])
+                                            out.stderr or out.stdout)
     return {"metrics": {f"criterion_{i:02d}_s": {"value": r["seconds"], "unit": "s"}
                         for i, r in enumerate(results, 1)},
             "failed_criteria": [f"criterion_{i:02d}" for i, r in enumerate(results, 1)
