@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from classify_oracle import (classify_internal_cofactor, monomial_block_by_slot,
                              representative_lattice_by_slot)
+from paramodular import heckelocal
 from paramodular.errors import (
     IncompatibleLocals,
     InvalidInvariant,
@@ -40,7 +41,6 @@ from paramodular.heckelocal import (
     representative_matrix,
     transpose_integrality,
 )
-from paramodular import heckelocal
 from paramodular.heckelocal import (
     _ball,
     _class_of,
@@ -474,12 +474,11 @@ def test_ball_cache_budget_and_bound():
     assert _ball.cache_info().maxsize is not None
 
 
-def test_ball_fills_once_across_threads():
-    _ball.cache_clear()
-    shape = LocalShape(2, 1, 1)
+def _in_threads(fn, count=4):
+    """The results of fn in count threads, run with a tiny switch interval
+    so that they interleave."""
     results = []
-    threads = [threading.Thread(target=lambda: results.append(coset_partition(shape, 1)))
-               for _ in range(4)]
+    threads = [threading.Thread(target=lambda: results.append(fn())) for _ in range(count)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -490,6 +489,13 @@ def test_ball_fills_once_across_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def test_ball_fills_once_across_threads():
+    _ball.cache_clear()
+    shape = LocalShape(2, 1, 1)
+    results = _in_threads(lambda: coset_partition(shape, 1))
     assert len(results) == 4 and all(r == results[0] for r in results)
     assert _ball.cache_info().misses == 2       # radius 1 and radius 0, once each
 
@@ -524,6 +530,7 @@ def test_product_frames_built_once_per_ball(monkeypatch):
     calls.clear()
     assert hecke_product(shape, 1, 1) == first
     assert calls == []
+    assert _product_frames.cache_info().maxsize <= _ball.cache_info().maxsize
     # the budget is still checked on every call, before the kept frames
     with pytest.raises(ScaleLimit):
         hecke_product(shape, 1, 1, budget=1)
@@ -537,7 +544,6 @@ def test_rejected_exponents_raise_on_every_call():
             _class_of(shape, (0, 1), (0, 0))
     assert _class_of.cache_info().currsize == size
     assert _class_of.cache_info().maxsize is not None
-    assert _product_frames.cache_info().maxsize <= _ball.cache_info().maxsize
 
 
 def _products_and_classes(shape, reps):
@@ -554,17 +560,5 @@ def test_products_and_classes_agree_across_threads():
     want = _products_and_classes(shape, reps)
     for cache in caches:
         cache.cache_clear()
-    results = []
-    threads = [threading.Thread(target=lambda: results.append(_products_and_classes(shape, reps)))
-               for _ in range(4)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    results = _in_threads(lambda: _products_and_classes(shape, reps))
     assert len(results) == 4 and all(r == want for r in results)
