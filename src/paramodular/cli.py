@@ -277,17 +277,19 @@ def main(argv=None) -> int:
     p.add_argument("--budget", type=int, default=2 * 10**8)
     p.set_defaults(func=cmd_theta)
 
+    search = ("nodes of each automorphism and stabilizer search; the modular "
+              "sublattices keep their own bound of 10^6 points")
     p = sub.add_parser("chains", help="classes of modular lattice chains")
     p.add_argument("--lattice", required=True)
     p.add_argument("--T", required=True)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=10**7, help=search)
     p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser("genus", help="genus-averaged theta coefficients")
     p.add_argument("--lattice", required=True)
     p.add_argument("--T", required=True)
     p.add_argument("--trace-bound", type=int, default=6)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=10**7, help=search)
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser(

@@ -7,9 +7,11 @@ exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
 produces a superset.  Shells and shell counts finish Q per prefix, the counts
 from zero and one vector of each pair +-x.  The isometry search keeps each
-depth's live candidates as a bitset, cut by masks of inner products.  The
-p-modular sublattices between L and pL, for any prime p, come from one bitset
-search for the maximal totally singular subspaces of L/pL.
+depth's live candidates as a bitset, cut by masks of inner products, and the
+automorphism search extends one image per new orbit point of the generators
+found so far.  The p-modular sublattices between L and pL, for any prime p,
+come from one bitset search for the maximal totally singular subspaces of
+L/pL.
 """
 
 from __future__ import annotations
@@ -533,41 +535,53 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
                        budget: int = 10**7) -> tuple[int, list[Mat]]:
     """Order and generators of the isometries preserving every sublattice.
 
-    Stabilizer chain over the standard basis: the order is the product over
-    levels of the number of extendable images of each basis vector.  With
-    e_0..e_{d-1} fixed, the candidate images of e_d are those whose Gram
-    row starts with the Gram entries (gram[j, d])_{j<d}; one comparison of
-    the candidates' Gram rows selects them, in shell order.
+    Stabilizer chain over the standard basis, from the last vector to the
+    first: the order is the product over d of the orbit size of e_d under
+    the isometries fixing e_0..e_{d-1}.  Its candidate images, the hits,
+    have Gram rows starting with (gram[j, d])_{j<d}, and the generators
+    found so far permute them.  As in Plesken and Souvignier (J. Symbolic
+    Comput. 24, 1997), only hits outside the orbit of e_d and every failed
+    orbit are extended: a success joins the generators, which generate the
+    group (Schreier-Sims), and a failure marks its orbit.  budget caps the
+    nodes of the one search, which admits far larger groups than one
+    extension per hit.
     """
     n = L.rank
     bt = _Backtracker(L.gram, L.gram, budget, sublattices)
-    G = L.gram.to_numpy()
-    eye = np.eye(n, dtype=np.int64)
-    order = 1
-    gens: list[Mat] = []
-    for depth in range(n):
+    G, eye = bt._gs, np.eye(n, dtype=np.int64)
+    order, gens, moves = 1, [], []      # moves[i]: gens[i] transposed
+    for depth in reversed(range(n)):
         C = bt.cands[L.gram[depth, depth] // 2]
-        hits = np.flatnonzero((C @ G[:, :depth] == G[depth, :depth]).all(axis=1))
-        count = 0
-        fixed = eye[:depth + 1].copy()
-        for k in hits:
-            fixed[depth] = C[k]
-            g = bt.extend(fixed)
+        hits = C[(C @ G[:, :depth] == G[depth, :depth]).all(axis=1)]
+        number = {c: k for k, c in enumerate(map(tuple, hits.tolist()))}
+        # the hits known so far: True in the orbit of e_d, False in a failed
+        # orbit; perms[i]: the numbers of the images of the hits under gens[i]
+        known, perms = {number[tuple(eye[depth].tolist())]: True}, []
+        for k in range(len(hits)):
+            if k in known:
+                continue
+            g = bt.extend([*eye[:depth], hits[k]])
             if g is not None:
-                count += 1
-                if not np.array_equal(C[k], eye[depth]):
-                    gens.append(g)
-        if count < 1:
-            raise NotIsometric(f"the identity does not extend at depth {depth}")
-        order *= count
+                gens.append(g)
+                moves.append(g.to_numpy().T)
+            known[k] = g is not None
+            perms += [[number[c] for c in map(tuple, (hits @ m).tolist())]
+                      for m in moves[len(perms):]]
+            stack = list(known)     # add their orbits, each with its own value
+            while stack:
+                j = stack.pop()
+                for p in perms:
+                    if p[j] not in known:
+                        known[p[j]] = known[j]
+                        stack.append(p[j])
+        order *= sum(known.values())
     return order, gens
 
 
 def aut_order(obj, budget: int = 10**7) -> int:
     """Order of the simultaneous stabilizer of a chain (or a single lattice)."""
-    if isinstance(obj, QuadLattice):
-        return aut_order_and_gens(obj, (), budget)[0]
-    return aut_order_and_gens(obj.L1, obj.coords[1:], budget)[0]
+    L, subs = (obj, ()) if isinstance(obj, QuadLattice) else (obj.L1, obj.coords[1:])
+    return aut_order_and_gens(L, subs, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +666,10 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
     reduction mod p of Q / scale, found by one bitset search for every p;
     budget bounds the (p^n - 1)/(p - 1) points of the projective space, which
     are counted before any is listed, and the subspaces of each dimension
-    that the search builds.  For all
-    K at once, in int64 (Python ints if that could overflow), the check is
-    exact: the Gram is divisible by t = p*scale, its diagonal by 2t, and
-    det(K)^2 disc(L) = t^n, that is |det(Gram / t)| = 1.  Sorted by rows.
+    that the search builds.  For all K at once, in int64 (Python ints if
+    that could overflow), the check is exact: the Gram is divisible by
+    t = p*scale, its diagonal by 2t, and det(K)^2 disc(L) = t^n, that is
+    |det(Gram / t)| = 1.  Sorted by rows.
     """
     n = L.rank
     if not is_prime(p):
@@ -769,9 +783,10 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     distinct scales matter; equal consecutive scales repeat the
     member.  The candidates for each refinement step are the modular
     sublattices at the new prime, and classes are orbits under the
-    automorphisms of L1, with stabilizer orders computed independently and
+    generators of O(L1), with stabilizer orders computed independently and
     checked against the orbit sizes.  budget bounds the nodes of each of
-    those automorphism and stabilizer searches.
+    those automorphism and stabilizer searches only: the subspace step keeps
+    pmodular_coords's own bound of 10^6 projective points.
 
     Each refinement step keeps p * (previous member) inside the new one, so
     the member M at scale t contains t L1, and M is determined by its image
@@ -816,7 +831,6 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
             newparts += [tup + (M,) for M in mats]
         partials = newparts
     order1, gens = aut_order_and_gens(L1, budget=budget)
-    gens = list({g.rows: g for g in gens}.values())
     if len(distinct) == 1:
         # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
         return [ChainClass(ParamodularChain(L1, partials[0] * len(T), T), order1, 1)]
@@ -833,37 +847,21 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     cands = [partials[i] for i in first]
     find = _row_index(keys[first])
     bases = [B[first] for B in bases]
-    perms = []      # perms[i][c]: the number of the image of candidate c under gens[i]
-
-    def orbit_partition(used):
-        while len(perms) < used:
-            gt = gens[len(perms)].to_numpy().T
-            ids = find(np.concatenate([echelon_mod(B @ (gt % p), p).reshape(len(cands), -1)
-                                       for B, (_, p) in zip(bases, slots)], axis=1))
-            if (ids < 0).any():
-                raise NotStabilizing("generator left the candidate set")
-            perms.append(ids)
-        label = _orbit_labels(np.array(perms[:used]).reshape(used, len(cands)))
-        reps = np.flatnonzero(label == np.arange(len(cands)))
-        sizes = np.bincount(label)[reps]
-        return [(cands[r], int(size)) for r, size in zip(reps, sizes)]
-
-    # start with a few generators and enlarge until the orbit-stabilizer
-    # identity certifies the partition
-    used = max(4, len(gens) // 16)
-    while True:
-        classes = []
-        for tup, size in orbit_partition(min(used, len(gens))):
-            chain = ParamodularChain(L1, tuple(tup[distinct.index(t)] for t in T), T)
-            stab = aut_order(chain, budget)
-            if order1 != stab * size:
-                break
-            classes.append(ChainClass(chain, stab, size))
-        else:
-            break
-        if used >= len(gens):
-            raise InvalidInvariant("orbit-stabilizer identity failed with all generators")
-        used = min(len(gens), used * 2)
+    # perms[i][c]: the number of the image of candidate c under gens[i]
+    perms = np.array([find(np.concatenate(
+        [echelon_mod(B @ (g.to_numpy().T % p), p).reshape(len(cands), -1)
+         for B, (_, p) in zip(bases, slots)], axis=1)) for g in gens]).reshape(len(gens), len(cands))
+    if (perms < 0).any():
+        raise NotStabilizing("generator left the candidate set")
+    label = _orbit_labels(perms)
+    reps = np.flatnonzero(label == np.arange(len(cands)))
+    classes = []
+    for r, size in zip(reps, np.bincount(label)[reps].tolist()):
+        chain = ParamodularChain(L1, tuple(cands[r][distinct.index(t)] for t in T), T)
+        stab = aut_order(chain, budget)
+        if order1 != stab * size:
+            raise InvalidInvariant("orbit-stabilizer identity failed")
+        classes.append(ChainClass(chain, stab, size))
     classes.sort(key=lambda c: tuple(tuple(map(tuple, M.rows))
                                      for M in c.representative.coords))
     return classes

@@ -16,9 +16,10 @@ used before their whole-array forms.
   block of tuples, over slices of the members' rows, at once.
 * `NumpyBacktracker` is the isometry search that multiplies all candidates
   of a depth with the chosen images at every node and tests sublattice rows
-  through the quotient map, and `numpy_aut_order_and_gens` runs it; the
-  package keeps each depth's live candidates as a bitset and looks up the
-  residue class.
+  through the quotient map, and `numpy_aut_order_and_gens` runs it once per
+  candidate image of each basis vector; the package keeps each depth's live
+  candidates as a bitset, looks up the residue class, and runs one search
+  per new point of an orbit of the generators found so far.
 * `full_row_shell_counts` counts shells from the full rows of the chunked
   enumerator; the package counts one vector of each pair +-x from the
   enumeration leaves.
@@ -244,11 +245,18 @@ class NumpyBacktracker:
 
 
 def numpy_aut_order_and_gens(L, sublattices=(), budget: int = 10**7):
-    """Order and generators of the isometries preserving every sublattice.
+    """Order and generators of the isometries preserving every sublattice,
+    from `numpy_orbit_sizes`: the order is the product of the sizes."""
+    sizes, gens = numpy_orbit_sizes(L, sublattices, budget)
+    return int(np.prod(sizes, dtype=object)), gens
 
-    Stabilizer chain over the standard basis: the order is the product over
-    levels of the number of extendable images of each basis vector.  With
-    e_0..e_{d-1} fixed, the candidate images of e_d are those whose Gram
+
+def numpy_orbit_sizes(L, sublattices=(), budget: int = 10**7):
+    """Per depth d, the number of extendable images of e_d with e_0..e_{d-1}
+    fixed, and every extension that moves e_d, by one search per candidate.
+
+    Stabilizer chain over the standard basis, walked from the first basis
+    vector to the last: the candidate images of e_d are those whose Gram
     row starts with the Gram entries (gram[j, d])_{j<d}; one comparison of
     the candidates' Gram rows selects them, in shell order.
     """
@@ -256,7 +264,7 @@ def numpy_aut_order_and_gens(L, sublattices=(), budget: int = 10**7):
     bt = NumpyBacktracker(L.gram, L.gram, budget, sublattices)
     G = bt._gs
     eye = np.eye(n, dtype=np.int64)
-    order = 1
+    sizes = []
     gens = []
     for depth in range(n):
         norm = L.gram[depth, depth] // 2
@@ -274,8 +282,8 @@ def numpy_aut_order_and_gens(L, sublattices=(), budget: int = 10**7):
                     gens.append(g)
         if count < 1:
             raise NotIsometric(f"the identity does not extend at depth {depth}")
-        order *= count
-    return order, gens
+        sizes.append(count)
+    return sizes, gens
 
 
 def full_row_shell_counts(L, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:

@@ -4,6 +4,7 @@ images, Hermite forms written from echelon bases, the stabilizer's
 sublattice test, the sign-halved pair join, the bitset isometry search and
 the shell counts from half-enumeration leaves."""
 
+import math
 import random
 
 import numpy as np
@@ -19,18 +20,20 @@ from chain_oracle import (
     full_row_shell_counts,
     in_lattice,
     numpy_aut_order_and_gens,
+    numpy_orbit_sizes,
     pair_coefficients,
     theta_coefficients_tuple,
     tuple_coefficients,
 )
 from exact_oracle import rref_mod
 from paramodular.errors import IntegralityViolation, InvalidInvariant, NotEven
-from paramodular.exactmat import Mat, echelon_mod, hnf_rows
+from paramodular.exactmat import Mat, echelon_mod, hnf_rows, rational_inverse
 from paramodular.quadlat import (
     QuadLattice,
     _Backtracker,
     _echelon_preimages,
     _max_singular_subspaces,
+    _orbit_labels,
     _quotient_map,
     _row_index,
     aut_order_and_gens,
@@ -51,9 +54,9 @@ def e8_gens(e8):
 @pytest.mark.parametrize("p", [2, 3])
 def test_candidate_images_match_act_mod(e8, e8_gens, p):
     # the numbering and the batched images of enumerate_chain_classes: every
-    # generator of O(E8) against the one-subspace oracle on 12 candidates,
-    # so that every candidate is checked, and the first 25 generators (the
-    # ones the class search starts with) as permutations of all candidates
+    # generator of O(E8) as a permutation of all candidates, and against the
+    # one-subspace oracle on every len(gens)-th candidate, so that every
+    # candidate is checked
     Ks = pmodular_coords(e8, p)
     N = len(Ks)
     subspaces = [tuple(map(tuple, rref_mod(K.rows, p))) for K in Ks]
@@ -64,12 +67,10 @@ def test_candidate_images_match_act_mod(e8, e8_gens, p):
     E = E[:, :4]
     find = _row_index(E.reshape(N, -1))
     assert find(E.reshape(N, -1)).tolist() == list(range(N))
-    rng = random.Random(p)
     for gi, g in enumerate(e8_gens):
-        if gi < 25:
-            ids = find(echelon_mod(E @ g.to_numpy().T, p).reshape(N, -1))
-            assert sorted(ids.tolist()) == list(range(N))
-        cs = sorted({(12 * gi + j) % N for j in range(6)} | set(rng.sample(range(N), 6)))
+        ids = find(echelon_mod(E @ g.to_numpy().T, p).reshape(N, -1))
+        assert sorted(ids.tolist()) == list(range(N))
+        cs = list(range(gi, N, len(e8_gens)))
         ids = find(echelon_mod(E[cs] @ g.to_numpy().T, p).reshape(len(cs), -1))
         gp = [[x % p for x in col] for col in zip(*g.rows)]
         assert ids.tolist() == [number[act_mod(subspaces[c], gp, p)] for c in cs]
@@ -282,16 +283,24 @@ def test_bitset_search_matches_numpy_search(data, n, subs):
     assert got.extend(fixed) == want.extend(fixed)
     assert got.nodes == want.nodes
     L = QuadLattice(target)
-    assert aut_order_and_gens(L, sublattices) == numpy_aut_order_and_gens(L, sublattices)
+    order, gens = aut_order_and_gens(L, sublattices)
+    want_order = numpy_aut_order_and_gens(L, sublattices)[0]
+    assert order == want_order
+    _assert_stabilizers(L, sublattices, gens)
+    assert _group_order(gens, n) == want_order
 
 
 def test_bitset_search_pins_match_numpy_search(e8):
-    # the E8 searches of the node pins, node for node and generator for
-    # generator; 240 candidates fill several mask blocks, and a block of 7
-    # (as a shell of over 1024 vectors gets) leaves a partial one at the end
+    # the E8 searches of the node pins: the same orders and generators that
+    # stabilize; then extension by extension, node for node, from the
+    # exhaustive search's generators; 240 candidates fill several mask
+    # blocks, and a block of 7 (as a shell of over 1024 vectors gets) leaves
+    # a partial one at the end
     for sublattices in ([], [Mat(E8_TWO_MODULAR)]):
         want = numpy_aut_order_and_gens(e8, sublattices)
-        assert aut_order_and_gens(e8, sublattices) == want
+        order, gens = aut_order_and_gens(e8, sublattices)
+        assert order == want[0]
+        _assert_stabilizers(e8, sublattices, gens)
         for block in (64, 7):
             a = NumpyBacktracker(e8.gram, e8.gram, 10**6, sublattices)
             b = _Backtracker(e8.gram, e8.gram, 10**6, sublattices)
@@ -300,6 +309,158 @@ def test_bitset_search_pins_match_numpy_search(e8):
                 fixed = np.array(g.rows).T[:3]
                 assert b.extend(fixed) == a.extend(fixed)
                 assert b.nodes == a.nodes
+
+
+def _assert_stabilizers(L, sublattices, gens):
+    # every generator is an isometry that maps each sublattice (coordinate
+    # rows S, whose images are the rows of S g^T) into itself
+    for g in gens:
+        assert g.transpose() @ L.gram @ g == L.gram
+        for S in sublattices:
+            assert (S @ g.transpose() @ rational_inverse(S)).is_integral()
+
+
+def _group_order(gens, n):
+    # the order of the finite group the integer matrices gens generate,
+    # closing the identity under multiplication by them
+    mats = [g.to_numpy() for g in gens]
+    frontier = [np.eye(n, dtype=np.int64)]
+    seen = {frontier[0].tobytes()}
+    while frontier:
+        new = [m @ x for x in frontier for m in mats]
+        frontier = [y for y in new if y.tobytes() not in seen and not seen.add(y.tobytes())]
+    return len(seen)
+
+
+def _orbit_sizes(gens, n):
+    # per depth d, the orbit of e_d under the generators fixing e_0..e_{d-1}
+    sizes = []
+    for d in range(n):
+        mats = [g.to_numpy() for g in gens
+                if all(g[i, j] == (i == j) for i in range(n) for j in range(d))]
+        orbit = {tuple(int(i == d) for i in range(n))}
+        frontier = list(orbit)
+        while frontier:
+            frontier = [y for y in {tuple((m @ x).tolist()) for x in frontier for m in mats}
+                        if y not in orbit]
+            orbit.update(frontier)
+        sizes.append(len(orbit))
+    return sizes
+
+
+def _candidate_orbits(e8, p, gens):
+    # the least candidate of each p-modular sublattice's orbit under gens, as
+    # enumerate_chain_classes numbers and moves them
+    Ks = pmodular_coords(e8, p)
+    E = echelon_mod(np.array([K.rows for K in Ks]), p)[:, :4]
+    find = _row_index(E.reshape(len(Ks), -1))
+    perms = [find(echelon_mod(E @ (g.to_numpy().T % p), p).reshape(len(Ks), -1))
+             for g in gens]
+    return _orbit_labels(np.array(perms))
+
+
+def _failed_extensions(monkeypatch, cls):
+    # the number of extensions of the search class cls that fail
+    failed = [0]
+    extend = cls.extend
+
+    def counted(self, fixed):
+        g = extend(self, fixed)
+        failed[0] += g is None
+        return g
+
+    monkeypatch.setattr(cls, "extend", counted)
+    return failed
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), subs=st.integers(0, 2))
+def test_orbit_pruning_matches_exhaustive_search(data, n, subs):
+    # per depth, the orbit of e_d under the generators that fix e_0..e_{d-1}
+    # is the exhaustive search's count of extendable images, and the order
+    # is their product; with sublattices, hits with the right inner products
+    # often fail to extend, and their orbits are marked failed
+    L = QuadLattice(_even_gram(data, n))
+    sublattices = [_sublattice(data, n) for _ in range(subs)]
+    order, gens = aut_order_and_gens(L, sublattices)
+    sizes = numpy_orbit_sizes(L, sublattices)[0]
+    assert _orbit_sizes(gens, n) == sizes
+    assert order == math.prod(sizes)
+
+
+# |O(L)| of the root lattices, from perfbench/oracles.py
+ROOT_AUT_ORDERS = {
+    "A1": ([[2]], 2),
+    "A1A1": ([[2, 0], [0, 2]], 8),
+    "A2": ([[2, -1], [-1, 2]], 12),
+    "A1A1A1": ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 48),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 48),
+    "A1A2": ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], 24),
+    "A1^4": ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 384),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 1152),
+}
+
+
+def _skew(gram, rng):
+    # U G U^T for three random elementary row operations with multipliers
+    # +-1, +-2, drawn again until it differs from G and no entry exceeds 24,
+    # as the isometry and automorphism rows of the skewed-bases benchmark
+    n = len(gram)
+    while True:
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        G = Mat(U) @ Mat(gram) @ Mat(U).transpose()
+        if G != Mat(gram) and max(abs(x) for r in G.rows for x in r) <= 24:
+            return G
+
+
+@pytest.mark.parametrize("name", [*ROOT_AUT_ORDERS, *(
+    f"{nm}-skew-{i}" for nm in ("A2", "A3", "A1A2", "A1^4", "D4") for i in range(4))])
+def test_orbit_pruning_on_root_lattices_and_their_skews(name):
+    # the eight root lattices, and 20 seeded skews of five of them
+    nm, _, i = name.partition("-skew-")
+    gram, want = ROOT_AUT_ORDERS[nm]
+    L = QuadLattice(_skew(gram, random.Random(f"{nm}/{i}")) if i else Mat(gram))
+    order, gens = aut_order_and_gens(L)
+    assert order == want
+    assert _orbit_sizes(gens, L.rank) == numpy_orbit_sizes(L)[0]
+    assert _group_order(gens, L.rank) == want
+
+
+@pytest.mark.parametrize("sublattices, want", [([], 696729600), ([E8_TWO_MODULAR], 2580480)])
+def test_orbit_pruning_on_e8(e8, sublattices, want):
+    # O(E8) and the stabilizer of its (1, 2) chain: the orbit sizes of the
+    # generators multiply to the order
+    order, gens = aut_order_and_gens(e8, [Mat(S) for S in sublattices])
+    assert order == want
+    assert math.prod(_orbit_sizes(gens, 8)) == want
+
+
+def test_failed_orbits_are_not_searched(monkeypatch):
+    # A2 with the sublattice of rows (3, -2), (0, 2): five hits fail to
+    # extend in the exhaustive search, but only three are tried, as the
+    # others lie in the orbit of a failed one
+    L, S = QuadLattice(Mat([[2, -1], [-1, 2]])), [Mat([[3, -2], [0, 2]])]
+    failed = _failed_extensions(monkeypatch, _Backtracker)
+    want = _failed_extensions(monkeypatch, NumpyBacktracker)
+    assert aut_order_and_gens(L, S)[0] == 2
+    assert numpy_orbit_sizes(L, S)[0] == [2, 1]
+    assert (failed[0], want[0]) == (3, 5)
+
+
+@pytest.mark.parametrize("p, count", [(2, 270), (3, 2240)])
+def test_generators_move_candidates_as_the_exhaustive_search(e8, e8_gens, p, count):
+    # the p-modular sublattices of E8, numbered and moved as in
+    # enumerate_chain_classes, fall into the same orbits under the generators
+    # as under the exhaustive search's 410
+    want = numpy_aut_order_and_gens(e8)[1]
+    assert len(want) == 410
+    label = _candidate_orbits(e8, p, e8_gens)
+    assert len(label) == count
+    assert label.tolist() == _candidate_orbits(e8, p, want).tolist()
 
 
 @settings(max_examples=80, deadline=None)
