@@ -850,10 +850,10 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
     # perms[i][c]: the number of the image of candidate c under gens[i]
     perms = np.array([find(np.concatenate(
         [echelon_mod(B @ (g.to_numpy().T % p), p).reshape(len(cands), -1)
-         for B, (_, p) in zip(bases, slots)], axis=1)) for g in gens]).reshape(len(gens), len(cands))
+         for B, (_, p) in zip(bases, slots)], axis=1)) for g in gens])
     if (perms < 0).any():
         raise NotStabilizing("generator left the candidate set")
-    label = _orbit_labels(perms)
+    label = _orbit_labels(perms.reshape(len(gens), len(cands)))
     reps = np.flatnonzero(label == np.arange(len(cands)))
     classes = []
     for r, size in zip(reps, np.bincount(label)[reps].tolist()):

@@ -126,21 +126,48 @@ def test_each_run_compiles_into_a_fresh_bytecode_cache(tmp_path, monkeypatch):
     assert not any(c.exists() for c in caches)
 
 
-def _suite_checkout(path, seconds, exit_code=1, failing=(3,)):
+README = """```sh
+paramodular cusps --T 1,2 --u 1
+paramodular theta --chain chain.json --out coeffs.json
+paramodular theta --chain chain.json --check-modularity   # a comment
+```
+"""
+
+
+def _suite_checkout(path, seconds, exit_code=1, failing=(3,), example_code=0):
     """A canned checkout whose `paramodular check` reports the given seconds
-    per criterion, with the criteria numbered in failing not passed."""
+    per criterion, with the criteria numbered in failing not passed, and
+    whose cli.main returns example_code once it finds the README examples'
+    inputs in the working directory, and 2 otherwise."""
     results = [{"name": f"c{i}", "passed": i not in failing, "details": {}, "seconds": s}
                for i, s in enumerate(seconds, 1)]
     pkg = path / "src" / "paramodular"
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text(
-        "import json, sys\n"
-        f"print(json.dumps({{'config': {{}}, 'result': {{'results': {results!r}}}}}))\n"
-        f"sys.exit({exit_code})\n")
+        "import json, os, sys\n"
+        "def main(argv):\n"
+        "    chain = json.load(open('chain.json')) if os.path.exists('chain.json') else {}\n"
+        "    ok = os.path.exists('e8.json') and chain.get('T') == [1, 2]\n"
+        f"    return {example_code} if ok else 2\n"
+        "if __name__ == '__main__':\n"
+        f"    print(json.dumps({{'config': {{}}, 'result': {{'results': {results!r}}}}}))\n"
+        f"    sys.exit({exit_code})\n")
+    (path / "README.md").write_text(README)
     (path / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
     return path
+
+
+def test_readme_examples_are_the_paramodular_lines():
+    assert bench_pairs.readme_examples(README) == {
+        "readme_cusps_s": ["cusps", "--T", "1,2", "--u", "1"],
+        "readme_theta_s": ["theta", "--chain", "chain.json", "--out", "coeffs.json"],
+        "readme_theta_2_s": ["theta", "--chain", "chain.json", "--check-modularity"]}
+    # the repository's own README: the chain examples and both suite runs
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    names = set(bench_pairs.readme_examples(readme))
+    assert {"readme_chains_s", "readme_genus_s", "readme_check_s", "readme_check_2_s"} <= names
 
 
 def test_suite_pairs_summarize_each_criterion(tmp_path, capsys):
@@ -154,7 +181,13 @@ def test_suite_pairs_summarize_each_criterion(tmp_path, capsys):
     assert report["workloads"] == {}
     suite = report["suite"]
     assert suite["failed_criteria"] == {"parent": ["criterion_03"], "change": ["criterion_03"]}
-    assert list(suite["metrics"]) == ["criterion_01_s", "criterion_02_s", "criterion_03_s"]
+    assert list(suite["metrics"]) == ["criterion_01_s", "criterion_02_s", "criterion_03_s",
+                                      "readme_cusps_s", "readme_theta_s", "readme_theta_2_s"]
+    assert suite["readme_examples"] == bench_pairs.readme_examples(README)
+    for name in suite["readme_examples"]:
+        m = suite["metrics"][name]
+        assert (m["unit"], m["better"], m["bound"], m["pairs"]) == ("s", "lower", 0.25, 3)
+        assert all(0 < t < 5 for t in m["parent"]["runs"] + m["change"]["runs"])
     c3 = suite["metrics"]["criterion_03_s"]
     assert (c3["parent"]["runs"], c3["change"]["runs"]) == ([7.0] * 3, [5.0] * 3)
     assert (c3["unit"], c3["better"], c3["bound"]) == ("s", "lower", 0.25)
@@ -168,16 +201,20 @@ def test_suite_pairs_summarize_each_criterion(tmp_path, capsys):
     assert "suite pair 3 parent" in capsys.readouterr().err
     # the suite's rows join the trajectory table
     assert bench_pairs.main(["--trajectory", str(out)]) == 0
-    table = capsys.readouterr().out.splitlines()
-    assert table[0].split() == ["workload", "metric", "BENCH"]
-    assert table[1:] == ["suite     criterion_01_s  1.250", "suite     criterion_02_s  -",
-                         "suite     criterion_03_s  0.714"]
+    table = [row.split() for row in capsys.readouterr().out.splitlines()]
+    assert table[0] == ["workload", "metric", "BENCH"]
+    assert table[1:4] == [["suite", "criterion_01_s", "1.250"], ["suite", "criterion_02_s", "-"],
+                          ["suite", "criterion_03_s", "0.714"]]
+    assert [row[:2] for row in table[4:]] == [["suite", "readme_cusps_s"],
+                                              ["suite", "readme_theta_s"],
+                                              ["suite", "readme_theta_2_s"]]
 
 
 def test_suite_run_fails_on_other_exit_codes_and_bad_reports(tmp_path, capsys):
     parent = _suite_checkout(tmp_path / "parent", [1.0])
-    for name, body in (("crash", None), ("garbled", "print('not json')\n")):
-        change = _suite_checkout(tmp_path / name, [1.0], exit_code=2)
+    for name, body in (("crash", None), ("garbled", "print('not json')\n"), ("example", None)):
+        change = _suite_checkout(tmp_path / name, [1.0], exit_code=1 if name == "example" else 2,
+                                 example_code=3 if name == "example" else 0)
         if body:
             (change / "src" / "paramodular" / "cli.py").write_text(
                 "import sys\n" + body + "sys.exit(1)\n")
@@ -186,6 +223,7 @@ def test_suite_run_fails_on_other_exit_codes_and_bad_reports(tmp_path, capsys):
                                  "--suite", "2", "--out", str(out)]) == 1
         suite = json.loads(out.read_text())["suite"]
         assert suite["failure"]["pair"] == 1 and suite["failure"]["side"] == "change"
-        assert suite["failure"]["returncode"] == (2 if name == "crash" else 1)
+        # a README example that exits 3 fails its run, whose process exits 0
+        assert suite["failure"]["returncode"] == {"crash": 2, "garbled": 1, "example": 0}[name]
         assert suite["metrics"] == {}
         assert "suite pair 1 change: exit code" in capsys.readouterr().err

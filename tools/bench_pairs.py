@@ -34,7 +34,14 @@ of each criterion in its report (`criterion_04_s` for the fourth), held to
 the bound of `solve_s`, and the criteria that failed in any run of each side.
 The full suite exits 1 by design, as one criterion reports a known failure,
 so exit code 1 counts as a finished run when its report parses; any other
-exit code, or a report that does not parse, is a failed run.
+exit code, or a report that does not parse, is a failed run.  In the same
+turn, a second fresh process per side runs every `paramodular` line of the
+change's README.md in process through `cli.main`, in a temporary directory
+that holds its inputs (e8.json, and chain.json with the E8 (1, 2) chain),
+and `suite` gets the wall time of each as `readme_<command>_s`
+(`readme_theta_2_s` for the second theta line), with the same summaries and
+verdicts, and the example argument lists under `readme_examples`.  An
+example that exits with a code other than 0 or 1 fails the run.
 
 With --trajectory, nothing runs: for each workload and metric in the given
 files, a table row holds each file's change-to-parent ratio of the medians,
@@ -90,6 +97,69 @@ def run_check(checkout: Path) -> dict:
                         for i, r in enumerate(results, 1)},
             "failed_criteria": [f"criterion_{i:02d}" for i, r in enumerate(results, 1)
                                 if not r["passed"]]}
+
+
+# Runs README examples in process: argv[1] is a JSON list of argument
+# lists; prints a JSON list of [seconds, exit code], one per example.
+_README_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile, time
+from paramodular.cli import main
+bonds = {(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)}
+e8 = [[2 if i == j else -1 if (min(i, j), max(i, j)) in bonds else 0 for j in range(8)]
+      for i in range(8)]
+two_modular = [[1, 0, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0, 1, 0],
+               [0, 0, 0, 2, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 1], [0, 0, 0, 0, 0, 2, 0, 0],
+               [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 2]]
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    os.chdir(tmp)
+    with open("e8.json", "w") as fh:
+        json.dump({"gram": e8}, fh)
+    with open("chain.json", "w") as fh:
+        json.dump({"gram1": e8, "coords": [two_modular], "T": [1, 2]}, fh)
+    for argv in json.loads(sys.argv[1]):
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        out.append([time.perf_counter() - t0, code])
+print(json.dumps(out))
+"""
+
+
+def readme_examples(readme: str) -> dict:
+    """{metric name: argument list} of every line of readme that starts with
+    `paramodular `, without its comment; a command's second line gets _2."""
+    examples, seen = {}, {}
+    for line in readme.splitlines():
+        if line.startswith("paramodular "):
+            argv = line.split("#")[0].split()[1:]
+            seen[argv[0]] = seen.get(argv[0], 0) + 1
+            suffix = f"_{seen[argv[0]]}" if seen[argv[0]] > 1 else ""
+            examples[f"readme_{argv[0].replace('-', '_')}{suffix}_s"] = argv
+    return examples
+
+
+def run_readme(checkout: Path, examples: dict) -> dict:
+    """The wall time of each README example, {name: seconds}, from one fresh
+    process in the checkout."""
+    cmd = [sys.executable, "-c", _README_SCRIPT, json.dumps(list(examples.values()))]
+    out = _fresh_run(cmd, checkout, PYTHONPATH=str(checkout.resolve() / "src"))
+    try:
+        results = json.loads(out.stdout.strip().splitlines()[-1]) if out.returncode == 0 else None
+    except (ValueError, IndexError):
+        results = None
+    if results is None or len(results) != len(examples) or \
+            any(code not in (0, 1) for _, code in results):
+        raise subprocess.CalledProcessError(out.returncode, cmd[:2] + ["README examples"],
+                                            out.stdout, out.stderr or out.stdout)
+    return {name: {"value": t, "unit": "s"} for name, (t, _) in zip(examples, results)}
+
+
+def run_suite(checkout: Path, examples: dict) -> dict:
+    """run_check's result with the README examples' times among its metrics."""
+    out = run_check(checkout)
+    out["metrics"].update(run_readme(checkout, examples))
+    return out
 
 
 def summary(values: list) -> dict:
@@ -237,8 +307,11 @@ def main(argv=None) -> int:
         if failure:
             return 1
     if args.suite:
-        runs, failure = alternate("suite", args.suite, lambda side: run_check(checkouts[side]))
+        examples = readme_examples((args.change / "README.md").read_text())
+        runs, failure = alternate("suite", args.suite,
+                                  lambda side: run_suite(checkouts[side], examples))
         report["suite"] = suite_report(runs, better["solve_s"][1])
+        report["suite"]["readme_examples"] = examples
         if failure:
             report["suite"]["failure"] = failure
         args.out.write_text(json.dumps(report, indent=1) + "\n")
