@@ -536,15 +536,14 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     """Order and generators of the isometries preserving every sublattice.
 
     Stabilizer chain over the standard basis, from the last vector to the
-    first: the order is the product over d of the orbit size of e_d under
-    the isometries fixing e_0..e_{d-1}.  Its candidate images, the hits,
-    have Gram rows starting with (gram[j, d])_{j<d}, and the generators
-    found so far permute them.  As in Plesken and Souvignier (J. Symbolic
-    Comput. 24, 1997), only hits outside the orbit of e_d and every failed
-    orbit are extended: a success joins the generators, which generate the
-    group (Schreier-Sims), and a failure marks its orbit.  budget caps the
-    nodes of the one search, which admits far larger groups than one
-    extension per hit.
+    first (Plesken and Souvignier, J. Symbolic Comput. 24, 1997): the order
+    is the product over d of the orbit size of e_d under the isometries
+    fixing e_0..e_{d-1}.  The generators found so far permute the candidate
+    images of e_d, the hits, whose Gram rows start with (gram[j, d])_{j<d},
+    so only hits outside the orbit of e_d and every failed orbit are
+    extended: a success joins the generators, which generate the group
+    (Schreier-Sims), and a failure marks its orbit failed.  budget caps the
+    nodes of the one search, which admits far larger groups than one per hit.
     """
     n = L.rank
     bt = _Backtracker(L.gram, L.gram, budget, sublattices)
@@ -580,8 +579,9 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
 
 def aut_order(obj, budget: int = 10**7) -> int:
     """Order of the simultaneous stabilizer of a chain (or a single lattice)."""
-    L, subs = (obj, ()) if isinstance(obj, QuadLattice) else (obj.L1, obj.coords[1:])
-    return aut_order_and_gens(L, subs, budget)[0]
+    if isinstance(obj, QuadLattice):
+        return aut_order_and_gens(obj, (), budget)[0]
+    return aut_order_and_gens(obj.L1, obj.coords[1:], budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -666,10 +666,10 @@ def pmodular_coords(L: QuadLattice, p: int, scale: int = 1,
     reduction mod p of Q / scale, found by one bitset search for every p;
     budget bounds the (p^n - 1)/(p - 1) points of the projective space, which
     are counted before any is listed, and the subspaces of each dimension
-    that the search builds.  For all K at once, in int64 (Python ints if
-    that could overflow), the check is exact: the Gram is divisible by
-    t = p*scale, its diagonal by 2t, and det(K)^2 disc(L) = t^n, that is
-    |det(Gram / t)| = 1.  Sorted by rows.
+    that the search builds.  For all
+    K at once, in int64 (Python ints if that could overflow), the check is
+    exact: the Gram is divisible by t = p*scale, its diagonal by 2t, and
+    det(K)^2 disc(L) = t^n, that is |det(Gram / t)| = 1.  Sorted by rows.
     """
     n = L.rank
     if not is_prime(p):
