@@ -320,32 +320,28 @@ def _assert_stabilizers(L, sublattices, gens):
             assert (S @ g.transpose() @ rational_inverse(S)).is_integral()
 
 
-def _group_order(gens, n):
-    # the order of the finite group the integer matrices gens generate,
-    # closing the identity under multiplication by them
-    mats = [g.to_numpy() for g in gens]
-    frontier = [np.eye(n, dtype=np.int64)]
-    seen = {frontier[0].tobytes()}
+def _orbit_size(start, mats):
+    # the size of the orbit of the int64 array start under the group that
+    # the integer matrices mats generate, acting by left multiplication
+    seen, frontier = {start.tobytes()}, [start]
     while frontier:
-        new = [m @ x for x in frontier for m in mats]
-        frontier = [y for y in new if y.tobytes() not in seen and not seen.add(y.tobytes())]
+        new = {y.tobytes(): y for x in frontier for y in (m @ x for m in mats)}
+        frontier = [y for key, y in new.items() if key not in seen]
+        seen.update(new)
     return len(seen)
+
+
+def _group_order(gens, n):
+    # the order of the finite group that gens generate: the identity's orbit
+    return _orbit_size(np.eye(n, dtype=np.int64), [g.to_numpy() for g in gens])
 
 
 def _orbit_sizes(gens, n):
     # per depth d, the orbit of e_d under the generators fixing e_0..e_{d-1}
-    sizes = []
-    for d in range(n):
-        mats = [g.to_numpy() for g in gens
-                if all(g[i, j] == (i == j) for i in range(n) for j in range(d))]
-        orbit = {tuple(int(i == d) for i in range(n))}
-        frontier = list(orbit)
-        while frontier:
-            frontier = [y for y in {tuple((m @ x).tolist()) for x in frontier for m in mats}
-                        if y not in orbit]
-            orbit.update(frontier)
-        sizes.append(len(orbit))
-    return sizes
+    eye = np.eye(n, dtype=np.int64)
+    return [_orbit_size(eye[d], [g.to_numpy() for g in gens
+                                 if (g.to_numpy()[:, :d] == eye[:, :d]).all()])
+            for d in range(n)]
 
 
 def _candidate_orbits(e8, p, gens):
@@ -450,6 +446,18 @@ def test_failed_orbits_are_not_searched(monkeypatch):
     assert aut_order_and_gens(L, S)[0] == 6
     assert numpy_orbit_sizes(L, S)[0] == [6, 1, 1]
     assert (failed[0], want[0]) == (4, 9)
+
+
+@pytest.mark.parametrize("p, count", [(2, 270), (3, 2240)])
+def test_generators_move_candidates_as_the_exhaustive_search(e8, e8_gens, p, count):
+    # the p-modular sublattices of E8, numbered and moved as in
+    # enumerate_chain_classes, fall into the same orbits under the generators
+    # as under the exhaustive search's 410
+    want = numpy_aut_order_and_gens(e8)[1]
+    assert len(want) == 410
+    label = _candidate_orbits(e8, p, e8_gens)
+    assert len(label) == count
+    assert label.tolist() == _candidate_orbits(e8, p, want).tolist()
 
 
 @settings(max_examples=80, deadline=None)

@@ -144,10 +144,12 @@ def run_readme(checkout: Path, examples: dict) -> dict:
     process in the checkout."""
     cmd = [sys.executable, "-c", _README_SCRIPT, json.dumps(list(examples.values()))]
     out = _fresh_run(cmd, checkout, PYTHONPATH=str(checkout.resolve() / "src"))
-    try:
-        results = json.loads(out.stdout.strip().splitlines()[-1]) if out.returncode == 0 else None
-    except (ValueError, IndexError):
-        results = None
+    results = None
+    if out.returncode == 0:
+        try:
+            results = json.loads(out.stdout.strip().splitlines()[-1])
+        except (ValueError, IndexError):
+            pass
     if results is None or len(results) != len(examples) or \
             any(code not in (0, 1) for _, code in results):
         raise subprocess.CalledProcessError(out.returncode, cmd[:2] + ["README examples"],
