@@ -11,7 +11,7 @@ depth's live candidates as a bitset, cut by masks of inner products, and the
 automorphism search extends one image per new orbit point of the generators
 found so far.  The p-modular sublattices between L and pL, for any prime p,
 come from one bitset search for the maximal totally singular subspaces of
-L/pL.
+L/pL, and the classes of chains from an orbit ladder, one rung per prime.
 """
 
 from __future__ import annotations
@@ -777,91 +777,75 @@ class ChainClass:
 
 
 def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[ChainClass]:
-    """Isometry classes of chains with first member L1 and scale list T.
+    """Isometry classes of chains with first member L1, which must be
+    unimodular, and scale list T.
 
     The scales must be squarefree, each dividing the next.  Only the
-    distinct scales matter; equal consecutive scales repeat the
-    member.  The candidates for each refinement step are the modular
-    sublattices at the new prime, and classes are orbits under the
-    generators of O(L1), with stabilizer orders computed independently and
-    checked against the orbit sizes.  budget bounds the nodes of each of
-    those automorphism and stabilizer searches only: the subspace step keeps
-    pmodular_coords's own bound of 10^6 projective points.
-
-    Each refinement step keeps p * (previous member) inside the new one, so
-    the member M at scale t contains t L1, and M is determined by its image
-    in L1 / t L1, that is by its image in L1 / p L1 for each prime p | t.
-    The candidates are keyed by the echelon bases of those images and
-    numbered once, in order of first appearance.  One batched echelon of the
-    images under a generator of O(L1) gives its permutation of the numbers,
-    and the orbits are read off those.  Each representative is the first of
-    its orbit, as in the action on the lattices themselves.
+    distinct scales matter; equal consecutive scales repeat the member.
+    The classes come from an orbit ladder (Schmalz's Leiterspiel, 1990), one
+    rung for each prime p of each refinement step, taken at the scale s
+    reached before it.  A rung lists the candidates of the current member
+    M, the (p s)-modular sublattices N with M >= N >= pM, in coordinates of
+    L1.  As p does not divide [L1 : M], N is determined by its image in
+    L1 / pL1, so the candidates are keyed by the echelon bases mod p of
+    their rows.  The stabilizer of the rungs so far, O(L1) on the first,
+    permutes those keys, and each orbit's least candidate climbs on, with
+    its stabilizer's order and generators from one search, checked against
+    the orbit-stabilizer identity at every rung.  The least candidate at
+    every rung gives the least tuple of the orbit, in the order of the
+    candidates; with no rungs the chain of copies of L1 is the one class.
+    budget bounds the nodes of the search for O(L1) and of each
+    stabilizer search, one for each orbit at each rung; the subspace step
+    keeps pmodular_coords's own bound of 10^6 projective points.
     """
     T = tuple(T)
     if not T or T[0] != 1:
         raise InvalidLevel("the first scale must be 1")
-    n = L1.rank
     distinct = [t for i, t in enumerate(T) if not i or t != T[i - 1]]
-    primes = []     # the primes of each distinct scale after the first
+    rungs = []      # (p, the scale before p)
     for prev, cur in zip(distinct, distinct[1:]):
         if cur % prev or cur // prev < 2:
             raise InvalidLevel("each scale must be a proper multiple of the last")
         f = factor(cur)
         if any(e > 1 for _, e in f):
             raise NonSquareFreeLevel("scales must be squarefree")
-        primes.append([p for p, _ in f])
-    # build candidate tuples of coordinate matrices for the distinct scales
-    I = Mat.identity(n)
-    partials = [(I,)]
-    for prev, ps in zip(distinct, primes):
-        newparts = []
-        for tup in partials:
-            mats = [tup[-1]]
-            scale_now = prev
-            for p in ps:
-                if prev % p == 0:
-                    continue
-                next_mats = []
-                for M in mats:
-                    ML = QuadLattice(M @ L1.gram @ M.transpose())
-                    Ks = pmodular_coords(ML, p, scale_now)
-                    next_mats += Ks if M == I else [K @ M for K in Ks]
-                mats = next_mats
-                scale_now *= p
-            newparts += [tup + (M,) for M in mats]
-        partials = newparts
-    order1, gens = aut_order_and_gens(L1, budget=budget)
-    if len(distinct) == 1:
-        # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
-        return [ChainClass(ParamodularChain(L1, partials[0] * len(T), T), order1, 1)]
-    if not partials:
-        return []
-    # key each candidate by the echelon bases of its images, a block of
-    # columns per member and prime, and number the keys by first appearance
-    slots = [(j, p) for j, ps in enumerate(primes, 1) for p in ps]
-    bases = [echelon_mod(np.array([tup[j].rows for tup in partials], dtype=object), p)
-             for j, p in slots]
-    bases = [E[:, :int((E != 0).any(axis=2).sum(axis=1).max())] for E in bases]
-    keys = np.concatenate([B.reshape(len(partials), -1) for B in bases], axis=1)
-    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-    cands = [partials[i] for i in first]
-    find = _row_index(keys[first])
-    bases = [B[first] for B in bases]
-    # perms[i][c]: the number of the image of candidate c under gens[i]
-    perms = np.array([find(np.concatenate(
-        [echelon_mod(B @ (g.to_numpy().T % p), p).reshape(len(cands), -1)
-         for B, (_, p) in zip(bases, slots)], axis=1)) for g in gens])
-    if (perms < 0).any():
-        raise NotStabilizing("generator left the candidate set")
-    label = _orbit_labels(perms.reshape(len(gens), len(cands)))
-    reps = np.flatnonzero(label == np.arange(len(cands)))
-    classes = []
-    for r, size in zip(reps, np.bincount(label)[reps].tolist()):
-        chain = ParamodularChain(L1, tuple(cands[r][distinct.index(t)] for t in T), T)
-        stab = aut_order(chain, budget)
-        if order1 != stab * size:
-            raise InvalidInvariant("orbit-stabilizer identity failed")
-        classes.append(ChainClass(chain, stab, size))
+        s = prev
+        for p in (p for p, _ in f if prev % p):
+            rungs.append((p, s))
+            s *= p
+    if L1.disc() != 1:
+        raise InvalidInvariant("member 0 is not 1-modular")
+    n = L1.rank
+    # the ladder's nodes: the members of the rungs so far, and the order and
+    # generators of their stabilizer
+    nodes = [([Mat.identity(n)], *aut_order_and_gens(L1, budget=budget))]
+    order1 = nodes[0][1]
+    for p, s in rungs:
+        climbed = []
+        for path, order, gens in nodes:
+            M = path[-1]
+            Ks = pmodular_coords(QuadLattice(M @ L1.gram @ M.transpose()), p, s)
+            if not Ks:
+                continue
+            # N / pM is half of M / pM = L1 / pL1: n / 2 echelon rows
+            E = echelon_mod(np.array([K.rows for K in Ks]) @ (M.to_numpy() % p), p)[:, :n // 2]
+            find = _row_index(E.reshape(len(Ks), -1))
+            perms = np.array([find(echelon_mod(E @ (g.to_numpy().T % p), p).reshape(len(Ks), -1))
+                              for g in gens], dtype=np.int64).reshape(len(gens), len(Ks))
+            if (perms < 0).any():
+                raise NotStabilizing("generator left the candidate set")
+            label = _orbit_labels(perms)
+            reps = np.flatnonzero(label == np.arange(len(Ks)))
+            for r, size in zip(reps, np.bincount(label)[reps].tolist()):
+                N = Ks[r] @ M
+                stab, stab_gens = aut_order_and_gens(L1, path[1:] + [N], budget)
+                if order != stab * size:
+                    raise InvalidInvariant("orbit-stabilizer identity failed")
+                climbed.append((path + [N], stab, stab_gens))
+        nodes = climbed
+    scales = [1] + [p * s for p, s in rungs]
+    classes = [ChainClass(ParamodularChain(L1, tuple(path[scales.index(t)] for t in T), T),
+                          order, order1 // order) for path, order, _ in nodes]
     classes.sort(key=lambda c: tuple(tuple(map(tuple, M.rows))
                                      for M in c.representative.coords))
     return classes

@@ -25,6 +25,10 @@ used before their whole-array forms.
   enumeration leaves.
 * `theta_coefficients_tuple` runs the package's join on any tuple of
   sublattices, chain or not, such as a permuted chain.
+* `tuple_chain_classes` builds every candidate tuple of a chain, the
+  product over the refinement steps, and partitions all of them at once
+  under O(L1); the package climbs an orbit ladder, one rung per refinement
+  prime, that lists only each representative's own candidates.
 
 They serve only as differential oracles on small inputs.
 """
@@ -33,9 +37,30 @@ import numpy as np
 
 from exact_oracle import rref_mod
 from paramodular import thetaser
-from paramodular.errors import NotIsometric, NotSupported, ScaleLimit
-from paramodular.exactmat import Mat, hnf_rows
-from paramodular.quadlat import _join, _quotient_map, fincke_pohst_leaves, shell_vectors
+from paramodular.errors import (
+    InvalidInvariant,
+    InvalidLevel,
+    NonSquareFreeLevel,
+    NotIsometric,
+    NotStabilizing,
+    NotSupported,
+    ScaleLimit,
+)
+from paramodular.exactmat import Mat, echelon_mod, factor, hnf_rows
+from paramodular.quadlat import (
+    ChainClass,
+    ParamodularChain,
+    QuadLattice,
+    _join,
+    _orbit_labels,
+    _quotient_map,
+    _row_index,
+    aut_order,
+    aut_order_and_gens,
+    fincke_pohst_leaves,
+    pmodular_coords,
+    shell_vectors,
+)
 
 
 def act_mod(basis, gp, p) -> tuple:
@@ -305,3 +330,80 @@ def theta_coefficients_tuple(L1, coords, bound: int,
     chain produces such a tuple and its keys are the conjugated originals.
     """
     return thetaser._join(L1, coords, bound, budget)[0]
+
+
+def tuple_chain_classes(L1, T, budget: int = 10**7) -> list:
+    """Isometry classes of chains with first member L1 and scale list T, from
+    every candidate tuple at once: the product of the candidates over the
+    refinement steps, each tuple keyed by the echelon bases mod p of its
+    members for every prime p of every step, numbered by first appearance,
+    permuted by the generators of O(L1), and each class's stabilizer computed
+    again by aut_order on its representative."""
+    T = tuple(T)
+    if not T or T[0] != 1:
+        raise InvalidLevel("the first scale must be 1")
+    n = L1.rank
+    distinct = [t for i, t in enumerate(T) if not i or t != T[i - 1]]
+    primes = []     # the primes of each distinct scale after the first
+    for prev, cur in zip(distinct, distinct[1:]):
+        if cur % prev or cur // prev < 2:
+            raise InvalidLevel("each scale must be a proper multiple of the last")
+        f = factor(cur)
+        if any(e > 1 for _, e in f):
+            raise NonSquareFreeLevel("scales must be squarefree")
+        primes.append([p for p, _ in f])
+    # build candidate tuples of coordinate matrices for the distinct scales
+    I = Mat.identity(n)
+    partials = [(I,)]
+    for prev, ps in zip(distinct, primes):
+        newparts = []
+        for tup in partials:
+            mats = [tup[-1]]
+            scale_now = prev
+            for p in ps:
+                if prev % p == 0:
+                    continue
+                next_mats = []
+                for M in mats:
+                    ML = QuadLattice(M @ L1.gram @ M.transpose())
+                    Ks = pmodular_coords(ML, p, scale_now)
+                    next_mats += Ks if M == I else [K @ M for K in Ks]
+                mats = next_mats
+                scale_now *= p
+            newparts += [tup + (M,) for M in mats]
+        partials = newparts
+    order1, gens = aut_order_and_gens(L1, budget=budget)
+    if len(distinct) == 1:
+        # a chain of copies of L1 constrains nothing: its stabilizer is O(L1)
+        return [ChainClass(ParamodularChain(L1, partials[0] * len(T), T), order1, 1)]
+    if not partials:
+        return []
+    # key each candidate by the echelon bases of its images, a block of
+    # columns per member and prime, and number the keys by first appearance
+    slots = [(j, p) for j, ps in enumerate(primes, 1) for p in ps]
+    bases = [echelon_mod(np.array([tup[j].rows for tup in partials], dtype=object), p)
+             for j, p in slots]
+    bases = [E[:, :int((E != 0).any(axis=2).sum(axis=1).max())] for E in bases]
+    keys = np.concatenate([B.reshape(len(partials), -1) for B in bases], axis=1)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    cands = [partials[i] for i in first]
+    find = _row_index(keys[first])
+    bases = [B[first] for B in bases]
+    # perms[i][c]: the number of the image of candidate c under gens[i]
+    perms = np.array([find(np.concatenate(
+        [echelon_mod(B @ (g.to_numpy().T % p), p).reshape(len(cands), -1)
+         for B, (_, p) in zip(bases, slots)], axis=1)) for g in gens])
+    if (perms < 0).any():
+        raise NotStabilizing("generator left the candidate set")
+    label = _orbit_labels(perms.reshape(len(gens), len(cands)))
+    reps = np.flatnonzero(label == np.arange(len(cands)))
+    classes = []
+    for r, size in zip(reps, np.bincount(label)[reps].tolist()):
+        chain = ParamodularChain(L1, tuple(cands[r][distinct.index(t)] for t in T), T)
+        stab = aut_order(chain, budget)
+        if order1 != stab * size:
+            raise InvalidInvariant("orbit-stabilizer identity failed")
+        classes.append(ChainClass(chain, stab, size))
+    classes.sort(key=lambda c: tuple(tuple(map(tuple, M.rows))
+                                     for M in c.representative.coords))
+    return classes

@@ -1,8 +1,9 @@
 """Differential tests of the whole-array chain code against the slow
 reference paths in chain_oracle.py: candidate numbering and generator
-images, Hermite forms written from echelon bases, the stabilizer's
-sublattice test, the sign-halved pair join, the bitset isometry search and
-the shell counts from half-enumeration leaves."""
+images, the orbit ladder of chain classes, Hermite forms written from
+echelon bases, the stabilizer's sublattice test, the sign-halved pair join,
+the bitset isometry search and the shell counts from half-enumeration
+leaves."""
 
 import math
 import random
@@ -23,6 +24,7 @@ from chain_oracle import (
     numpy_orbit_sizes,
     pair_coefficients,
     theta_coefficients_tuple,
+    tuple_chain_classes,
     tuple_coefficients,
 )
 from exact_oracle import rref_mod
@@ -37,6 +39,7 @@ from paramodular.quadlat import (
     _quotient_map,
     _row_index,
     aut_order_and_gens,
+    enumerate_chain_classes,
     pmodular_coords,
     shell_counts,
     shell_vectors,
@@ -458,6 +461,17 @@ def test_generators_move_candidates_as_the_exhaustive_search(e8, e8_gens, p, cou
     label = _candidate_orbits(e8, p, e8_gens)
     assert len(label) == count
     assert label.tolist() == _candidate_orbits(e8, p, want).tolist()
+
+
+@pytest.mark.parametrize("skew, T", [
+    *((None, T) for T in [(1,), (1, 1), (1, 2), (1, 2, 2), (1, 3)]),
+    ("E8/1", (1, 2)), ("E8/1", (1, 3))], ids=str)
+def test_orbit_ladder_matches_tuple_product(e8, skew, T):
+    # the ladder's classes, representatives, stabilizers and orbits against
+    # the partition of every candidate tuple; the skew E8/1 has entries at
+    # most 6, while the stabilizer searches on E8/0 and E8/2 take seconds
+    L = QuadLattice(_skew(e8.gram.rows, random.Random(skew))) if skew else e8
+    assert enumerate_chain_classes(L, T) == tuple_chain_classes(L, T)
 
 
 @settings(max_examples=80, deadline=None)

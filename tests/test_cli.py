@@ -197,6 +197,18 @@ def test_chains_odd_prime(tmp_path, e8):
     assert_golden("chains-1-3.json", out, tmp_path)
 
 
+def test_chains_level_six(tmp_path, e8):
+    lat_file = tmp_path / "e8.json"
+    lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))
+    code, out = run_cli(["chains", "--lattice", str(lat_file), "--T", "1,6"])
+    assert code == 0
+    res = json.loads(out)["result"]
+    # the first level with several classes
+    assert res["count"] == 3
+    assert [c["orbit_size"] for c in res["classes"]] == [241920, 302400, 60480]
+    assert_golden("chains-1-6.json", out, tmp_path)
+
+
 def test_chains_budget_limits_the_searches(tmp_path, e8):
     lat_file = tmp_path / "e8.json"
     lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))

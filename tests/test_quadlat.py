@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from paramodular import quadlat
 from paramodular.errors import (
+    InvalidInvariant,
     InvalidLevel,
     InvalidRank,
     NonSquareFreeLevel,
@@ -224,6 +225,50 @@ def test_chain_classes_pinned(e8):
     assert (two.stabilizer_order, two.orbit_size) == (2580480, 270)
 
 
+# sha256 of the JSON of [coordinate rows, stabilizer order, orbit size] of
+# each class at the first levels with several classes, computed by the
+# tuple-product search that chain_oracle.tuple_chain_classes keeps (about
+# two minutes for each level)
+LEVEL_SIX_SHA256 = {
+    (1, 6): "39ce3c2a502e90315a994a9e0e501e27da99ef06b601af400d13e93e0afe83d2",
+    (1, 2, 6): "8ad9dd078f39bfdd4bd51e9e8b4b9d343e102a13e63f6b328545c84e0b8b1f54",
+    (1, 3, 6): "6d90c04ff1bb568d2087380dcef8fdb80c7d59803d3c123a5cb96943ae60266a",
+}
+
+
+@pytest.mark.parametrize("T", sorted(LEVEL_SIX_SHA256), ids=str)
+def test_level_six_chain_classes_pinned(e8, T):
+    classes = enumerate_chain_classes(e8, T)
+    rows = [[[M.rows for M in c.representative.coords], c.stabilizer_order, c.orbit_size]
+            for c in classes]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LEVEL_SIX_SHA256[T]
+    assert [c.stabilizer_order for c in classes] == [2880, 2304, 11520]
+    # three orbits on the 270 * 2240 pairs of a 2-modular sublattice and a
+    # 6-modular one inside it
+    assert sum(c.orbit_size for c in classes) == 604800 == 270 * 2240
+    assert all(c.stabilizer_order * c.orbit_size == 696729600 for c in classes)
+
+
+A2 = [[2, -1], [-1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("gram, T", [
+    (A2, (1, 2)), ([[4, 0], [0, 4]], (1, 3)), (D4, (1, 2)),
+    (A2, (1,)), ([[4, 0], [0, 4]], (1,)), (D4, (1,)),
+], ids=["A2-1,2", "4I-1,3", "D4-1,2", "A2-1", "4I-1", "D4-1"])
+def test_chain_classes_need_a_unimodular_first_member(monkeypatch, gram, T):
+    # one error for every T, before any search: A2 and 4I gave [] at their
+    # T, and D4 failed its first sublattice check after the subspace search
+    def searched(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(quadlat, "aut_order_and_gens", searched)
+    monkeypatch.setattr(quadlat, "pmodular_coords", searched)
+    with pytest.raises(InvalidInvariant, match="member 0 is not 1-modular"):
+        enumerate_chain_classes(QuadLattice(Mat(gram)), T)
+
+
 def test_chain_class_errors(e8):
     with pytest.raises(InvalidLevel):
         enumerate_chain_classes(e8, (2,))
@@ -266,11 +311,11 @@ def test_fixed_image_outside_its_shell_is_typed(e8):
 
 
 ROOT_LATTICES = {
-    "A2": ([[2, -1], [-1, 2]], 12),
+    "A2": (A2, 12),
     "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 48),
     "A1A2": ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], 24),
     "A1^4": ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 384),
-    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 1152),
+    "D4": (D4, 1152),
 }
 
 
@@ -323,9 +368,6 @@ def test_half_enumeration_is_one_of_each_pair(data, n, bound, chunk):
     assert half.count(zero) == 1
     assert len(half) + len(negs) == len(full) == len(set(full))
     assert set(half) | set(negs) == set(full)
-
-
-D4 = ROOT_LATTICES["D4"][0]
 
 
 # count and sha256 of the compact JSON of the maximal totally singular
