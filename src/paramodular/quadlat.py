@@ -5,13 +5,15 @@ Grams are stored as the even matrix of the doubled form, so Q(x) is half the
 matrix value and all entries stay integral.  Short-vector enumeration has an
 exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
-produces a superset.  Shells and shell counts finish Q per prefix, the counts
-from zero and one vector of each pair +-x.  The isometry search keeps each
-depth's live candidates as a bitset, cut by masks of inner products, and the
-automorphism search extends one image per new orbit point of the generators
-found so far.  The p-modular sublattices between L and pL, for any prime p,
-come from one bitset search for the maximal totally singular subspaces of
-L/pL, and the classes of chains from an orbit ladder, one rung per prime.
+produces a superset.  The float pivots of a Gram are derived once and kept
+in a bounded cache, read-only, for later enumerations of an equal Gram.
+Shells and shell counts finish Q per prefix, the counts from zero and one
+vector of each pair +-x.  The isometry search keeps each depth's live
+candidates as a bitset, cut by masks of inner products, and the automorphism
+search extends one image per new orbit point of the generators found so far.
+The p-modular sublattices between L and pL, for any prime p, come from one
+bitset search for the maximal totally singular subspaces of L/pL, and the
+classes of chains from an orbit ladder, one rung per prime.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, sqrt
 from operator import add, and_
 
@@ -76,6 +79,7 @@ class QuadLattice:
         self.gram = gram
         self.rank = n
         self._min = None        # min_positive, once it is asked for
+        self._dual = None       # dual_and_level, once it is asked for
 
     def __repr__(self):
         return f"QuadLattice(rank={self.rank}, disc={self.disc()})"
@@ -97,10 +101,13 @@ class QuadLattice:
     def dual_and_level(self) -> tuple[Mat, int]:
         """The inverse Gram, whose rows are a basis of the dual lattice in
         the coordinates of this one, and the level: the smallest N with
-        N * Q(dual) integral.  One exact inverse gives both."""
-        inv = rational_inverse(self.gram)
-        N = clear_denominators(inv.rows)[1]
-        return inv, 2 * N if any(N * inv[i, i] % 2 for i in range(self.rank)) else N
+        N * Q(dual) integral.  One exact inverse gives both, on the first
+        call, and the later ones read them."""
+        if self._dual is None:
+            inv = rational_inverse(self.gram)
+            N = clear_denominators(inv.rows)[1]
+            self._dual = inv, 2 * N if any(N * inv[i, i] % 2 for i in range(self.rank)) else N
+        return self._dual
 
     def level(self) -> int:
         """Smallest N with N * Q(dual) integral."""
@@ -218,6 +225,31 @@ def _join(X, idx, xs):
     return Xn
 
 
+@lru_cache(maxsize=64)
+def _pivots(gram: Mat):
+    """(G, D, V) for a Gram: its int64 matrix, the float pivots D_i of the
+    form Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2, and per level i the
+    reversed row U[i, i+1:], which pairs with prefixes x_{n-1}, ..., x_{i+1}.
+    Kept for the 64 Grams used last, keyed by the Mat, so that equal Grams
+    share one entry; the arrays are read-only, as every caller and thread
+    gets the same ones."""
+    G = gram.to_numpy()
+    n = gram.nrows
+    D = np.zeros(n)
+    U = np.eye(n)
+    W = G.astype(float) / 2.0
+    for i in range(n):
+        D[i] = W[i, i]
+        if D[i] <= 0:
+            raise NotPositiveDefinite("float Cholesky failed")
+        U[i, i + 1:] = W[i, i + 1:] / D[i]
+        W[i + 1:, i + 1:] -= D[i] * np.outer(U[i, i + 1:], U[i, i + 1:])
+    V = tuple(U[i, i + 1:][::-1].copy() for i in range(n))
+    for a in (G, D, *V):
+        a.flags.writeable = False
+    return G, D, V
+
+
 def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
                         budget: int = 500 * 10**6, half: bool = False):
     """Candidates covering all Q(x) <= bound, a chunk of prefixes at a
@@ -227,7 +259,9 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     functions of the candidates can compute the prefix part once per row of
     X.  Floating point bounds include a slack margin, so the candidates are
     a superset: callers filter them with exact arithmetic.  The budget caps
-    the candidates examined, summed over every level of the search.
+    the candidates examined, summed over every level of the search.  The
+    float pivots come from _pivots, once per Gram while it stays in that
+    bounded cache, not once per call.
 
     With half=True the candidates are zero and exactly one vector of each
     pair +-x: on the one row whose coordinates above level i are all zero,
@@ -237,16 +271,7 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     keeps its order, on which the isometry search's node counts depend.
     """
     n = gram.nrows
-    A = gram.to_numpy().astype(float) / 2.0
-    D = np.zeros(n)
-    U = np.eye(n)
-    W = A.copy()
-    for i in range(n):
-        D[i] = W[i, i]
-        if D[i] <= 0:
-            raise NotPositiveDefinite("float Cholesky failed")
-        U[i, i + 1:] = W[i, i + 1:] / D[i]
-        W[i + 1:, i + 1:] -= D[i] * np.outer(U[i, i + 1:], U[i, i + 1:])
+    _, D, V = _pivots(gram)
     eps = 1e-6 + 1e-9 * float(bound)
     B = float(bound) + eps
     total_seen = 0
@@ -256,25 +281,24 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     stack = [(np.zeros((1, 0), dtype=np.int64), np.zeros(1), n - 1, 0 if half else -1)]
     while stack:
         X, partial, i, z = stack.pop()
-        u = U[i, i + 1:][::-1]
-        c = X @ u if X.shape[1] else np.zeros(len(X))
+        c = X @ V[i]
         s = np.sqrt(np.maximum(B - partial, 0.0) / D[i])
         lo = np.ceil(-c - s - 1e-9).astype(np.int64)
         hi = np.floor(-c + s + 1e-9).astype(np.int64)
         if z >= 0:
             lo[z] = 0
         counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
         if total == 0:
             continue
         total_seen += total
         if total_seen > budget:
             raise ScaleLimit(f"enumeration reached {total_seen} candidates, "
                              f"over the budget of {budget}")
+        offs = ends - counts
         idx = np.repeat(np.arange(len(X)), counts)
-        offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ranks = np.arange(total) - np.repeat(offs, counts)
-        xs = lo[idx] + ranks
+        xs = np.arange(total) + np.repeat(lo - offs, counts)
         if i == 0:
             yield X, idx, xs
             continue
@@ -306,7 +330,9 @@ def leaf_norms(G: np.ndarray, X, idx, x0):
 def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
     """Exact counts {q: #vectors with Q = q} for q <= bound, from zero and
     one vector of each pair +-x; the budget caps those candidates."""
-    G = L.gram.to_numpy()
+    if bound < 0:
+        return {}
+    G = _pivots(L.gram)[0]
     counts = np.zeros(bound + 1, dtype=np.int64)
     # small chunks keep the arrays of one step in cache and the peak low
     for leaf in fincke_pohst_leaves(L.gram, bound, 1 << 16, budget, half=True):
@@ -328,7 +354,7 @@ def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6,
     enumeration order; with half=True, zero and one vector of each pair +-x,
     as fincke_pohst_leaves gives them.  Q is computed once per prefix, and
     only the rows kept are joined."""
-    G = gram.to_numpy()
+    G = _pivots(gram)[0]
     groups: dict[int, list] = {}
     for X, idx, x0 in fincke_pohst_leaves(gram, bound, budget=budget, half=half):
         qv = leaf_norms(G, X, idx, x0)[1]

@@ -169,6 +169,15 @@ def _signed_counts(Xs, W, S):
     s_a != s_b, and s and -s give the same Gram, so each nonzero cell goes
     to its images under the 2^(k-1) sign patterns with s_1 = 1, which are
     merged and doubled: for two members, 2 (h + flip(h)) on those cells.
+
+    The block products run in float32 when that is exact.  With n the rank,
+    Y_a the last member's rows paired with member a at its place and W_ab
+    the other pairings at theirs, every product, and every partial sum in
+    any order, is an integer of absolute value at most
+    lim = off + sum_a n max|X_a| max|Y_a| + sum_(a,b) n^2 max|X_a| max|W_ab| max|X_b|,
+    taken once per call.  float32 holds every integer up to 2^24 exactly,
+    so when lim < 2^24 the rows, Y and W_ab are cast to float32, whose BLAS
+    products give the exact keys; otherwise they stay int64.
     """
     k = len(Xs)
     sub = list(combinations(range(k), 2))
@@ -178,6 +187,10 @@ def _signed_counts(Xs, W, S):
     *P, X = Xs
     Y = [(p * W[a][b]) @ X.T for (a, b), p in zip(sub, place) if b == k - 1]
     inner = [(a, b, p * W[a][b]) for (a, b), p in zip(sub, place) if b < k - 1]
+    dtype = _block_dtype(off, X.shape[1], P, Y, inner)
+    P = [Xa.astype(dtype, copy=False) for Xa in P]
+    Y = [Ya.astype(dtype, copy=False) for Ya in Y]
+    inner = [(a, b, Wab.astype(dtype, copy=False)) for a, b, Wab in inner]
 
     def on(A, *axes):
         # A with its axes on the given axes of a block: one per member
@@ -194,7 +207,7 @@ def _signed_counts(Xs, W, S):
         for a in range(1, k - 1):
             key = key + on(R[a] @ Y[a], a, k - 1)
         key += off + sum(on(R[a] @ Wab @ R[b].T, a, b) for a, b, Wab in inner)
-        hist += np.bincount(key.ravel(), minlength=len(hist))
+        hist += np.bincount(key.astype(np.intp, copy=False).ravel(), minlength=len(hist))
         del key  # so that the next block's product is not held beside it
     # the sign patterns up to -1, as the factor of b_ab for each pair (a, b)
     signs = [[s[a] * s[b] for a, b in sub] for s in product((1, -1), repeat=k) if s[0] == 1]
@@ -205,6 +218,14 @@ def _signed_counts(Xs, W, S):
     counts = np.zeros(len(keys), dtype=np.int64)
     np.add.at(counts, where, np.tile(hist[cells], len(signs)))
     return np.stack(np.unravel_index(keys, radix), axis=1) - S, 2 * counts
+
+
+def _block_dtype(off, n, P, Y, inner):
+    """float32 if lim < 2^24 (see _signed_counts), else int64."""
+    top = [int(np.abs(Xa).max()) for Xa in P]
+    lim = off + sum(n * top[a] * int(np.abs(Ya).max()) for a, Ya in enumerate(Y)) \
+        + sum(n * n * top[a] * int(np.abs(Wab).max()) * top[b] for a, b, Wab in inner)
+    return np.float32 if lim < 1 << 24 else np.int64
 
 
 # ---------------------------------------------------------------------------

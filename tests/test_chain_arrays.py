@@ -219,6 +219,63 @@ def test_tuple_join_with_zero_members_matches_reference(scales, bound):
     assert theta_coefficients_tuple(A2, coords, bound) == want
 
 
+def _block_dtypes(monkeypatch, force=None):
+    # the block dtype of every _signed_counts call, in a list that fills as
+    # the join runs; with force, that dtype replaces the one of the bound
+    seen = []
+    pick = thetaser._block_dtype
+
+    def spy(*args):
+        seen.append(force or pick(*args))
+        return seen[-1]
+    monkeypatch.setattr(thetaser, "_block_dtype", spy)
+    return seen
+
+
+def _wide_skew(gram, rng, lo):
+    # gram in a unimodular basis, one elementary row operation at a time,
+    # until an entry reaches lo
+    n = gram.nrows
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    while True:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        G = Mat(U) @ gram @ Mat(U).transpose()
+        if max(abs(x) for row in G.rows for x in row) >= lo:
+            return G
+
+
+@pytest.mark.parametrize("force", [None, np.int64])
+def test_pair_join_on_both_block_dtypes(e8_chain, monkeypatch, force):
+    # the E8 (1, 2) join's products stay below 2^24, so its blocks run in
+    # float32; forced to int64 they give the same counts in the same order
+    seen = _block_dtypes(monkeypatch, force)
+    got = theta_coefficients(e8_chain, 4).coefficients
+    assert seen and set(seen) == {force or np.float32}
+    G1, mats = e8_chain.L1.gram.to_numpy(), [C.to_numpy() for C in e8_chain.coords]
+    grams = [e8_chain.member_gram(j) for j in range(2)]
+    assert list(got.items()) == list(pair_coefficients(grams, G1, mats, 4).items())
+
+
+@pytest.mark.parametrize("name, base, bound", [
+    ("A2", [[2, -1], [-1, 2]], 4),
+    ("D4", [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 3)])
+def test_tuple_join_crosses_to_int64(monkeypatch, name, base, bound):
+    # three copies of a skew with an entry of 10^3 or more: with three
+    # nonzero members, the bound on the pairing of members 1 and 2, at its
+    # place in the radix, reaches 2^24, so those q-tuples run in int64 and
+    # the others in float32
+    G = _wide_skew(Mat(base), random.Random(name), 10**3)
+    L1 = QuadLattice(G)
+    coords = [Mat.identity(L1.rank)] * 3
+    seen = _block_dtypes(monkeypatch)
+    got = theta_coefficients_tuple(L1, coords, bound)
+    assert set(seen) == {np.float32, np.int64}
+    want = tuple_coefficients([G] * 3, G.to_numpy(), [C.to_numpy() for C in coords], bound)
+    assert got == want
+
+
 def test_a_member_without_rows(e8_chain, monkeypatch):
     # at trace bound 1, member 2 (minimum 2) leaves member 1 no room: member
     # 1's rows are enumerated up to 1 - 2 = -1, none at all, and member 2's

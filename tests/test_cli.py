@@ -146,6 +146,20 @@ def test_theta_files(tmp_path, e8):
     assert_golden("theta-out.json", out_file.read_text())
 
 
+@pytest.mark.parametrize("bound", ["-1", "-2", "-5"])
+def test_negative_trace_bounds_report_no_coefficients(tmp_path, e8, bound):
+    # -2 and below ended in a numpy traceback instead of a report
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps({"gram1": e8.gram.to_json(), "coords": [], "T": [1]}))
+    code, out = run_cli(["theta", "--chain", str(chain_file), "--trace-bound", bound])
+    assert code == 0 and json.loads(out)["result"]["coefficients"] == []
+    lat_file = tmp_path / "e8.json"
+    lat_file.write_text(json.dumps({"gram": e8.gram.to_json()}))
+    code, out = run_cli(["genus", "--lattice", str(lat_file), "--T", "1",
+                         "--trace-bound", bound])
+    assert code == 0 and json.loads(out)["result"]["coefficients"] == []
+
+
 FLOAT = re.compile(r"-?\d+\.\d+(?:e-?\d+)?|-?\d+e-?\d+")
 
 

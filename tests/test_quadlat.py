@@ -4,11 +4,13 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramodular import quadlat
+from test_heckelocal import _in_threads
 from paramodular.errors import (
     InvalidInvariant,
     InvalidLevel,
@@ -368,6 +370,62 @@ def test_half_enumeration_is_one_of_each_pair(data, n, bound, chunk):
     assert half.count(zero) == 1
     assert len(half) + len(negs) == len(full) == len(set(full))
     assert set(half) | set(negs) == set(full)
+
+
+# sha256 of every (X, idx, x0) yield of fincke_pohst_leaves, as int64 shapes
+# and bytes, over the bounds 0-5, both half modes and the chunks 7 and
+# default, from the enumerator before its pivots were kept per Gram: the
+# candidates, their order and their chunking are part of the contract, as
+# the isometry search's node counts depend on them
+LEAVES_SHA256 = {
+    "A2": "bac49ecb34689810f67b5a2cd677db29252789ffa0a67d428f5824c17d35a393",
+    "A3": "1c0d688d637406192d7b2dc20c2017cd7f11f6644011efda9aba465c606c7656",
+    "A1A2": "2b73133eaa3261bbb5924591bd17d8b15b5177fa87ee8d56f057b7a0300c8a79",
+    "A1^4": "1572eca3c97a733af8ccac8180e5de3080528cc0d8d472b864e61d6f99c8562a",
+    "D4": "2ee60eb2a279f5a9f201b3d41909613edaecfacb1718dfd6028cf4661a2ea0f5",
+    "E8": "16f77ecdc0aea3bafa6a2884ea2903549bfb9dc06a8369646aba72745b8db296",
+    "E8-K": "08993ca77db7f67df64d60d0abf04b3d6ff01da3e302c74ddac18ab842cd53fc",
+    "skew-E8/1": "0a209a1fb6b82c7a1a1ad6d47592cdac31b07e07d7dc6c82ef87bd4c6ff8e0fa",
+    "skew-D4/0": "9d233db8b7e70181c1d6d9e050aff02be3794e9457af54f4c812648e04be30b5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAVES_SHA256))
+def test_leaves_pinned(e8, name):
+    grams = {nm: Mat(g) for nm, (g, _) in ROOT_LATTICES.items()}
+    K = Mat(E8_TWO_MODULAR)
+    grams |= {"E8": e8.gram, "E8-K": K @ e8.gram @ K.transpose()}
+    gram = grams.get(name)
+    if gram is None:    # "skew-<lattice>/<n>": the skew seeded by "<lattice>/<n>"
+        seed = name.removeprefix("skew-")
+        base = grams[seed.split("/")[0]]
+        U = _skew(base.nrows, random.Random(seed))
+        gram = U @ base @ U.transpose()
+    h = hashlib.sha256()
+    for bound in range(6):
+        for half in (False, True):
+            for chunk in (7, 1 << 19):
+                for leaf in fincke_pohst_leaves(gram, bound, chunk, half=half):
+                    for a in leaf:
+                        a = np.ascontiguousarray(a, dtype=np.int64)
+                        h.update(repr(a.shape).encode() + a.tobytes())
+    assert h.hexdigest() == LEAVES_SHA256[name]
+
+
+def test_pivots_are_shared_read_only_across_threads():
+    # 100 rank-one Grams pass through the 64-entry cache from four threads
+    # at once, so entries are evicted and built again while others read
+    # them; every lattice keeps its own counts, and no caller can write to
+    # the arrays that the others share
+    lattices = [QuadLattice(Mat([[2 * k]])) for k in range(1, 101)]
+    want = [{0: 1} | {k * x * x: 2 for x in range(1, 11) if k * x * x <= 100}
+            for k in range(1, 101)]
+    results = _in_threads(lambda: [shell_counts(L, 100) for L in lattices])
+    assert len(results) == 4 and all(r == want for r in results)
+    G, D, V = quadlat._pivots(e8_lattice().gram)
+    for arr in (G, D, *V):
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 # count and sha256 of the compact JSON of the maximal totally singular

@@ -256,23 +256,34 @@ def test_inversion_check_matches_oracle(gram):
         assert inversion_check(L, z) == oracle.inversion_check(L, z)
 
 
-def test_inversion_check_eliminates_twice(e8, monkeypatch):
+def test_inversion_check_eliminates_twice(monkeypatch):
     # one exact inverse gives the dual and the level, the rescaled dual's
     # constructor takes its leading minors; the lattice's own minors, which
-    # give its discriminant and pivot bound, were taken when it was built
+    # give its discriminant and pivot bound, were taken when it was built,
+    # and the lattice keeps its dual and level, so a later point only takes
+    # the rescaled dual's minors
     calls = []
     eliminate = exactmat._eliminate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return eliminate(*args, **kwargs)
-    lattices = [e8] + [QuadLattice(Mat(g)) for g, _ in THETA1_CASES[:4]]
+    lattices = [quadlat.e8_lattice()] + [QuadLattice(Mat(g)) for g, _ in THETA1_CASES[:4]]
     monkeypatch.setattr(exactmat, "_eliminate", counted)
     for L in lattices:
-        for z in (1j, complex(0.3, 0.8)):
+        for z, want in ((1j, 2), (complex(0.3, 0.8), 1)):
             calls.clear()
             inversion_check(L, z)
-            assert len(calls) == 2, (L, z)
+            assert len(calls) == want, (L, z)
+
+
+@pytest.mark.parametrize("bound", [-1, -2, -5])
+def test_negative_bounds_give_empty_answers(e8, e8_chain, bound):
+    # -2 and below raised numpy's "negative dimensions are not allowed"
+    assert shell_counts(e8, bound) == {}
+    assert quadlat.short_vectors(e8, bound) == {}
+    exp_ = theta_coefficients(e8_chain, bound)
+    assert exp_.coefficients == {} and exp_.shells == [{}, {}]
 
 
 def test_chain_members_are_built_once(e8_chain):
