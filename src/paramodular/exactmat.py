@@ -29,6 +29,8 @@ factors, eliminates or computes elementary divisors:
   ``_eliminate`` (Bareiss 1968), behind ``Mat.det``, ``leading_minors``,
   ``rational_inverse`` and ``solve_right``: rational input is scaled to
   integers first, and a solution is divided by the last pivot once at the end;
+* ``lll_gram``: the integral LLL reduction of a positive definite Gram
+  (Cohen 2.6.7), exact in Python ints, with its unimodular transform;
 * ``echelon_mod``: the reduced echelon forms mod a prime of a whole stack
   of matrices, and ``_projective_vectors``: the points of F_p^n in the same
   normalization;
@@ -47,6 +49,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IntegralityViolation,
+    NotPositiveDefinite,
     NotSupported,
     PrimalityUnproven,
     ScaleLimit,
@@ -482,6 +485,81 @@ def leading_minors(A: Mat) -> list[int] | None:
     integral A from one fraction-free pass; None if one of them is 0."""
     cols, minors, swaps = _eliminate([list(r) for r in A.rows], A.nrows, jordan=False)
     return minors if not swaps and len(cols) == A.nrows else None
+
+
+def lll_gram(rows) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, H) for the integral positive definite Gram rows G: U unimodular
+    and H = U G U^T the Gram of an LLL-reduced basis, delta = 3/4 (Lenstra,
+    Lenstra and Lovasz, Math. Ann. 261, 1982), by the integral algorithm on
+    the Gram (Cohen, Alg. 2.6.7).  d[i] is the leading principal minor of
+    order i of the Gram so far and lam[k][j] = d[j + 1] mu_kj, so every step
+    is an exact division of Python ints; the Gram is updated with the basis."""
+    n = len(rows)
+    G = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [r[i] for i, r in enumerate(G[:1])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        # b_k <- b_k - q b_l with q the integer nearest to mu_kl
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
+            return
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        U[k] = [a - q * b for a, b in zip(U[k], U[l])]
+        gk, gl = G[k], G[l]
+        kk = gk[k] - 2 * q * gk[l] + q * q * gl[l]
+        for t in range(n):
+            gk[t] -= q * gl[t]
+        gk[k] = kk
+        for t in range(n):
+            G[t][k] = gk[t]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        # exchange b_k and b_{k-1}: only d[k] and the lam of columns k-1, k change
+        U[k], U[k - 1] = U[k - 1], U[k]
+        G[k], G[k - 1] = G[k - 1], G[k]
+        for r in G:
+            r[k], r[k - 1] = r[k - 1], r[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n and d[1] <= 0:
+        raise NotPositiveDefinite("Gram is not positive definite")
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            # the Gram-Schmidt data of the new vector b_k
+            kmax = k
+            for j in range(k + 1):
+                u = G[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise NotPositiveDefinite("Gram is not positive definite")
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        # Lovasz condition with delta = 3/4, times 4 d[k]^2
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return U, G
 
 
 def rational_inverse(A: Mat) -> Mat:

@@ -5,8 +5,14 @@ Grams are stored as the even matrix of the doubled form, so Q(x) is half the
 matrix value and all entries stay integral.  Short-vector enumeration has an
 exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
-produces a superset.  The float pivots of a Gram are derived once and kept
-in a bounded cache, read-only, for later enumerations of an equal Gram.
+produces a superset.  Enumerations of a lattice run on its enumeration
+basis: the given basis when it passes the orthogonality defect test
+prod_i G_ii <= 2^(n(n-1)/2) det G and max_i G_ii <= 2^(n-1) min_i G_ii,
+else its exact LLL reduction; isometry searches run on the LLL reduction
+when that shortens the longest basis vector.  Vectors, residues and
+isometries are carried back to the given basis.  The bases and the float
+pivots are derived once per Gram and kept in bounded caches, read-only,
+for later calls on an equal Gram.
 Shells and shell counts finish Q per prefix, the counts from zero and one
 vector of each pair +-x.  The isometry search keeps each depth's live
 candidates as a bitset, cut by masks of inner products, and the automorphism
@@ -22,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, sqrt
+from math import ceil, floor, prod, sqrt
 from operator import add, and_
 
 import numpy as np
@@ -50,6 +56,7 @@ from .exactmat import (
     hnf_rows,
     is_prime,
     leading_minors,
+    lll_gram,
     rational_inverse,
     smith_normal_form,
     solve_right,
@@ -225,29 +232,89 @@ def _join(X, idx, xs):
     return Xn
 
 
+def _float_pivots(G: np.ndarray):
+    """The float pivots D_i of the form Q(x) = sum_i D_i (x_i + sum_{j>i}
+    U_ij x_j)^2 of the int64 Gram G, and per level i the reversed row
+    U[i, i+1:], which pairs with prefixes x_{n-1}, ..., x_{i+1}.  In Python
+    floats, as the matrices are small: each entry takes the same IEEE
+    operations, in the same order, as the elimination in numpy arrays."""
+    n = len(G)
+    W = (G.astype(float) / 2.0).tolist()
+    D, V = [], []
+    for i in range(n):
+        d, row = W[i][i], W[i]
+        if d <= 0:
+            raise NotPositiveDefinite("float Cholesky failed")
+        u = [row[j] / d for j in range(i + 1, n)]
+        for k, uk in enumerate(u, i + 1):
+            Wk = W[k]
+            for l, ul in enumerate(u, i + 1):
+                Wk[l] -= d * (uk * ul)
+        D.append(d)
+        V.append(np.array(u[::-1]))
+    return np.array(D), tuple(V)
+
+
 @lru_cache(maxsize=64)
 def _pivots(gram: Mat):
-    """(G, D, V) for a Gram: its int64 matrix, the float pivots D_i of the
-    form Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2, and per level i the
-    reversed row U[i, i+1:], which pairs with prefixes x_{n-1}, ..., x_{i+1}.
-    Kept for the 64 Grams used last, keyed by the Mat, so that equal Grams
-    share one entry; the arrays are read-only, as every caller and thread
-    gets the same ones."""
-    G = gram.to_numpy()
+    """(G, D, V, U, R, P) for a positive definite Gram: its enumeration
+    basis R = U gram U^T, with U unimodular, and the int64 matrix G, the
+    float pivots (D, V, see _float_pivots) and the leading principal minors
+    P of R.  R is gram itself, and U None, when gram passes two exact tests:
+    the orthogonality defect prod_i gram_ii <= 2^(n(n-1)/2) det gram, which
+    every LLL-reduced basis passes, and max_i gram_ii <= 2^(n-1) min_i
+    gram_ii, which every LLL-reduced basis of a lattice with equal
+    successive minima passes; the second catches one long vector among
+    short ones, which the first lets through with a defect as low as 2^23
+    at rank 8 and which makes the enumeration's tree wide.  Otherwise R is
+    the exact LLL reduction of gram (exactmat.lll_gram), unless that leaves
+    the Gram as it is, and the entry shares R's own.  Filled at the first
+    enumeration of an equal Gram and kept for the 64 Grams used last, keyed
+    by the Mat; the arrays are read-only, as every caller and thread gets
+    the same ones."""
     n = gram.nrows
-    D = np.zeros(n)
-    U = np.eye(n)
-    W = G.astype(float) / 2.0
-    for i in range(n):
-        D[i] = W[i, i]
-        if D[i] <= 0:
-            raise NotPositiveDefinite("float Cholesky failed")
-        U[i, i + 1:] = W[i, i + 1:] / D[i]
-        W[i + 1:, i + 1:] -= D[i] * np.outer(U[i, i + 1:], U[i, i + 1:])
-    V = tuple(U[i, i + 1:][::-1].copy() for i in range(n))
+    diag = [gram[i, i] for i in range(n)]
+    # the spread test first: a Gram that fails it needs no minors here, as
+    # lll_gram takes its own and raises NotPositiveDefinite as well
+    P = leading_minors(gram) if max(diag) <= min(diag) << n - 1 else None
+    if P is not None and min(P) <= 0:
+        raise NotPositiveDefinite("form is not positive definite")
+    if P is None or prod(diag) > P[-1] << n * (n - 1) // 2:
+        U, R = map(Mat, lll_gram(gram.rows))
+        if R != gram:
+            G, D, V, _, _, P = _pivots(R)
+            return G, D, V, U, R, P
+        P = P or leading_minors(gram)
+    G = gram.to_numpy()
+    D, V = _float_pivots(G)
     for a in (G, D, *V):
         a.flags.writeable = False
-    return G, D, V
+    return G, D, V, None, gram, tuple(P)
+
+
+def enumeration_basis(gram: Mat) -> tuple[Mat | None, Mat, tuple[int, ...]]:
+    """(U, R, P): the basis R = U gram U^T that enumerations of gram run
+    on, U, None when R is gram, and the leading principal minors P of R
+    (see _pivots)."""
+    return _pivots(gram)[3:]
+
+
+@lru_cache(maxsize=64)
+def _search_basis(gram: Mat) -> tuple[Mat | None, Mat]:
+    """(U, S): the basis S = U gram U^T that the isometry searches of gram
+    run on, and U, None when S is gram.  A search lists the shells up to
+    its basis's largest norm, so S is the LLL reduction of gram when gram
+    is its own enumeration basis and the reduction shortens its longest
+    vector, and the enumeration basis otherwise; a basis that the defect
+    tests admit may still hold vectors far longer than the minimum, and a
+    reduced enumeration basis is the LLL reduction already.  Kept for the
+    64 Grams used last."""
+    U, R, _ = enumeration_basis(gram)
+    if U is None:
+        V, S = map(Mat, lll_gram(gram.rows))
+        if max(S[i, i] for i in range(S.nrows)) < max(gram[i, i] for i in range(gram.nrows)):
+            return V, S
+    return U, R
 
 
 def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
@@ -261,7 +328,10 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     a superset: callers filter them with exact arithmetic.  The budget caps
     the candidates examined, summed over every level of the search.  The
     float pivots come from _pivots, once per Gram while it stays in that
-    bounded cache, not once per call.
+    bounded cache, not once per call.  This enumerator runs in the basis it
+    is given, whatever its skew: a Gram that fails the defect test of
+    _pivots derives its own pivots per call, and the package's enumerations
+    run on its reduced basis instead.
 
     With half=True the candidates are zero and exactly one vector of each
     pair +-x: on the one row whose coordinates above level i are all zero,
@@ -271,7 +341,9 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     keeps its order, on which the isometry search's node counts depend.
     """
     n = gram.nrows
-    _, D, V = _pivots(gram)
+    _, D, V, U, _, _ = _pivots(gram)
+    if U is not None:
+        D, V = _float_pivots(gram.to_numpy())
     eps = 1e-6 + 1e-9 * float(bound)
     B = float(bound) + eps
     total_seen = 0
@@ -329,13 +401,14 @@ def leaf_norms(G: np.ndarray, X, idx, x0):
 
 def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[int, int]:
     """Exact counts {q: #vectors with Q = q} for q <= bound, from zero and
-    one vector of each pair +-x; the budget caps those candidates."""
+    one vector of each pair +-x of the enumeration basis; the budget caps
+    those candidates."""
     if bound < 0:
         return {}
-    G = _pivots(L.gram)[0]
+    G, _, _, _, R, _ = _pivots(L.gram)
     counts = np.zeros(bound + 1, dtype=np.int64)
     # small chunks keep the arrays of one step in cache and the peak low
-    for leaf in fincke_pohst_leaves(L.gram, bound, 1 << 16, budget, half=True):
+    for leaf in fincke_pohst_leaves(R, bound, 1 << 16, budget, half=True):
         q = leaf_norms(G, *leaf)[1]
         counts += np.bincount(q[q <= bound], minlength=bound + 1)
     counts[1:] *= 2
@@ -353,16 +426,25 @@ def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6,
     """Coordinates with Q(x) <= bound as {q: int64 rows}, each shell in
     enumeration order; with half=True, zero and one vector of each pair +-x,
     as fincke_pohst_leaves gives them.  Q is computed once per prefix, and
-    only the rows kept are joined."""
-    G = _pivots(gram)[0]
+    only the rows kept are joined.  The rows y found in the enumeration
+    basis R = U gram U^T are mapped back as y U, one int64 product per
+    shell, and NotSupported is raised if that product could overflow."""
+    G, _, _, U, R, _ = _pivots(gram)
     groups: dict[int, list] = {}
-    for X, idx, x0 in fincke_pohst_leaves(gram, bound, budget=budget, half=half):
+    for X, idx, x0 in fincke_pohst_leaves(R, bound, budget=budget, half=half):
         qv = leaf_norms(G, X, idx, x0)[1]
         keep = qv <= bound
         X, qv = _join(X, idx[keep], x0[keep])[:, ::-1], qv[keep]
         for q in np.unique(qv):
             groups.setdefault(int(q), []).append(X[qv == q])
-    return {q: np.concatenate(parts) for q, parts in groups.items()}
+    shells = {q: np.concatenate(parts) for q, parts in groups.items()}
+    if U is None:
+        return shells
+    ymax = max((int(np.abs(Y).max()) for Y in shells.values()), default=0)
+    if ymax * max(sum(abs(u) for u in col) for col in zip(*U.rows)) >= 1 << 63:
+        raise NotSupported("the shell vectors mapped back to the given basis may overflow int64")
+    Un = U.to_numpy()
+    return {q: Y @ Un for q, Y in shells.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +621,27 @@ def isometry_test(L: QuadLattice, K: QuadLattice, budget: int = 10**7) -> Mat | 
     """An exact matrix g with t(g) gram_K g = gram_L, or None.
 
     Fast rejection first on rank, determinant, level, and shell counts.
+    The search runs on the search bases of both lattices (_search_basis),
+    and its map is conjugated back and checked exactly.
     """
     if L.rank != K.rank:
         return None
     if L.disc() != K.disc() or L.level() != K.level():
         return None
-    bound = max(max(L.gram[i, i] for i in range(L.rank)),
-                max(K.gram[i, i] for i in range(K.rank))) // 2
+    (UL, RL), (UK, RK) = _search_basis(L.gram), _search_basis(K.gram)
+    bound = max(max(RL[i, i] for i in range(L.rank)),
+                max(RK[i, i] for i in range(K.rank))) // 2
     if shell_counts(L, bound) != shell_counts(K, bound):
         return None
-    bt = _Backtracker(K.gram, L.gram, budget)
+    bt = _Backtracker(RK, RL, budget)
     g = bt.extend([])
     if g is None:
         return None
+    # t(g) RK g = RL, with RK = UK gram_K t(UK) and RL likewise
+    if UK is not None:
+        g = UK.transpose() @ g
+    if UL is not None:
+        g = g @ UL.inverse().transpose()
     if g.transpose() @ K.gram @ g != L.gram:
         raise NotIsometric("the search returned a map that is not an isometry")
     return g
@@ -570,13 +660,20 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     extended: a success joins the generators, which generate the group
     (Schreier-Sims), and a failure marks its orbit failed.  budget caps the
     nodes of the one search, which admits far larger groups than one per hit.
+    The chain runs over the search basis R = U gram t(U) (_search_basis),
+    with the sublattice rows in its coordinates, and the generators are
+    conjugated back to the basis of L.
     """
     n = L.rank
-    bt = _Backtracker(L.gram, L.gram, budget, sublattices)
+    U, R = _search_basis(L.gram)
+    if U is not None:
+        Ui = U.inverse()
+        sublattices = [S @ Ui for S in sublattices]
+    bt = _Backtracker(R, R, budget, sublattices)
     G, eye = bt._gs, np.eye(n, dtype=np.int64)
     order, gens, moves = 1, [], []      # moves[i]: gens[i] transposed
     for depth in reversed(range(n)):
-        C = bt.cands[L.gram[depth, depth] // 2]
+        C = bt.cands[R[depth, depth] // 2]
         hits = C[(C @ G[:, :depth] == G[depth, :depth]).all(axis=1)]
         number = {c: k for k, c in enumerate(map(tuple, hits.tolist()))}
         # the hits known so far: True in the orbit of e_d, False in a failed
@@ -600,6 +697,9 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
                         known[p[j]] = known[j]
                         stack.append(p[j])
         order *= sum(known.values())
+    if U is not None:
+        # g' on R is t(U) g' t(U)^-1 on the basis of L
+        gens = [U.transpose() @ g @ Ui.transpose() for g in gens]
     return order, gens
 
 
@@ -856,8 +956,10 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
             # N / pM is half of M / pM = L1 / pL1: n / 2 echelon rows
             E = echelon_mod(np.array([K.rows for K in Ks]) @ (M.to_numpy() % p), p)[:, :n // 2]
             find = _row_index(E.reshape(len(Ks), -1))
-            perms = np.array([find(echelon_mod(E @ (g.to_numpy().T % p), p).reshape(len(Ks), -1))
-                              for g in gens], dtype=np.int64).reshape(len(gens), len(Ks))
+            # the keys' images under every generator, echelonized in one stack
+            moves = np.array([g.to_numpy().T % p for g in gens], dtype=np.int64)
+            images = (E @ moves.reshape(-1, 1, n, n)).reshape(-1, n // 2, n)
+            perms = find(echelon_mod(images, p).reshape(len(images), -1)).reshape(len(gens), len(Ks))
             if (perms < 0).any():
                 raise NotStabilizing("generator left the candidate set")
             label = _orbit_labels(perms)

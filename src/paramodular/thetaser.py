@@ -41,6 +41,7 @@ from .exactmat import Mat, factor
 from .quadlat import (
     ParamodularChain,
     QuadLattice,
+    enumeration_basis,
     fincke_pohst_leaves,
     leaf_norms,
     shell_counts,
@@ -322,7 +323,8 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     """Degree-1 theta value with certified truncation, from one enumeration.
 
     On nonzero vectors Q is at least m0 = ceil(min_i D_i), where the pivots
-    D_i of Q are ratios of its leading principal minors.  One enumeration
+    D_i of Q are ratios of the leading principal minors of the enumeration
+    basis, which shell_counts enumerates.  One enumeration
     runs to the bound B0 that m0 certifies.  Its counts give the true
     minimum, which certifies the bound B <= B0 that the minimum alone gives,
     and the sum runs over q <= B.  When they hold no nonzero vector, the sum
@@ -332,7 +334,7 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     if y <= 0:
         raise NotInHalfSpace("z must have positive imaginary part")
     rate = 2 * math.pi * y
-    P = L.minors
+    P = enumeration_basis(L.gram)[2]
     m0 = min(-(-P[i + 1] // (2 * P[i])) for i in range(L.rank))
     try:
         B0 = _tail_bound(m0, L.rank, rate, tail_tol)
@@ -526,20 +528,23 @@ def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET)
     r = sum_i (x_i mod M) M^i.  Returns the sorted int64 keys q M^n + r that
     occur, with their int64 counts.  One enumeration of zero and one vector
     of each pair +-x fills the histogram; -x has the residue -r digitwise.
-    A residue map acts on the few distinct keys afterwards (see _remap).
+    A residue map acts on the few distinct keys afterwards (see _remap),
+    and so does the enumeration basis R = U gram U^T: x = y U for its rows y,
+    so x mod M = y (U mod M) mod M.
 
     The budget caps the candidates of the enumeration, one per pair +-x.
     Every call enumerates; the histograms of a chain's members are kept on
     the chain instead (see _member_histogram).
     """
     n = gram.nrows
-    G = gram.to_numpy()
+    U, R, _ = enumeration_basis(gram)
+    G = R.to_numpy()
     powers = M ** np.arange(n, dtype=np.int64)
     nbuck = M**n
     keys, counts = [], []
     # the residue, like Q, is computed once per prefix and finished on x_0;
     # small chunks keep the arrays of one step in cache and the peak low
-    for X, idx, x0 in fincke_pohst_leaves(gram, bound, 1 << 16, budget, half=True):
+    for X, idx, x0 in fincke_pohst_leaves(R, bound, 1 << 16, budget, half=True):
         P, q = leaf_norms(G, X, idx, x0)
         rp = P % M @ powers[1:]
         keep = q <= bound
@@ -550,7 +555,8 @@ def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET)
     # add -x for every nonzero x, which only lacks Q = 0
     nz = keys >= nbuck
     neg = _recode(keys[nz], M, n, lambda d: -d % M)
-    return _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
+    keys, counts = _merge(np.concatenate([keys, neg]), np.concatenate([counts, counts[nz]]))
+    return _remap(keys, counts, M, n, None if U is None else [[x % M for x in r] for r in U.rows])
 
 
 def _remap(keys: np.ndarray, counts: np.ndarray, M: int, n: int, rmap):

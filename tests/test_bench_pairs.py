@@ -66,6 +66,25 @@ def test_trajectory_prints_ratios_per_workload_and_metric_in_file_order(tmp_path
     ]
 
 
+def test_trajectory_shows_each_files_change_side_failures(tmp_path, capsys):
+    # a failed row after each workload's metrics, once any file records
+    # failed/attempted operations for it, and - where a file does not
+    old = _report({"a": {"solve_s": (1.0, 1.0)}, "b": {"solve_s": (2.0, 1.0)}})
+    new = _report({"a": {"solve_s": (1.0, 0.8)}, "b": {"solve_s": (1.0, 1.0)}})
+    new["workloads"]["a"]["failed_of_attempted"] = {"parent": [40, 8080], "change": [0, 8080]}
+    files = []
+    for name, report in [("BENCH_1", old), ("BENCH_2", new)]:
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(report))
+    assert bench_pairs.main(["--trajectory", *map(str, files)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "workload  metric   BENCH_1  BENCH_2",
+        "a         solve_s  1.000    0.800",
+        "a         failed   -        0/8080",
+        "b         solve_s  0.500    1.000",
+    ]
+
+
 _RESULT = {"metrics": {"solve_s": {"value": 1.0, "unit": "s"}},
            "correct": True, "failed": 0, "attempted": 3}
 

@@ -38,6 +38,7 @@ from paramodular.quadlat import (
     _orbit_labels,
     _quotient_map,
     _row_index,
+    _search_basis,
     aut_order_and_gens,
     enumerate_chain_classes,
     pmodular_coords,
@@ -439,9 +440,20 @@ def test_orbit_pruning_matches_exhaustive_search(data, n, subs):
     L = QuadLattice(_even_gram(data, n))
     sublattices = [_sublattice(data, n) for _ in range(subs)]
     order, gens = aut_order_and_gens(L, sublattices)
+    L, gens, sublattices = _on_search_basis(L, gens, sublattices)
     sizes = numpy_orbit_sizes(L, sublattices)[0]
     assert _orbit_sizes(gens, n) == sizes
     assert order == math.prod(sizes)
+
+
+def _on_search_basis(L, gens, sublattices=()):
+    # the stabilizer chain runs over the search basis: the lattice, the
+    # generators and the sublattice rows in its coordinates
+    U, R = _search_basis(L.gram)
+    if U is None:
+        return L, gens, list(sublattices)
+    Ut, Ui = U.transpose(), U.inverse()
+    return QuadLattice(R), [Ut.inverse() @ g @ Ut for g in gens], [S @ Ui for S in sublattices]
 
 
 # |O(L)| of the root lattices, from perfbench/oracles.py
@@ -482,8 +494,9 @@ def test_orbit_pruning_on_root_lattices_and_their_skews(name):
     L = QuadLattice(_skew(gram, random.Random(f"{nm}/{i}")) if i else Mat(gram))
     order, gens = aut_order_and_gens(L)
     assert order == want
-    assert _orbit_sizes(gens, L.rank) == numpy_orbit_sizes(L)[0]
     assert _group_order(gens, L.rank) == want
+    L, gens, _ = _on_search_basis(L, gens)
+    assert _orbit_sizes(gens, L.rank) == numpy_orbit_sizes(L)[0]
 
 
 @pytest.mark.parametrize("sublattices, want", [([], 696729600), ([E8_TWO_MODULAR], 2580480)])

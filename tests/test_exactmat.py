@@ -18,7 +18,13 @@ from exact_oracle import rref_mod, saturation
 
 from paramodular import exactmat
 from paramodular.altlat import _solve_mod_squarefree
-from paramodular.errors import DimensionMismatch, PrimalityUnproven, ScaleLimit, SingularMatrix
+from paramodular.errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    PrimalityUnproven,
+    ScaleLimit,
+    SingularMatrix,
+)
 from paramodular.exactmat import (
     Mat,
     crt,
@@ -31,6 +37,7 @@ from paramodular.exactmat import (
     leading_minors,
     lattice_intersection,
     left_kernel,
+    lll_gram,
     rational_inverse,
     smith_divisors,
     smith_normal_form,
@@ -107,6 +114,60 @@ def test_rational_inverse():
     assert rational_inverse(D) == Mat.diagonal([1, Fraction(1, 3)])
     with pytest.raises(SingularMatrix):
         rational_inverse(Mat([[1, 1], [1, 1]]))
+
+
+def _lll_reduced(H, delta=Fraction(3, 4)) -> bool:
+    """Size reduction |mu_kj| <= 1/2 and the Lovasz condition, from the
+    Gram-Schmidt data of the Gram H in Fractions."""
+    n = len(H)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (H[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))) / B[j]
+        B[i] = H[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i))
+    return (all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+            and all(B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1] for k in range(1, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6))
+def test_lll_gram_is_an_lll_reduced_basis_change(n, seed):
+    # B B^T for a random nonsingular B, in a basis skewed by large
+    # elementary operations
+    rng = random.Random(seed)
+    while True:
+        B = Mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if B.det():
+            break
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 10) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-10**4, 10**4)
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    G = Mat(U) @ B @ B.transpose() @ Mat(U).transpose()
+    V, H = lll_gram(G.rows)
+    assert Mat(V) @ G @ Mat(V).transpose() == Mat(H)
+    assert abs(Mat(V).det()) == 1
+    assert _lll_reduced(H)
+    assert prod(H[i][i] for i in range(n)) <= G.det() * 2 ** (n * (n - 1) // 2)
+
+
+def test_lll_gram_examples():
+    # a Gram on which the float enumerator once found no vector at Q = 2
+    fault = [[6661984, -233340260, -193191218],
+             [-233340260, 8172892180, 6766646248],
+             [-193191218, 6766646248, 5602362106]]
+    U, H = lll_gram(fault)
+    assert H == [[4, 0, 0], [0, 6, 0], [0, 0, 6]]
+    assert U[0] == [1366, 39, 0]
+    # a reduced Gram is kept as it is
+    a2 = [[2, -1], [-1, 2]]
+    assert lll_gram(a2) == ([[1, 0], [0, 1]], a2)
+    assert lll_gram([]) == ([], [])
+    for bad in ([[0]], [[-2]], [[2, 3], [3, 2]]):
+        with pytest.raises(NotPositiveDefinite):
+            lll_gram(bad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,8 +17,8 @@ ROOT = Path(__file__).parent.parent
 BROAD = ("Exception", "BaseException")
 SOURCES = sorted((ROOT / "src" / "paramodular").glob("*.py"))
 USERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
-# the exact enumerator stays until an exact LLL front end settles whether it
-# is the fallback of the float enumeration
+# the exact enumerator stays until a proven error bound for the float
+# enumeration on the reduced basis settles whether it is its fallback
 UNUSED_ALLOWED = {"short_vectors_exact"}
 
 

@@ -220,10 +220,12 @@ def test_theta1_value_enumerates_once(e8, monkeypatch):
                 bounds.clear()
                 theta1_value(M, z)
                 assert len(bounds) == 1, (M, z, bounds)
-    # a minimum above the pivot bound but inside the first bound
-    gram, y = THETA1_CASES[0]
+    # a minimum above the pivot bound but inside the first bound: pivot
+    # bound 1, minimum 4, on a basis that is enumerated as given, so that
+    # the pivots are its own (the reduced basis of THETA1_CASES[0] has
+    # pivot bound 4, its minimum)
     bounds.clear()
-    theta1_value(QuadLattice(Mat(gram)), complex(0.2, y))
+    theta1_value(QuadLattice(Mat([[24, 12, 4], [12, 8, 4], [4, 4, 8]])), complex(0.2, 0.531))
     assert bounds == [13]
 
 
@@ -259,17 +261,27 @@ def test_inversion_check_matches_oracle(gram):
 def test_inversion_check_eliminates_twice(monkeypatch):
     # one exact inverse gives the dual and the level, the rescaled dual's
     # constructor takes its leading minors; the lattice's own minors, which
-    # give its discriminant and pivot bound, were taken when it was built,
-    # and the lattice keeps its dual and level, so a later point only takes
-    # the rescaled dual's minors
-    calls = []
-    eliminate = exactmat._eliminate
+    # give its discriminant, were taken when it was built, and the lattice
+    # keeps its dual and level, so a later point only takes the rescaled
+    # dual's minors.  The eliminations of the pivots cache, which fills a
+    # Gram's entry at its first enumeration, are not counted
+    calls, filling = [], []
+    eliminate, pivots = exactmat._eliminate, quadlat._pivots
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        if not filling:
+            calls.append(args)
         return eliminate(*args, **kwargs)
+
+    def uncounted(gram):
+        filling.append(gram)
+        try:
+            return pivots(gram)
+        finally:
+            filling.pop()
     lattices = [quadlat.e8_lattice()] + [QuadLattice(Mat(g)) for g, _ in THETA1_CASES[:4]]
     monkeypatch.setattr(exactmat, "_eliminate", counted)
+    monkeypatch.setattr(quadlat, "_pivots", uncounted)
     for L in lattices:
         for z, want in ((1j, 2), (complex(0.3, 0.8), 1)):
             calls.clear()

@@ -46,7 +46,9 @@ example that exits with a code other than 0 or 1 fails the run.
 With --trajectory, nothing runs: for each workload and metric in the given
 files, a table row holds each file's change-to-parent ratio of the medians,
 in the order the files are given, or `-` where a file lacks the metric.
-Ratios from different hosts compare; absolute medians do not.
+Ratios from different hosts compare; absolute medians do not.  After its
+metrics, each workload has a `failed` row with each file's change-side
+failed/attempted operations, summed over its runs, where a file records them.
 """
 
 import argparse
@@ -254,19 +256,34 @@ def trajectory(reports: dict) -> list[str]:
         return {**report.get("workloads", {}),
                 **({"suite": report["suite"]} if "suite" in report else {})}
 
-    rows = {}
+    def failed(data):
+        # the change side's failed and attempted operations, summed over its runs
+        f, a = data.get("failed_of_attempted", {}).get("change", (None, None))
+        return "-" if f is None else f"{f}/{a}"
+
+    groups = {}     # workload: {row: None}, in order of first appearance
     for report in reports.values():
         for name, data in sections(report).items():
+            rows = groups.setdefault(name, {})
             for metric in data["metrics"]:
-                rows.setdefault((name, metric), None)
+                rows.setdefault(metric, None)
+    for report in reports.values():
+        for name, data in report.get("workloads", {}).items():
+            if "failed_of_attempted" in data:
+                groups[name]["failed"] = None
     table = [["workload", "metric", *reports]]
-    for name, metric in rows:
-        cells = [name, metric]
-        for report in reports.values():
-            m = sections(report).get(name, {}).get("metrics", {}).get(metric)
-            cells.append(f"{m['change']['median'] / m['parent']['median']:.3f}"
-                         if m and m["parent"]["median"] else "-")
-        table.append(cells)
+    for name, rows in groups.items():
+        for metric in rows:
+            cells = [name, metric]
+            for report in reports.values():
+                data = sections(report).get(name, {})
+                m = data.get("metrics", {}).get(metric)
+                if metric == "failed":
+                    cells.append(failed(data))
+                else:
+                    cells.append(f"{m['change']['median'] / m['parent']['median']:.3f}"
+                                 if m and m["parent"]["median"] else "-")
+            table.append(cells)
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
 
