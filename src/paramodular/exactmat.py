@@ -30,7 +30,8 @@ factors, eliminates or computes elementary divisors:
   ``rational_inverse`` and ``solve_right``: rational input is scaled to
   integers first, and a solution is divided by the last pivot once at the end;
 * ``lll_gram``: the integral LLL reduction of a positive definite Gram
-  (Cohen 2.6.7), exact in Python ints, with its unimodular transform;
+  (Cohen 2.6.7), exact in Python ints, with its unimodular transform and
+  leading minors;
 * ``echelon_mod``: the reduced echelon forms mod a prime of a whole stack
   of matrices, and ``_projective_vectors``: the points of F_p^n in the same
   normalization;
@@ -487,13 +488,14 @@ def leading_minors(A: Mat) -> list[int] | None:
     return minors if not swaps and len(cols) == A.nrows else None
 
 
-def lll_gram(rows) -> tuple[list[list[int]], list[list[int]]]:
-    """(U, H) for the integral positive definite Gram rows G: U unimodular
-    and H = U G U^T the Gram of an LLL-reduced basis, delta = 3/4 (Lenstra,
-    Lenstra and Lovasz, Math. Ann. 261, 1982), by the integral algorithm on
-    the Gram (Cohen, Alg. 2.6.7).  d[i] is the leading principal minor of
-    order i of the Gram so far and lam[k][j] = d[j + 1] mu_kj, so every step
-    is an exact division of Python ints; the Gram is updated with the basis."""
+def lll_gram(rows) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """(U, H, d) for the integral positive definite Gram rows G: U
+    unimodular, H = U G U^T the Gram of an LLL-reduced basis, delta = 3/4
+    (Lenstra, Lenstra and Lovasz, Math. Ann. 261, 1982), and d = [1, d_1,
+    ..., d_n] its leading principal minors, by the integral algorithm on the
+    Gram (Cohen, Alg. 2.6.7).  d[i] is the leading principal minor of order
+    i of the Gram so far and lam[k][j] = d[j + 1] mu_kj, so every step is an
+    exact division of Python ints; the Gram is updated with the basis."""
     n = len(rows)
     G = [list(r) for r in rows]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -559,7 +561,7 @@ def lll_gram(rows) -> tuple[list[list[int]], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return U, G
+    return U, G, d
 
 
 def rational_inverse(A: Mat) -> Mat:

@@ -7,12 +7,12 @@ exact pure-Python reference path and a chunked numpy path for bulk work; both
 filter candidates with exact integer arithmetic, the floating point part only
 produces a superset.  Enumerations of a lattice run on its enumeration
 basis: the given basis when it passes the orthogonality defect test
-prod_i G_ii <= 2^(n(n-1)/2) det G and max_i G_ii <= 2^(n-1) min_i G_ii,
-else its exact LLL reduction; isometry searches run on the LLL reduction
-when that shortens the longest basis vector.  Vectors, residues and
-isometries are carried back to the given basis.  The bases and the float
-pivots are derived once per Gram and kept in bounded caches, read-only,
-for later calls on an equal Gram.
+prod_i G_ii <= 2^(n(n-1)/2) det G and the spread test
+max_i G_ii <= 2^(n-1) min_i G_ii, else its exact LLL reduction; isometry
+searches run on the LLL reduction as well when it shortens the longest
+basis vector.  Vectors, residues and isometries are carried back to the
+given basis.  The bases and the float pivots of a Gram are derived once
+and kept in bounded caches, read-only, for later calls on an equal Gram.
 Shells and shell counts finish Q per prefix, the counts from zero and one
 vector of each pair +-x.  The isometry search keeps each depth's live
 candidates as a bitset, cut by masks of inner products, and the automorphism
@@ -25,6 +25,8 @@ classes of chains from an orbit ladder, one rung per prime.
 from __future__ import annotations
 
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -232,13 +234,18 @@ def _join(X, idx, xs):
     return Xn
 
 
-def _float_pivots(G: np.ndarray):
-    """The float pivots D_i of the form Q(x) = sum_i D_i (x_i + sum_{j>i}
-    U_ij x_j)^2 of the int64 Gram G, and per level i the reversed row
-    U[i, i+1:], which pairs with prefixes x_{n-1}, ..., x_{i+1}.  In Python
-    floats, as the matrices are small: each entry takes the same IEEE
-    operations, in the same order, as the elimination in numpy arrays."""
-    n = len(G)
+@lru_cache(maxsize=64)
+def _pivots(gram: Mat):
+    """(G, D, V) for a Gram: its int64 matrix, the float pivots D_i of the
+    form Q(x) = sum_i D_i (x_i + sum_{j>i} U_ij x_j)^2, and per level i the
+    reversed row U[i, i+1:], which pairs with prefixes x_{n-1}, ..., x_{i+1}.
+    Kept for the 64 Grams used last, keyed by the Mat, so that equal Grams
+    share one entry; the arrays are read-only, as every caller and thread
+    gets the same ones.  In Python floats, as the matrices are small: each
+    entry takes the same IEEE operations, in the same order, as the
+    elimination in numpy arrays."""
+    G = gram.to_numpy()
+    n = gram.nrows
     W = (G.astype(float) / 2.0).tolist()
     D, V = [], []
     for i in range(n):
@@ -252,69 +259,98 @@ def _float_pivots(G: np.ndarray):
                 Wk[l] -= d * (uk * ul)
         D.append(d)
         V.append(np.array(u[::-1]))
-    return np.array(D), tuple(V)
-
-
-@lru_cache(maxsize=64)
-def _pivots(gram: Mat):
-    """(G, D, V, U, R, P) for a positive definite Gram: its enumeration
-    basis R = U gram U^T, with U unimodular, and the int64 matrix G, the
-    float pivots (D, V, see _float_pivots) and the leading principal minors
-    P of R.  R is gram itself, and U None, when gram passes two exact tests:
-    the orthogonality defect prod_i gram_ii <= 2^(n(n-1)/2) det gram, which
-    every LLL-reduced basis passes, and max_i gram_ii <= 2^(n-1) min_i
-    gram_ii, which every LLL-reduced basis of a lattice with equal
-    successive minima passes; the second catches one long vector among
-    short ones, which the first lets through with a defect as low as 2^23
-    at rank 8 and which makes the enumeration's tree wide.  Otherwise R is
-    the exact LLL reduction of gram (exactmat.lll_gram), unless that leaves
-    the Gram as it is, and the entry shares R's own.  Filled at the first
-    enumeration of an equal Gram and kept for the 64 Grams used last, keyed
-    by the Mat; the arrays are read-only, as every caller and thread gets
-    the same ones."""
-    n = gram.nrows
-    diag = [gram[i, i] for i in range(n)]
-    # the spread test first: a Gram that fails it needs no minors here, as
-    # lll_gram takes its own and raises NotPositiveDefinite as well
-    P = leading_minors(gram) if max(diag) <= min(diag) << n - 1 else None
-    if P is not None and min(P) <= 0:
-        raise NotPositiveDefinite("form is not positive definite")
-    if P is None or prod(diag) > P[-1] << n * (n - 1) // 2:
-        U, R = map(Mat, lll_gram(gram.rows))
-        if R != gram:
-            G, D, V, _, _, P = _pivots(R)
-            return G, D, V, U, R, P
-        P = P or leading_minors(gram)
-    G = gram.to_numpy()
-    D, V = _float_pivots(G)
+    D, V = np.array(D), tuple(V)
     for a in (G, D, *V):
         a.flags.writeable = False
-    return G, D, V, None, gram, tuple(P)
+    return G, D, V
 
 
-def enumeration_basis(gram: Mat) -> tuple[Mat | None, Mat, tuple[int, ...]]:
-    """(U, R, P): the basis R = U gram U^T that enumerations of gram run
-    on, U, None when R is gram, and the leading principal minors P of R
-    (see _pivots)."""
-    return _pivots(gram)[3:]
+# Gram: [U, R, P, the search basis or None], for the 64 Grams used last
+_BASES: OrderedDict = OrderedDict()
+_BASES_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=64)
-def _search_basis(gram: Mat) -> tuple[Mat | None, Mat]:
-    """(U, S): the basis S = U gram U^T that the isometry searches of gram
-    run on, and U, None when S is gram.  A search lists the shells up to
-    its basis's largest norm, so S is the LLL reduction of gram when gram
-    is its own enumeration basis and the reduction shortens its longest
-    vector, and the enumeration basis otherwise; a basis that the defect
-    tests admit may still hold vectors far longer than the minimum, and a
-    reduced enumeration basis is the LLL reduction already.  Kept for the
-    64 Grams used last."""
-    U, R, _ = enumeration_basis(gram)
-    if U is None:
-        V, S = map(Mat, lll_gram(gram.rows))
+def _keep(entries: dict) -> None:
+    with _BASES_LOCK:
+        for key, entry in entries.items():
+            _BASES[key] = entry
+            _BASES.move_to_end(key)
+        while len(_BASES) > 64:
+            _BASES.popitem(last=False)
+
+
+def _basis_entry(gram: Mat, minors=None) -> list:
+    """The cache entry of gram (see enumeration_basis and search_basis),
+    filled at the first call on an equal Gram, with the entry of a reduced
+    basis beside it."""
+    with _BASES_LOCK:
+        entry = _BASES.get(gram)
+        if entry is not None:
+            _BASES.move_to_end(gram)
+            return entry
+    n = gram.nrows
+    diag = [gram[i, i] for i in range(n)]
+    spread = max(diag, default=0) <= min(diag, default=0) << n - 1
+    # a Gram that fails the spread test needs no minors here, as lll_gram
+    # takes its own and raises NotPositiveDefinite as well
+    if spread and minors is None:
+        minors = leading_minors(gram)
+        if minors is None or min(minors) <= 0:
+            raise NotPositiveDefinite("form is not positive definite")
+    if spread and prod(diag) <= minors[-1] << n * (n - 1) // 2:
+        entries = {gram: [None, gram, tuple(minors), None]}
+    else:
+        U, R, P = lll_gram(gram.rows)
+        R, P = Mat(R), tuple(P)
+        # lll_gram leaves an LLL-reduced Gram as it is; the LLL reduction is
+        # the search basis as well
+        entries = {R: [None, R, P, (None, R)]}
+        if R != gram:
+            entries[gram] = [Mat(U), R, P, (Mat(U), R)]
+    _keep(entries)
+    return entries[gram]
+
+
+def enumeration_basis(gram: Mat, minors=None) -> tuple[Mat | None, Mat, tuple[int, ...]]:
+    """(U, R, P): the basis R = U gram U^T on which every enumeration of
+    gram runs, with U unimodular, and the leading principal minors P of R.
+    R is gram itself, and U None, when gram passes two exact tests: the
+    orthogonality defect prod_i gram_ii <= 2^(n(n-1)/2) det gram, which
+    every LLL-reduced basis passes, and the spread max_i gram_ii <= 2^(n-1)
+    min_i gram_ii, which every LLL-reduced basis of a lattice with equal
+    successive minima passes.  The second catches one long vector among
+    short ones, which the first lets through with a defect as low as 2^23
+    at rank 8, and which widens the enumeration's tree.  Otherwise R is the
+    exact LLL reduction of gram (exactmat.lll_gram), unless that leaves gram
+    as it is.  minors, the leading principal minors of gram, spare an
+    elimination when the caller holds them (QuadLattice.minors).  Kept, with
+    the search basis, for the 64 Grams used last."""
+    return tuple(_basis_entry(gram, minors)[:3])
+
+
+def search_basis(gram: Mat, minors=None) -> tuple[Mat | None, Mat]:
+    """(U, S): the basis S = U gram U^T on which the isometry searches of
+    gram run, U None when S is gram.  A search lists the shells up to the
+    largest norm of its basis, and a basis that passes both tests of
+    enumeration_basis may still hold one vector of norm up to 2^(n-1) times
+    the others' (E8 with b_7 = e_7 + 11 e_0 would list 1.5 * 10^10 vectors
+    at Q <= 122).  So S is the LLL reduction of gram when gram is its own
+    enumeration basis and the reduction shortens its longest vector, and
+    the enumeration basis otherwise, which is an LLL reduction already.  The
+    enumeration basis does not take the first rule, as it would move the
+    enumeration order of nearly every pinned basis (LLL shortens the longest
+    vector of the (1, 2) member K and of every pmodular_coords member).
+    Filled at the first search, in the entry of enumeration_basis."""
+    entry = _basis_entry(gram, minors)
+    if entry[3] is None:
+        V, S, P = lll_gram(gram.rows)
+        S, P = Mat(S), tuple(P)
         if max(S[i, i] for i in range(S.nrows)) < max(gram[i, i] for i in range(gram.nrows)):
-            return V, S
-    return U, R
+            _keep({S: [None, S, P, (None, S)]})
+            entry[3] = Mat(V), S
+        else:
+            entry[3] = None, gram
+    return entry[3]
 
 
 def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
@@ -329,9 +365,8 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     the candidates examined, summed over every level of the search.  The
     float pivots come from _pivots, once per Gram while it stays in that
     bounded cache, not once per call.  This enumerator runs in the basis it
-    is given, whatever its skew: a Gram that fails the defect test of
-    _pivots derives its own pivots per call, and the package's enumerations
-    run on its reduced basis instead.
+    is given, whatever its skew; the package's enumerations give it their
+    enumeration basis (enumeration_basis).
 
     With half=True the candidates are zero and exactly one vector of each
     pair +-x: on the one row whose coordinates above level i are all zero,
@@ -341,9 +376,7 @@ def fincke_pohst_leaves(gram: Mat, bound, chunk: int = 1 << 19,
     keeps its order, on which the isometry search's node counts depend.
     """
     n = gram.nrows
-    _, D, V, U, _, _ = _pivots(gram)
-    if U is not None:
-        D, V = _float_pivots(gram.to_numpy())
+    _, D, V = _pivots(gram)
     eps = 1e-6 + 1e-9 * float(bound)
     B = float(bound) + eps
     total_seen = 0
@@ -405,7 +438,8 @@ def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[
     those candidates."""
     if bound < 0:
         return {}
-    G, _, _, _, R, _ = _pivots(L.gram)
+    R = enumeration_basis(L.gram, L.minors)[1]
+    G = _pivots(R)[0]
     counts = np.zeros(bound + 1, dtype=np.int64)
     # small chunks keep the arrays of one step in cache and the peak low
     for leaf in fincke_pohst_leaves(R, bound, 1 << 16, budget, half=True):
@@ -418,18 +452,20 @@ def shell_counts(L: QuadLattice, bound: int, budget: int = 500 * 10**6) -> dict[
 def short_vectors(L: QuadLattice, bound: int, budget: int = 500 * 10**6):
     """All x with Q(x) <= bound via the chunked enumerator, as {q: [tuples]}."""
     return {q: list(map(tuple, X.tolist()))
-            for q, X in shell_vectors(L.gram, bound, budget).items()}
+            for q, X in shell_vectors(L.gram, bound, budget, minors=L.minors).items()}
 
 
 def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6,
-                  half: bool = False) -> dict[int, np.ndarray]:
+                  half: bool = False, minors=None) -> dict[int, np.ndarray]:
     """Coordinates with Q(x) <= bound as {q: int64 rows}, each shell in
     enumeration order; with half=True, zero and one vector of each pair +-x,
     as fincke_pohst_leaves gives them.  Q is computed once per prefix, and
     only the rows kept are joined.  The rows y found in the enumeration
     basis R = U gram U^T are mapped back as y U, one int64 product per
-    shell, and NotSupported is raised if that product could overflow."""
-    G, _, _, U, R, _ = _pivots(gram)
+    shell, and NotSupported is raised if that product could overflow.
+    minors, gram's leading principal minors, go to enumeration_basis."""
+    U, R, _ = enumeration_basis(gram, minors)
+    G = _pivots(R)[0]
     groups: dict[int, list] = {}
     for X, idx, x0 in fincke_pohst_leaves(R, bound, budget=budget, half=half):
         qv = leaf_norms(G, X, idx, x0)[1]
@@ -441,7 +477,7 @@ def shell_vectors(gram: Mat, bound: int, budget: int = 500 * 10**6,
     if U is None:
         return shells
     ymax = max((int(np.abs(Y).max()) for Y in shells.values()), default=0)
-    if ymax * max(sum(abs(u) for u in col) for col in zip(*U.rows)) >= 1 << 63:
+    if max(ymax, 1) * max(sum(abs(u) for u in col) for col in zip(*U.rows)) >= 1 << 63:
         raise NotSupported("the shell vectors mapped back to the given basis may overflow int64")
     Un = U.to_numpy()
     return {q: Y @ Un for q, Y in shells.items()}
@@ -621,14 +657,15 @@ def isometry_test(L: QuadLattice, K: QuadLattice, budget: int = 10**7) -> Mat | 
     """An exact matrix g with t(g) gram_K g = gram_L, or None.
 
     Fast rejection first on rank, determinant, level, and shell counts.
-    The search runs on the search bases of both lattices (_search_basis),
+    The search runs on the search bases of both lattices (search_basis),
     and its map is conjugated back and checked exactly.
     """
     if L.rank != K.rank:
         return None
     if L.disc() != K.disc() or L.level() != K.level():
         return None
-    (UL, RL), (UK, RK) = _search_basis(L.gram), _search_basis(K.gram)
+    UL, RL = search_basis(L.gram, L.minors)
+    UK, RK = search_basis(K.gram, K.minors)
     bound = max(max(RL[i, i] for i in range(L.rank)),
                 max(RK[i, i] for i in range(K.rank))) // 2
     if shell_counts(L, bound) != shell_counts(K, bound):
@@ -660,12 +697,12 @@ def aut_order_and_gens(L: QuadLattice, sublattices: list[Mat] = (),
     extended: a success joins the generators, which generate the group
     (Schreier-Sims), and a failure marks its orbit failed.  budget caps the
     nodes of the one search, which admits far larger groups than one per hit.
-    The chain runs over the search basis R = U gram t(U) (_search_basis),
+    The chain runs over the search basis R = U gram t(U) (search_basis),
     with the sublattice rows in its coordinates, and the generators are
     conjugated back to the basis of L.
     """
     n = L.rank
-    U, R = _search_basis(L.gram)
+    U, R = search_basis(L.gram, L.minors)
     if U is not None:
         Ui = U.inverse()
         sublattices = [S @ Ui for S in sublattices]
@@ -959,7 +996,8 @@ def enumerate_chain_classes(L1: QuadLattice, T, budget: int = 10**7) -> list[Cha
             # the keys' images under every generator, echelonized in one stack
             moves = np.array([g.to_numpy().T % p for g in gens], dtype=np.int64)
             images = (E @ moves.reshape(-1, 1, n, n)).reshape(-1, n // 2, n)
-            perms = find(echelon_mod(images, p).reshape(len(images), -1)).reshape(len(gens), len(Ks))
+            perms = find(echelon_mod(images, p).reshape(len(images), -1))
+            perms = perms.reshape(len(gens), len(Ks))
             if (perms < 0).any():
                 raise NotStabilizing("generator left the candidate set")
             label = _orbit_labels(perms)

@@ -113,11 +113,11 @@ def _join(L1, coords, bound, budget):
     G1 = L1.gram.to_numpy()
     mats = [C.to_numpy() for C in coords]
     W = [[A @ G1 @ B.T for B in mats] for A in mats]
-    grams = [C @ L1.gram @ C.transpose() for C in coords]
-    shells = [shell_counts(QuadLattice(g), bound, budget) for g in grams]
+    members = [QuadLattice(C @ L1.gram @ C.transpose()) for C in coords]
+    shells = [shell_counts(K, bound, budget) for K in members]
     minima = [min((q for q in s if q), default=bound + 1) for s in shells]
-    rows = [shell_vectors(g, bound - min(minima[:i] + minima[i + 1:], default=bound + 1),
-                          budget, half=True) for i, g in enumerate(grams)]
+    rows = [shell_vectors(K.gram, bound - min(minima[:i] + minima[i + 1:], default=bound + 1),
+                          budget, half=True, minors=K.minors) for i, K in enumerate(members)]
     n = len(shells)
     pairs = list(combinations(range(n), 2))
 
@@ -334,7 +334,7 @@ def theta1_value(L: QuadLattice, z: complex, tail_tol: float = 1e-12,
     if y <= 0:
         raise NotInHalfSpace("z must have positive imaginary part")
     rate = 2 * math.pi * y
-    P = enumeration_basis(L.gram)[2]
+    P = enumeration_basis(L.gram, L.minors)[2]
     m0 = min(-(-P[i + 1] // (2 * P[i])) for i in range(L.rank))
     try:
         B0 = _tail_bound(m0, L.rank, rate, tail_tol)
@@ -521,7 +521,8 @@ def _bound_for_tail(minimum: int, rank: int, rate: float, tol: float) -> int:
 _EVAL_BUDGET = 500 * 10**6
 
 
-def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET):
+def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET,
+                      minors=None):
     """Exact counts of the vectors x with Q(x) <= bound by (Q(x), x mod M).
 
     The residue x mod M of a row vector x is read as the base-M number
@@ -530,14 +531,15 @@ def residue_histogram(gram: Mat, M: int, bound: int, budget: int = _EVAL_BUDGET)
     of each pair +-x fills the histogram; -x has the residue -r digitwise.
     A residue map acts on the few distinct keys afterwards (see _remap),
     and so does the enumeration basis R = U gram U^T: x = y U for its rows y,
-    so x mod M = y (U mod M) mod M.
+    so x mod M = y (U mod M) mod M.  minors, gram's leading principal
+    minors, go to enumeration_basis.
 
     The budget caps the candidates of the enumeration, one per pair +-x.
     Every call enumerates; the histograms of a chain's members are kept on
     the chain instead (see _member_histogram).
     """
     n = gram.nrows
-    U, R, _ = enumeration_basis(gram)
+    U, R, _ = enumeration_basis(gram, minors)
     G = R.to_numpy()
     powers = M ** np.arange(n, dtype=np.int64)
     nbuck = M**n
@@ -622,7 +624,8 @@ def _member_histogram(chain: ParamodularChain, j: int, M: int, bound: int, rmap)
     kept, n = chain._histograms, chain.L1.rank
     entry = kept.get((j, M))
     if entry is None or entry[0] < bound:
-        entry = (bound, *residue_histogram(chain.member_gram(j), M, bound))
+        member = chain.member(j)
+        entry = (bound, *residue_histogram(member.gram, M, bound, _EVAL_BUDGET, member.minors))
         with _STORE_LOCK:
             if kept.get((j, M), (-1,))[0] < bound:
                 kept[(j, M)] = entry

@@ -38,10 +38,10 @@ from paramodular.quadlat import (
     _orbit_labels,
     _quotient_map,
     _row_index,
-    _search_basis,
     aut_order_and_gens,
     enumerate_chain_classes,
     pmodular_coords,
+    search_basis,
     shell_counts,
     shell_vectors,
     short_vectors_exact,
@@ -449,7 +449,7 @@ def test_orbit_pruning_matches_exhaustive_search(data, n, subs):
 def _on_search_basis(L, gens, sublattices=()):
     # the stabilizer chain runs over the search basis: the lattice, the
     # generators and the sublattice rows in its coordinates
-    U, R = _search_basis(L.gram)
+    U, R = search_basis(L.gram)
     if U is None:
         return L, gens, list(sublattices)
     Ut, Ui = U.transpose(), U.inverse()

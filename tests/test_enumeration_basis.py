@@ -2,7 +2,8 @@
 
 Enumerations run on the enumeration basis of a Gram: the Gram itself when
 it passes the orthogonality defect and spread tests, else its exact LLL
-reduction.  The property test skews root lattices and E8 by random
+reduction; isometry searches run on the LLL reduction as well when it
+shortens the longest basis vector.  The property test skews root lattices and E8 by random
 unimodular matrices with large entries, where the float enumerator on the
 given basis misses vectors or does not return; the examples are skews on
 which it does."""
@@ -11,11 +12,13 @@ import time
 import tracemalloc
 from math import prod
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chain_oracle import theta_coefficients_tuple, tuple_coefficients
 from paramodular import quadlat
+from paramodular.errors import NotSupported
 from paramodular.exactmat import Mat, rational_inverse
 from paramodular.quadlat import (
     QuadLattice,
@@ -24,7 +27,9 @@ from paramodular.quadlat import (
     enumeration_basis,
     isometry_test,
     pmodular_coords,
+    search_basis,
     shell_counts,
+    shell_vectors,
     short_vectors,
 )
 from paramodular.thetaser import theta1_value
@@ -176,7 +181,8 @@ def test_skews_past_either_bound_are_reduced():
     # times as long as the others; a shear by 10 is kept
     assert _defect(Mat(FAULT_GRAM)) > 2e24
     assert _defect(_sheared_e8(7, 6, 10**5).gram) > 2**28
-    assert _defect(_sheared_e8(0, 5, 183).gram) < 2**28 and _spread(_sheared_e8(0, 5, 183).gram) > 2**7
+    long_vector = _sheared_e8(0, 5, 183).gram
+    assert _defect(long_vector) < 2**28 and _spread(long_vector) > 2**7
     for L, reduced in ((QuadLattice(Mat(FAULT_GRAM)), True), (_sheared_e8(7, 6, 10**5), True),
                        (_sheared_e8(0, 5, 183), True), (_sheared_e8(7, 6, 10), False)):
         U, R, _ = enumeration_basis(L.gram)
@@ -193,6 +199,36 @@ def test_long_vector_among_short_ones():
     z = complex(0.1, 0.7)
     assert theta1_value(L, z) == theta1_value(QuadLattice(Mat(E8)), z)
     assert aut_order(L) == 696729600
+
+
+def test_searches_run_on_a_short_basis():
+    # E8 with b_7 = e_7 + 11 e_0 passes both tests, so it is enumerated as
+    # given, but a search on it would list the vectors of Q <= 122, 1.5 *
+    # 10^10 of them; the search basis is its LLL reduction
+    L = _sheared_e8(7, 0, 11)
+    assert L.gram[7, 7] == 244 and _defect(L.gram) < 2**28 and _spread(L.gram) <= 2**7
+    assert enumeration_basis(L.gram)[0] is None
+    U, S = search_basis(L.gram)
+    assert U @ L.gram @ U.transpose() == S and max(S[i, i] for i in range(8)) == 2
+    assert aut_order(L) == 696729600
+    g = isometry_test(QuadLattice(Mat(E8)), L)
+    assert g is not None and g.transpose() @ L.gram @ g == Mat(E8)
+
+
+def test_shell_vectors_that_may_overflow_int64_are_refused():
+    # A2 in the basis e_0, c e_0 + e_1: the rows found on its LLL reduction
+    # go back through a transform with an entry near c, so at c = 2^63 the
+    # vector y = (c, -1) at Q = 1 does not fit int64; at c = 2^40 it does
+    def skewed_a2(c):
+        S = Mat([[1, 0], [c, 1]])
+        return S @ Mat([[2, -1], [-1, 2]]) @ S.transpose()
+    gram = skewed_a2(2**40)
+    rows = {tuple(y) for y in shell_vectors(gram, 1)[1].tolist()}
+    assert len(rows) == 6 and (2**40, -1) in rows and all(QuadLattice(gram).q(y) == 1 for y in rows)
+    gram = skewed_a2(2**63)
+    with pytest.raises(NotSupported):
+        shell_vectors(gram, 1)
+    assert shell_counts(QuadLattice(gram), 1) == {0: 1, 1: 6}
 
 
 def test_raw_leaves_keep_the_given_basis():

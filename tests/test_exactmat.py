@@ -10,7 +10,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import fraction_oracle as oracle
@@ -125,13 +125,14 @@ def _lll_reduced(H, delta=Fraction(3, 4)) -> bool:
     for i in range(n):
         for j in range(i):
             mu[i][j] = (H[i][j] - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))) / B[j]
-        B[i] = H[i][i] - sum(mu[i][k] ** 2 * B[k] for k in range(i))
+        B[i] = Fraction(H[i][i]) - sum(mu[i][k] ** 2 * B[k] for k in range(i))
     return (all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
             and all(B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1] for k in range(1, n)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 10**6))
+@example(6, 803096)     # the Lovasz condition holds with equality at k = 1
 def test_lll_gram_is_an_lll_reduced_basis_change(n, seed):
     # B B^T for a random nonsingular B, in a basis skewed by large
     # elementary operations
@@ -146,8 +147,9 @@ def test_lll_gram_is_an_lll_reduced_basis_change(n, seed):
         c = rng.randint(-10**4, 10**4)
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
     G = Mat(U) @ B @ B.transpose() @ Mat(U).transpose()
-    V, H = lll_gram(G.rows)
+    V, H, d = lll_gram(G.rows)
     assert Mat(V) @ G @ Mat(V).transpose() == Mat(H)
+    assert d == leading_minors(Mat(H))
     assert abs(Mat(V).det()) == 1
     assert _lll_reduced(H)
     assert prod(H[i][i] for i in range(n)) <= G.det() * 2 ** (n * (n - 1) // 2)
@@ -158,13 +160,13 @@ def test_lll_gram_examples():
     fault = [[6661984, -233340260, -193191218],
              [-233340260, 8172892180, 6766646248],
              [-193191218, 6766646248, 5602362106]]
-    U, H = lll_gram(fault)
-    assert H == [[4, 0, 0], [0, 6, 0], [0, 0, 6]]
+    U, H, d = lll_gram(fault)
+    assert H == [[4, 0, 0], [0, 6, 0], [0, 0, 6]] and d == [1, 4, 24, 144]
     assert U[0] == [1366, 39, 0]
     # a reduced Gram is kept as it is
     a2 = [[2, -1], [-1, 2]]
-    assert lll_gram(a2) == ([[1, 0], [0, 1]], a2)
-    assert lll_gram([]) == ([], [])
+    assert lll_gram(a2) == ([[1, 0], [0, 1]], a2, [1, 2, 3])
+    assert lll_gram([]) == ([], [], [1])
     for bad in ([[0]], [[-2]], [[2, 3], [3, 2]]):
         with pytest.raises(NotPositiveDefinite):
             lll_gram(bad)

@@ -261,27 +261,17 @@ def test_inversion_check_matches_oracle(gram):
 def test_inversion_check_eliminates_twice(monkeypatch):
     # one exact inverse gives the dual and the level, the rescaled dual's
     # constructor takes its leading minors; the lattice's own minors, which
-    # give its discriminant, were taken when it was built, and the lattice
-    # keeps its dual and level, so a later point only takes the rescaled
-    # dual's minors.  The eliminations of the pivots cache, which fills a
-    # Gram's entry at its first enumeration, are not counted
-    calls, filling = [], []
-    eliminate, pivots = exactmat._eliminate, quadlat._pivots
+    # give its discriminant and pivot bound, were taken when it was built,
+    # and the lattice keeps its dual and level, so a later point only takes
+    # the rescaled dual's minors
+    calls = []
+    eliminate = exactmat._eliminate
 
     def counted(*args, **kwargs):
-        if not filling:
-            calls.append(args)
+        calls.append(args)
         return eliminate(*args, **kwargs)
-
-    def uncounted(gram):
-        filling.append(gram)
-        try:
-            return pivots(gram)
-        finally:
-            filling.pop()
     lattices = [quadlat.e8_lattice()] + [QuadLattice(Mat(g)) for g, _ in THETA1_CASES[:4]]
     monkeypatch.setattr(exactmat, "_eliminate", counted)
-    monkeypatch.setattr(quadlat, "_pivots", uncounted)
     for L in lattices:
         for z, want in ((1j, 2), (complex(0.3, 0.8), 1)):
             calls.clear()
@@ -419,17 +409,32 @@ def test_member_histogram_row_sums(e8_chain):
 @pytest.mark.parametrize("M", [1, 2, 3])
 @pytest.mark.parametrize("paired", [False, True])
 def test_histogram_against_full_enumeration(e8_chain, M, paired):
-    # every vector of the full enumeration, bucketed by its residue
+    # every vector of the full enumeration, bucketed by its residue; then
+    # member 1 in the basis S = I + 10^5 E_76, which fails the defect test:
+    # it is enumerated on its LLL reduction, whose residues and rows are
+    # carried back by U.  Its vectors are y = x S^-1 for the vectors x of
+    # member 1 in its own basis, and the pairing of x = y S is y S W.T
     gram = e8_chain.member_gram(0)
-    R = _pairing(e8_chain).T if paired else np.eye(8, dtype=np.int64)
+    W = _pairing(e8_chain).T
     powers = M ** np.arange(8, dtype=np.int64)
-    want = {}
-    for q, X in shell_vectors(gram, 4).items():
-        for r in ((X @ R) % M @ powers).tolist():
-            want[q * M**8 + r] = want.get(q * M**8 + r, 0) + 1
-    keys, counts = thetaser._remap(*residue_histogram(gram, M, 4), M, 8, R if paired else None)
-    assert dict(zip(keys.tolist(), counts.tolist())) == want
-    assert keys.tolist() == sorted(want)
+    shells = shell_vectors(gram, 4)
+    for shear in (0, 10**5):
+        S, Si = np.eye(8, dtype=np.int64), np.eye(8, dtype=np.int64)
+        S[7, 6], Si[7, 6] = shear, -shear
+        skewed = Mat(S.tolist()) @ gram @ Mat(S.tolist()).transpose()
+        assert (quadlat.enumeration_basis(skewed)[0] is None) == (shear == 0)
+        want = {}
+        for q, X in shells.items():
+            for r in ((X @ (W if paired else Si)) % M @ powers).tolist():
+                want[q * M**8 + r] = want.get(q * M**8 + r, 0) + 1
+        keys, counts = thetaser._remap(*residue_histogram(skewed, M, 4), M, 8,
+                                       S @ W if paired else None)
+        assert dict(zip(keys.tolist(), counts.tolist())) == want
+        assert keys.tolist() == sorted(want)
+        rows = shell_vectors(skewed, 4)
+        assert sorted(rows) == sorted(shells)
+        for q, X in shells.items():
+            assert sorted(map(tuple, rows[q].tolist())) == sorted(map(tuple, (X @ Si).tolist()))
 
 
 def _count_builds(monkeypatch):
